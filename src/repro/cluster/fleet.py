@@ -47,6 +47,7 @@ produced had it been able to run).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,7 +66,7 @@ from repro.cluster.randomness import (
 from repro.cluster.randomness import COSTS as COSTS_CHANNEL
 from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState, StateIndex
-from repro.policies.base import Policy
+from repro.policies.base import DecisionBatch, Policy
 from repro.recoverylog.entry import EntryKind, LogEntry, SUCCESS_DESCRIPTION
 from repro.recoverylog.log import RecoveryLog
 from repro.scenario.compiled import CompiledScenario, compile_scenario
@@ -122,8 +123,9 @@ class FleetResult:
 
     Attributes
     ----------
-    machine_names:
-        Dense machine index -> log machine name.
+    machine_count / machine_name_format:
+        The fleet size and the format naming machine ``i`` in the log;
+        :attr:`machine_names` formats the names on first use.
     descriptions:
         Dense description id -> symptom/action string.
     log_times / log_machines / log_kinds / log_descriptions:
@@ -144,7 +146,8 @@ class FleetResult:
         The ``(machine, channel)`` RNG counter matrix after the run.
     """
 
-    machine_names: Tuple[str, ...]
+    machine_count: int
+    machine_name_format: str
     descriptions: Tuple[str, ...]
     log_times: np.ndarray
     log_machines: np.ndarray
@@ -167,6 +170,14 @@ class FleetResult:
     failure_counts: np.ndarray
     recovery_counts: np.ndarray
     draw_counts: np.ndarray
+
+    @cached_property
+    def machine_names(self) -> Tuple[str, ...]:
+        """Dense machine index -> log machine name."""
+        return tuple(
+            self.machine_name_format.format(i)
+            for i in range(self.machine_count)
+        )
 
     @property
     def entry_count(self) -> int:
@@ -204,7 +215,7 @@ class FleetResult:
 
     def downtime_per_machine(self) -> np.ndarray:
         """Seconds each machine spent inside recovery processes."""
-        downtime = np.zeros(len(self.machine_names), dtype=np.float64)
+        downtime = np.zeros(self.machine_count, dtype=np.float64)
         np.add.at(
             downtime,
             self.proc_machines,
@@ -405,6 +416,21 @@ class FleetEngine:
             self._sources.append(source)
         return sid
 
+    def _source_column(self, batch: DecisionBatch) -> np.ndarray:
+        """Interned source ids per row of ``batch``.
+
+        Sources are interned in the order their first row appears, as a
+        row-by-row pass would, so ids do not depend on the vocabulary's
+        order.
+        """
+        used, first_rows = np.unique(batch.source_ids, return_index=True)
+        interned = np.zeros(len(batch.sources), dtype=np.int64)
+        for vocabulary_id in used[np.argsort(first_rows)].tolist():
+            interned[vocabulary_id] = self._intern_source(
+                batch.sources[vocabulary_id]
+            )
+        return interned[batch.source_ids]
+
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
         """Execute the wave loop to completion and return the result."""
@@ -502,9 +528,8 @@ class FleetEngine:
         )
 
         result = FleetResult(
-            machine_names=tuple(
-                cfg.machine_name_format.format(i) for i in range(N)
-            ),
+            machine_count=N,
+            machine_name_format=cfg.machine_name_format,
             descriptions=tuple(self._descs),
             log_times=log.column("t", np.float64),
             log_machines=log.column("m", np.int64),
@@ -694,31 +719,41 @@ class FleetEngine:
         rand = self._rand
         t = t_event[J]
 
-        # The N-cap rule, from its single source in session.core.
+        # The N-cap rule, from its single source in session.core, once
+        # per distinct attempt count in the wave.
         forced_name = self.actions.strongest.name
-        forced_names = [
-            forced_action(int(a), cfg.max_actions, forced_name)
-            for a in attempts[J]
+        counts = attempts[J]
+        capped = [
+            count
+            for count in np.unique(counts).tolist()
+            if forced_action(count, cfg.max_actions, forced_name) is not None
         ]
-        states = [self._index.state(sid) for sid in state_sid[J].tolist()]
-        outcomes = decide_wave(self.policy, states, forced_names)
-        aids = np.empty(J.size, dtype=np.int64)
-        sources = np.empty(J.size, dtype=np.int64)
-        expected = np.full(J.size, np.nan, dtype=np.float64)
-        forced_mask = np.zeros(J.size, dtype=bool)
-        for pos, outcome in enumerate(outcomes):
+        forced_mask = np.isin(counts, capped)
+        batch = decide_wave(
+            self.policy,
+            self._index.states(state_sid[J].tolist()),
+            forced_mask,
+            forced_name,
+        )
+        # Columns in, columns out: vocabulary entries map to catalog and
+        # source ids once each, then one gather per column.  Misses and
+        # names outside the catalog map to -1 (the trailing entry).
+        catalog_ids = np.array(
+            [self._action_ids.get(name, -1) for name in batch.actions] + [-1],
+            dtype=np.int64,
+        )
+        aids = catalog_ids[np.where(batch.hit, batch.action_ids, -1)]
+        bad = aids < 0
+        if bad.any():
+            outcome = batch[int(np.argmax(bad))]
             if isinstance(outcome, UnhandledStateError):
                 # The online path must never swallow an unable policy —
                 # same contract as the reference backend.
                 raise outcome
-            aids[pos] = self._action_ids.get(outcome.action, -1)
-            if aids[pos] < 0:
-                # Unknown action name: surface the catalog's error.
-                self.actions[outcome.action]
-            sources[pos] = self._intern_source(outcome.source)
-            forced_mask[pos] = outcome.forced
-            if outcome.expected_cost is not None:
-                expected[pos] = outcome.expected_cost
+            # Unknown action name: surface the catalog's error.
+            self.actions[outcome.action]
+        sources = self._source_column(batch)
+        expected = np.where(batch.estimated, batch.costs, np.nan)
 
         log.append(
             t=t, m=J,

@@ -6,11 +6,13 @@
   :class:`~repro.errors.UnhandledStateError` on states never explored.
 * :class:`HybridPolicy` — the trained policy with automatic fallback to
   the user-defined one (Section 3.4).
+* :class:`DecisionBatch` — every policy's ``decide_batch`` answer, held
+  as columns.
 * static baselines for ablations (always cheapest, always strongest,
   uniformly random, fixed sequence).
 """
 
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import DecisionBatch, Policy, PolicyDecision
 from repro.policies.binary import ArrayTrainedPolicy
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.index_policy import action_indices, design_index_policy
@@ -41,6 +43,7 @@ __all__ = [
     "load_qtable",
     "action_indices",
     "design_index_policy",
+    "DecisionBatch",
     "Policy",
     "PolicyDecision",
     "UserDefinedPolicy",

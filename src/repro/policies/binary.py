@@ -45,10 +45,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, LogFormatError, UnhandledStateError
+from repro.errors import ConfigurationError, LogFormatError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
-from repro.policies.trained import TrainedPolicy
+from repro.policies.base import DecisionBatch, Policy, PolicyDecision
+from repro.policies.trained import (
+    TrainedPolicy,
+    no_rule_error,
+    terminal_state_error,
+)
 
 __all__ = [
     "BINARY_POLICY_FORMAT",
@@ -66,6 +70,10 @@ _ALIGN = 64
 
 #: Key space ceiling: keys must fit uint64.
 _KEY_LIMIT = 2**64
+
+#: Histories :meth:`ArrayTrainedPolicy.decide_batch` remembers per table
+#: before it starts over; one call adds at most one per state it gets.
+_HISTORY_MEMO_LIMIT = 1 << 16
 
 
 def _pack_key(
@@ -278,6 +286,21 @@ class ArrayTrainedPolicy(Policy):
         self._digit_ids = {
             name: i for i, name in enumerate(self._history_actions)
         }
+        # A state's key splits into an error-type part and a history
+        # part: key = et_id * stride + history_code(tried), with
+        # history_code = L * B**Lmax + horner(digits) (see _pack_key).
+        self._span = self._base**max_history
+        self._stride = (max_history + 1) * self._span
+        # Per error-type id the key offset, plus a trailing 0 for the
+        # rows of states no rule can match.  Offsets stay below the
+        # largest key, which the writer checked fits uint64; with two or
+        # more error types that bounds the stride by 2**63 as well.
+        self._type_offsets = np.zeros(len(self._error_types) + 1, dtype=np.uint64)
+        if len(self._error_types) > 1:
+            self._type_offsets[:-1] = np.arange(
+                len(self._error_types), dtype=np.uint64
+            ) * np.uint64(self._stride)
+        self._history_codes: Dict[Tuple[str, ...], int] = {}
         self._keys = keys
         self._actions = actions
         self._costs = costs
@@ -301,20 +324,25 @@ class ArrayTrainedPolicy(Policy):
         return self._error_types
 
     # ------------------------------------------------------------------
+    def _history_code(self, tried: Tuple[str, ...]) -> int:
+        """The history part of a key, or -1 when no rule can match it."""
+        if len(tried) > self._max_history:
+            return -1
+        code = 0
+        for name in tried:
+            digit = self._digit_ids.get(name)
+            if digit is None:
+                return -1
+            code = code * self._base + digit + 1
+        return len(tried) * self._span + code
+
     def _encode(self, state: RecoveryState) -> Optional[int]:
         """``state``'s packed key, or ``None`` when definitionally absent."""
         et_id = self._et_ids.get(state.error_type)
-        if et_id is None or len(state.tried) > self._max_history:
+        code = self._history_code(state.tried)
+        if et_id is None or code < 0:
             return None
-        digits = []
-        for name in state.tried:
-            digit = self._digit_ids.get(name)
-            if digit is None:
-                return None
-            digits.append(digit)
-        return _pack_key(
-            et_id, digits, base=self._base, max_history=self._max_history
-        )
+        return et_id * self._stride + code
 
     def _row_for(self, state: RecoveryState) -> int:
         """The rule row for ``state``, or -1 when unhandled."""
@@ -337,70 +365,68 @@ class ArrayTrainedPolicy(Policy):
 
     def decide(self, state: RecoveryState) -> PolicyDecision:
         if state.is_terminal:
-            raise ConfigurationError(
-                f"cannot decide an action in terminal state {state}"
-            )
+            raise terminal_state_error(state)
         row = self._row_for(state)
         if row < 0:
-            raise UnhandledStateError(
-                f"no trained rule for state {state}; the pattern did not "
-                "appear in the training log",
-                state=state,
-            )
+            raise no_rule_error(state)
         return PolicyDecision(
             action=self._decided_actions[int(self._actions[row])],
             source=self.name,
             expected_cost=float(self._costs[row]),
         )
 
-    def decide_batch(
-        self, states: Sequence[RecoveryState]
-    ) -> List[Union[PolicyDecision, UnhandledStateError]]:
-        """One vectorized key search over a whole wave of states."""
-        if not states:
-            return []
-        encoded = np.zeros(len(states), dtype=np.uint64)
-        missing = np.zeros(len(states), dtype=bool)
-        for i, state in enumerate(states):
+    def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
+        """One pass over the states, then one vectorized key search.
+
+        The pass reads each state's error-type id and history code
+        (histories are memoised per table: a fleet repeats a few
+        thousand of them).  numpy then adds the key parts, searches the
+        sorted key column and gathers actions and costs.
+        """
+        type_ids = self._et_ids
+        unknown = len(self._error_types)
+        memo = self._history_codes
+        if len(memo) > _HISTORY_MEMO_LIMIT:
+            # Rebind, never clear: a concurrent call keeps its own memo.
+            memo = self._history_codes = {}
+        types: List[int] = []
+        codes: List[int] = []
+        for state in states:
             if state.is_terminal:
-                raise ConfigurationError(
-                    f"cannot decide an action in terminal state {state}"
-                )
-            key = self._encode(state)
-            if key is None:
-                missing[i] = True
+                raise terminal_state_error(state)
+            tried = state.tried
+            code = memo.get(tried)
+            if code is None:
+                code = memo[tried] = self._history_code(tried)
+            if code < 0:
+                types.append(unknown)
+                codes.append(0)
             else:
-                encoded[i] = key
-        rows = np.searchsorted(self._keys, encoded)
-        inside = rows < len(self._keys)
-        hit = inside & ~missing
-        hit[inside] &= self._keys[rows[inside]] == encoded[inside]
-        source = self.name
-        results: List[Union[PolicyDecision, UnhandledStateError]] = []
-        actions = self._actions
-        costs = self._costs
-        names = self._decided_actions
-        hits = hit.tolist()
-        rows_list = rows.tolist()
-        for i, state in enumerate(states):
-            if hits[i]:
-                row = rows_list[i]
-                results.append(
-                    PolicyDecision(
-                        action=names[int(actions[row])],
-                        source=source,
-                        expected_cost=float(costs[row]),
-                    )
-                )
-            else:
-                results.append(
-                    UnhandledStateError(
-                        f"no trained rule for state {state}; the pattern "
-                        "did not appear in the training log",
-                        state=state,
-                    )
-                )
-        return results
+                types.append(type_ids.get(state.error_type, unknown))
+                codes.append(code)
+        type_column = np.array(types, dtype=np.intp)
+        keys = self._type_offsets[type_column] + np.array(codes, dtype=np.uint64)
+        # Unknown rows miss without a lookup; on an empty table every
+        # error type is unknown, so the gathers below never run.
+        hit = type_column != unknown
+        action_ids = np.zeros(len(keys), dtype=np.intp)
+        costs = np.zeros(len(keys), dtype=np.float64)
+        if hit.any():
+            rows = np.searchsorted(self._keys, keys)
+            np.minimum(rows, len(self._keys) - 1, out=rows)
+            hit &= self._keys[rows] == keys
+            action_ids = self._actions[rows].astype(np.intp)
+            costs = self._costs[rows]
+        return DecisionBatch(
+            hit=hit,
+            action_ids=action_ids,
+            actions=self._decided_actions,
+            costs=costs,
+            estimated=hit,
+            source_ids=np.zeros(len(keys), dtype=np.intp),
+            sources=(self.name,),
+            miss=lambda row: no_rule_error(states[row]),
+        )
 
     def state_at(self, row: int) -> RecoveryState:
         """Decode the state of rule ``row`` (0-based, key order).

@@ -10,11 +10,18 @@ policy's savings on the common cases.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import (
+    DecisionBatch,
+    Policy,
+    PolicyDecision,
+    as_decision_batch,
+)
 
 __all__ = ["HybridPolicy"]
 
@@ -77,34 +84,21 @@ class HybridPolicy(Policy):
             expected_cost=decision.expected_cost,
         )
 
-    def decide_batch(
-        self, states: Sequence[RecoveryState]
-    ) -> List[Union[PolicyDecision, UnhandledStateError]]:
+    def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
         """Batch the trained pass, then fall back per miss.
 
         The fallback counters advance exactly as they would under
         per-state :meth:`decide` calls over the same states.
         """
         self._decision_count += len(states)
-        primary = self._trained.decide_batch(states)
-        results: List[Union[PolicyDecision, UnhandledStateError]] = []
-        for state, outcome in zip(states, primary):
-            if isinstance(outcome, UnhandledStateError):
-                self._fallback_count += 1
-                fallback_decision = self._fallback.decide(state)
-                results.append(
-                    PolicyDecision(
-                        action=fallback_decision.action,
-                        source=f"{self.name}:{self._fallback.name}",
-                        expected_cost=fallback_decision.expected_cost,
-                    )
-                )
-            else:
-                results.append(
-                    PolicyDecision(
-                        action=outcome.action,
-                        source=f"{self.name}:{self._trained.name}",
-                        expected_cost=outcome.expected_cost,
-                    )
-                )
-        return results
+        primary = as_decision_batch(self._trained.decide_batch(states))
+        fell_back = ~primary.hit
+        self._fallback_count += int(np.count_nonzero(fell_back))
+        answered = primary.with_fallback(states, self._fallback)
+        return answered.with_sources(
+            (
+                f"{self.name}:{self._trained.name}",
+                f"{self.name}:{self._fallback.name}",
+            ),
+            fell_back.astype(np.intp),
+        )

@@ -11,16 +11,34 @@ catch exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import DecisionBatch, Policy, PolicyDecision
 
-__all__ = ["TrainedPolicy"]
+__all__ = ["TrainedPolicy", "no_rule_error", "terminal_state_error"]
 
 Rule = Tuple[str, float]
 """``(action name, expected remaining cost)``."""
+
+
+def no_rule_error(state: RecoveryState) -> UnhandledStateError:
+    """The miss a trained rule table reports for ``state``."""
+    return UnhandledStateError(
+        f"no trained rule for state {state}; the pattern did not "
+        "appear in the training log",
+        state=state,
+    )
+
+
+def terminal_state_error(state: RecoveryState) -> ConfigurationError:
+    """The error every policy raises when asked to act in ``state``."""
+    return ConfigurationError(
+        f"cannot decide an action in terminal state {state}"
+    )
 
 
 class TrainedPolicy(Policy):
@@ -40,6 +58,7 @@ class TrainedPolicy(Policy):
         rules: Mapping[RecoveryState, Rule],
         label: str = "trained",
     ) -> None:
+        actions = set()
         for state, (action, _cost) in rules.items():
             if state.is_terminal:
                 raise ConfigurationError(
@@ -47,8 +66,12 @@ class TrainedPolicy(Policy):
                 )
             if not action:
                 raise ConfigurationError(f"empty action in rule for {state}")
+            actions.add(action)
         self._rules: Dict[RecoveryState, Rule] = dict(rules)
         self._label = label
+        # The action vocabulary of decide_batch's columns.
+        self._actions = tuple(sorted(actions))
+        self._action_ids = {name: i for i, name in enumerate(self._actions)}
 
     @property
     def name(self) -> str:
@@ -77,44 +100,40 @@ class TrainedPolicy(Policy):
 
     def decide(self, state: RecoveryState) -> PolicyDecision:
         if state.is_terminal:
-            raise ConfigurationError(
-                f"cannot decide an action in terminal state {state}"
-            )
+            raise terminal_state_error(state)
         rule = self._rules.get(state)
         if rule is None:
-            raise UnhandledStateError(
-                f"no trained rule for state {state}; the pattern did not "
-                "appear in the training log",
-                state=state,
-            )
+            raise no_rule_error(state)
         action, cost = rule
         return PolicyDecision(action=action, source=self.name, expected_cost=cost)
 
-    def decide_batch(
-        self, states: Sequence[RecoveryState]
-    ) -> List[Union[PolicyDecision, UnhandledStateError]]:
+    def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
         """One rule-table pass over a whole wave of concurrent states."""
         rules = self._rules
-        source = self.name
-        results: List[Union[PolicyDecision, UnhandledStateError]] = []
+        action_ids = self._action_ids
+        hit: List[bool] = []
+        rows: List[int] = []
+        costs: List[float] = []
         for state in states:
             if state.is_terminal:
-                raise ConfigurationError(
-                    f"cannot decide an action in terminal state {state}"
-                )
+                raise terminal_state_error(state)
             rule = rules.get(state)
             if rule is None:
-                results.append(
-                    UnhandledStateError(
-                        f"no trained rule for state {state}; the pattern "
-                        "did not appear in the training log",
-                        state=state,
-                    )
-                )
+                hit.append(False)
+                rows.append(0)
+                costs.append(0.0)
             else:
-                results.append(
-                    PolicyDecision(
-                        action=rule[0], source=source, expected_cost=rule[1]
-                    )
-                )
-        return results
+                hit.append(True)
+                rows.append(action_ids[rule[0]])
+                costs.append(rule[1])
+        found = np.array(hit, dtype=bool)
+        return DecisionBatch(
+            hit=found,
+            action_ids=np.array(rows, dtype=np.intp),
+            actions=self._actions,
+            costs=np.array(costs, dtype=np.float64),
+            estimated=found,
+            source_ids=np.zeros(len(found), dtype=np.intp),
+            sources=(self.name,),
+            miss=lambda row: no_rule_error(states[row]),
+        )

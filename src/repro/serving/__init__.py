@@ -22,11 +22,17 @@ from repro.serving.loadgen import (
     run_storm,
     storm_states,
 )
-from repro.serving.server import DecisionServer, PolicyVersion, ServedDecision
+from repro.serving.server import (
+    DecisionServer,
+    PolicyVersion,
+    ServedBatch,
+    ServedDecision,
+)
 
 __all__ = [
     "DecisionServer",
     "PolicyVersion",
+    "ServedBatch",
     "ServedDecision",
     "ServingFrontend",
     "ServerBackedPolicy",

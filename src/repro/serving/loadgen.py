@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.actions.action import ActionCatalog, default_catalog
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine
-from repro.errors import ConfigurationError, UnhandledStateError
+from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import DecisionBatch, Policy, PolicyDecision
 from repro.policies.binary import ArrayTrainedPolicy
 from repro.policies.trained import TrainedPolicy
 from repro.serving.server import DecisionServer
@@ -159,10 +161,8 @@ def run_storm(
         with recorder.observe(len(chunk)):
             decisions = server.decide_batch(chunk)
         batches += 1
-        for decision in decisions:
-            if decision.fell_back:
-                fallbacks += 1
-        version = decisions[0].version if decisions else server.version
+        fallbacks += int(np.count_nonzero(decisions.fell_back))
+        version = decisions.version
         if not versions or versions[-1] != version:
             versions.append(version)
     return StormReport(
@@ -209,17 +209,9 @@ class ServerBackedPolicy(Policy):
             expected_cost=served.expected_cost,
         )
 
-    def decide_batch(
-        self, states: Sequence[RecoveryState]
-    ) -> List[Union[PolicyDecision, UnhandledStateError]]:
-        return [
-            PolicyDecision(
-                action=served.action,
-                source=served.source,
-                expected_cost=served.expected_cost,
-            )
-            for served in self._server.decide_batch(states)
-        ]
+    def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
+        """One server batch; its decision columns are the answer."""
+        return self._server.decide_batch(states).decisions
 
 
 def default_storm_faults() -> FaultCatalog:

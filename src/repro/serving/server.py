@@ -20,17 +20,21 @@ savings on the common cases.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from itertools import compress
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.actions.action import default_catalog
 from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy
+from repro.policies.base import DecisionBatch, Policy, as_decision_batch
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.user_defined import UserDefinedPolicy
 
-__all__ = ["DecisionServer", "PolicyVersion", "ServedDecision"]
+__all__ = ["DecisionServer", "PolicyVersion", "ServedBatch", "ServedDecision"]
 
 
 def _known_error_types(policy: Policy) -> Optional[FrozenSet[str]]:
@@ -54,11 +58,16 @@ class PolicyVersion:
         The trained policy consulted first.
     fallback:
         The proper policy consulted when ``primary`` has no rule.
+    known_types:
+        The primary's rule-table error types, when it exposes them: a
+        miss on a type outside this set counts as *unknown*, not as a
+        fallback.  It lives and dies with its generation.
     """
 
     version: int
     primary: Policy
     fallback: Policy
+    known_types: Optional[FrozenSet[str]] = None
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,75 @@ class ServedDecision:
     expected_cost: Optional[float]
     version: int
     fell_back: bool
+
+
+class ServedBatch(Sequence[ServedDecision]):
+    """A server's answer to one batch, held as columns.
+
+    ``decisions`` holds every answer as a
+    :class:`~repro.policies.base.DecisionBatch` in which each row is a
+    hit, its sources already ``"serving:"``-prefixed; ``fell_back``
+    (bool, one per row) marks the rows the fallback answered; and
+    ``version`` is the one generation that answered them all.  Indexing
+    or iterating materializes :class:`ServedDecision` rows.
+    """
+
+    __slots__ = ("decisions", "fell_back", "version")
+
+    def __init__(
+        self, decisions: DecisionBatch, fell_back: np.ndarray, version: int
+    ) -> None:
+        fell_back.flags.writeable = False
+        self.decisions = decisions
+        self.fell_back = fell_back
+        self.version = version
+
+    def __len__(self) -> int:
+        return len(self.decisions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(*index.indices(len(self)))]
+        decision = self.decisions[index]
+        return ServedDecision(
+            decision.action,
+            decision.source,
+            decision.expected_cost,
+            self.version,
+            bool(self.fell_back[index]),
+        )
+
+    def __iter__(self) -> Iterator[ServedDecision]:
+        decisions = self.decisions
+        actions, sources, version = (
+            decisions.actions,
+            decisions.sources,
+            self.version,
+        )
+        for action_id, source_id, cost, estimated, fell_back in zip(
+            decisions.action_ids.tolist(),
+            decisions.source_ids.tolist(),
+            decisions.costs.tolist(),
+            decisions.estimated.tolist(),
+            self.fell_back.tolist(),
+        ):
+            yield ServedDecision(
+                actions[action_id],
+                sources[source_id],
+                cost if estimated else None,
+                version,
+                fell_back,
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ServedBatch, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ServedBatch({list(self)!r})"
 
 
 class DecisionServer:
@@ -103,20 +181,22 @@ class DecisionServer:
         self._write_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._current = PolicyVersion(
-            version=1, primary=policy, fallback=fallback
+            version=1,
+            primary=policy,
+            fallback=fallback,
+            known_types=_known_error_types(policy),
         )
         self._decisions = 0
         self._fallbacks = 0
         self._batches = 0
         self._by_version: Dict[int, int] = {}
-        # Per error type: [hits, fallbacks, unknown].  A "fallback" is a
-        # known error type whose particular state the primary could not
-        # answer; "unknown" is an error type outside the primary's rule
-        # table entirely.
-        self._by_error_type: Dict[str, List[int]] = {}
-        self._known_types: Dict[int, Optional[FrozenSet[str]]] = {
-            1: _known_error_types(policy)
-        }
+        # Per error type, three counters.  A "fallback" is a known error
+        # type whose particular state the primary could not answer;
+        # "unknown" is an error type outside the primary's rule table
+        # entirely.
+        self._hits_by_type: Counter = Counter()
+        self._fallbacks_by_type: Counter = Counter()
+        self._unknown_by_type: Counter = Counter()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -134,6 +214,11 @@ class DecisionServer:
     def decision_count(self) -> int:
         """Total decisions served across all generations."""
         return self._decisions
+
+    @property
+    def batch_count(self) -> int:
+        """Non-empty ``decide_batch`` calls served."""
+        return self._batches
 
     @property
     def fallback_count(self) -> int:
@@ -164,27 +249,49 @@ class DecisionServer:
         counts as a fallback.
         """
         with self._stats_lock:
+            hits = self._hits_by_type
+            fallbacks = self._fallbacks_by_type
+            unknown = self._unknown_by_type
             return {
                 error_type: {
-                    "hits": counts[0],
-                    "fallbacks": counts[1],
-                    "unknown": counts[2],
+                    "hits": hits[error_type],
+                    "fallbacks": fallbacks[error_type],
+                    "unknown": unknown[error_type],
                 }
-                for error_type, counts in sorted(self._by_error_type.items())
+                for error_type in sorted(
+                    hits.keys() | fallbacks.keys() | unknown.keys()
+                )
             }
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _decision(
-        self, current: PolicyVersion, state: RecoveryState
-    ) -> ServedDecision:
+    def decide(self, state: RecoveryState) -> ServedDecision:
+        """Answer one lookup from the current generation."""
+        if state.is_terminal:
+            raise ConfigurationError(
+                f"cannot decide an action in terminal state {state}"
+            )
+        current = self._current
         try:
             choice = current.primary.decide(state)
             fell_back = False
         except UnhandledStateError:
             choice = current.fallback.decide(state)
             fell_back = True
+        if not fell_back:
+            counter = self._hits_by_type
+        elif self._is_unknown(current, state.error_type):
+            counter = self._unknown_by_type
+        else:
+            counter = self._fallbacks_by_type
+        with self._stats_lock:
+            self._decisions += 1
+            self._fallbacks += 1 if fell_back else 0
+            self._by_version[current.version] = (
+                self._by_version.get(current.version, 0) + 1
+            )
+            counter[state.error_type] += 1
         return ServedDecision(
             action=choice.action,
             source=f"serving:{choice.source}",
@@ -193,103 +300,70 @@ class DecisionServer:
             fell_back=fell_back,
         )
 
-    def decide(self, state: RecoveryState) -> ServedDecision:
-        """Answer one lookup from the current generation."""
-        if state.is_terminal:
-            raise ConfigurationError(
-                f"cannot decide an action in terminal state {state}"
-            )
-        current = self._current
-        decision = self._decision(current, state)
-        column = self._stat_column(current, state, decision.fell_back)
-        with self._stats_lock:
-            self._decisions += 1
-            self._fallbacks += 1 if decision.fell_back else 0
-            self._by_version[current.version] = (
-                self._by_version.get(current.version, 0) + 1
-            )
-            self._count_error_type(state.error_type, column)
-        return decision
-
-    def decide_batch(
-        self, states: Sequence[RecoveryState]
-    ) -> List[ServedDecision]:
+    def decide_batch(self, states: Sequence[RecoveryState]) -> ServedBatch:
         """Answer a whole wave of lookups from *one* generation.
 
         The snapshot is taken once, before the first lookup, so every
-        decision in the returned list carries the same ``version`` even
-        when a publish lands mid-batch.
+        row of the answer carries the same ``version`` (and was answered
+        by that generation's fallback) even when a publish lands
+        mid-batch.  The primary answers the batch in one
+        ``decide_batch`` call; its misses go to the fallback one state
+        at a time (:meth:`~repro.policies.base.DecisionBatch.with_fallback`).
+        An empty batch answers nothing and counts nothing.
         """
         current = self._current
-        primary = current.primary.decide_batch(states)
-        source_hit = f"serving:{current.primary.name}"
-        results: List[ServedDecision] = []
-        # Per-type counts aggregated locally so the stats lock is held
-        # only for the (few) distinct error types, not per state.
-        local: Dict[str, List[int]] = {}
-        fallbacks = 0
-        for state, outcome in zip(states, primary):
-            counts = local.get(state.error_type)
-            if counts is None:
-                counts = local[state.error_type] = [0, 0, 0]
-            if isinstance(outcome, UnhandledStateError):
-                fallbacks += 1
-                counts[self._stat_column(current, state, True)] += 1
-                choice = current.fallback.decide(state)
-                results.append(
-                    ServedDecision(
-                        action=choice.action,
-                        source=f"serving:{choice.source}",
-                        expected_cost=choice.expected_cost,
-                        version=current.version,
-                        fell_back=True,
-                    )
-                )
+        if not states:
+            return ServedBatch(
+                DecisionBatch.from_outcomes(()),
+                np.zeros(0, dtype=bool),
+                current.version,
+            )
+        primary = as_decision_batch(current.primary.decide_batch(states))
+        answered = primary.with_fallback(states, current.fallback)
+        fell_back = ~primary.hit
+        self._count_batch(current, states, fell_back)
+        return ServedBatch(
+            answered.with_sources(
+                [f"serving:{source}" for source in answered.sources]
+            ),
+            fell_back,
+            current.version,
+        )
+
+    def _count_batch(
+        self,
+        current: PolicyVersion,
+        states: Sequence[RecoveryState],
+        fell_back: np.ndarray,
+    ) -> None:
+        """Add one answered batch to the counters."""
+        types = [state.error_type for state in states]
+        unknown = []
+        known = []
+        for error_type in compress(types, fell_back.tolist()):
+            if self._is_unknown(current, error_type):
+                unknown.append(error_type)
             else:
-                counts[0] += 1
-                results.append(
-                    ServedDecision(
-                        action=outcome.action,
-                        source=source_hit,
-                        expected_cost=outcome.expected_cost,
-                        version=current.version,
-                        fell_back=False,
-                    )
-                )
+                known.append(error_type)
+        # Counter.update counts in C; the lock covers no Python loop.
         with self._stats_lock:
-            self._decisions += len(results)
-            self._fallbacks += fallbacks
+            self._decisions += len(types)
+            self._fallbacks += len(unknown) + len(known)
             self._batches += 1
             self._by_version[current.version] = (
-                self._by_version.get(current.version, 0) + len(results)
+                self._by_version.get(current.version, 0) + len(types)
             )
-            by_error_type = self._by_error_type
-            for error_type, batch_counts in local.items():
-                counts = by_error_type.get(error_type)
-                if counts is None:
-                    by_error_type[error_type] = batch_counts
-                else:
-                    counts[0] += batch_counts[0]
-                    counts[1] += batch_counts[1]
-                    counts[2] += batch_counts[2]
-        return results
+            self._hits_by_type.update(
+                compress(types, (~fell_back).tolist())
+            )
+            self._fallbacks_by_type.update(known)
+            self._unknown_by_type.update(unknown)
 
-    def _stat_column(
-        self, current: PolicyVersion, state: RecoveryState, fell_back: bool
-    ) -> int:
-        """0 = hit, 1 = fallback (known type), 2 = unknown type."""
-        if not fell_back:
-            return 0
-        known = self._known_types.get(current.version)
-        if known is not None and state.error_type not in known:
-            return 2
-        return 1
-
-    def _count_error_type(self, error_type: str, column: int) -> None:
-        counts = self._by_error_type.get(error_type)
-        if counts is None:
-            counts = self._by_error_type[error_type] = [0, 0, 0]
-        counts[column] += 1
+    @staticmethod
+    def _is_unknown(current: PolicyVersion, error_type: str) -> bool:
+        """Whether a miss on ``error_type`` is outside the rule table."""
+        known = current.known_types
+        return known is not None and error_type not in known
 
     # ------------------------------------------------------------------
     # Hot reload
@@ -303,16 +377,15 @@ class DecisionServer:
         generation; every call that starts after the swap sees the new
         one.  Returns the deployed :class:`PolicyVersion`.
         """
+        known_types = _known_error_types(policy)
         with self._write_lock:
             previous = self._current
             version = PolicyVersion(
                 version=previous.version + 1,
                 primary=policy,
                 fallback=fallback if fallback is not None else previous.fallback,
+                known_types=known_types,
             )
-            # Cache the generation's known-type set before the swap so
-            # readers classifying against it never miss the entry.
-            self._known_types[version.version] = _known_error_types(policy)
             self._current = version
         return version
 

@@ -19,12 +19,14 @@ Policies whose decisions consume internal RNG state declare
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy
-from repro.session.core import RecoverySession, SessionDecision, Transition
+from repro.policies.base import DecisionBatch, Policy, as_decision_batch
+from repro.session.core import RecoverySession, Transition
 from repro.session.environment import Environment
 from repro.session.trace import FORCED_SOURCE, EpisodeTelemetry, EpisodeTrace
 
@@ -34,49 +36,36 @@ __all__ = ["EpisodeOutcome", "decide_wave", "drive", "drive_batch"]
 def decide_wave(
     policy: Policy,
     states: Sequence[RecoveryState],
-    forced_names: Sequence[Optional[str]],
-) -> List[Union[SessionDecision, UnhandledStateError]]:
+    forced: np.ndarray,
+    forced_name: str,
+) -> DecisionBatch:
     """Resolve one lockstep decision wave over mixed forced/free states.
 
     This is the wave-splitting rule :func:`drive_batch` applies and the
-    fleet backend's single policy touchpoint: entries whose ``N``-cap
-    already forces an action (``forced_names[i]`` not ``None``) bypass
-    the policy entirely; all remaining states pool into **one**
-    :meth:`~repro.policies.base.Policy.decide_batch` call.  Results come
-    back in input order as :class:`~repro.session.core.SessionDecision`
-    values, or the :class:`~repro.errors.UnhandledStateError` the policy
-    produced for that state — returned, not raised, so callers choose
-    between aborting one session (the replay drivers) and propagating
-    (the live cluster backends).
+    fleet backend's single policy touchpoint: rows whose ``N``-cap
+    already forces an action (``forced[i]`` True) bypass the policy and
+    decide ``forced_name`` from :data:`FORCED_SOURCE` with no estimate;
+    all remaining states pool into **one**
+    :meth:`~repro.policies.base.Policy.decide_batch` call.  The answer
+    comes back as columns in input order; a policy miss stays a miss
+    row — returned, not raised, so callers choose between aborting one
+    session (the replay drivers) and propagating (the live cluster
+    backends).
     """
-    if len(states) != len(forced_names):
-        raise ValueError("states and forced_names must align")
-    results: List[Union[SessionDecision, UnhandledStateError, None]] = [
-        None
-    ] * len(states)
-    free_positions: List[int] = []
-    free_states: List[RecoveryState] = []
-    for position, (state, forced) in enumerate(zip(states, forced_names)):
-        if forced is not None:
-            results[position] = SessionDecision(
-                action=forced, forced=True, source=FORCED_SOURCE
-            )
-        else:
-            free_positions.append(position)
-            free_states.append(state)
-    if free_states:
-        outcomes = policy.decide_batch(free_states)
-        for position, outcome in zip(free_positions, outcomes):
-            if isinstance(outcome, UnhandledStateError):
-                results[position] = outcome
-            else:
-                results[position] = SessionDecision(
-                    action=outcome.action,
-                    forced=False,
-                    source=outcome.source,
-                    expected_cost=outcome.expected_cost,
-                )
-    return results  # type: ignore[return-value]
+    if len(states) != len(forced):
+        raise ValueError("states and forced must align")
+    free = np.flatnonzero(~forced)
+    if free.size == len(states):
+        return as_decision_batch(policy.decide_batch(states))
+    if free.size:
+        decided = as_decision_batch(
+            policy.decide_batch([states[row] for row in free.tolist()])
+        )
+    else:
+        decided = DecisionBatch.from_outcomes(())
+    return decided.spread(
+        free, len(states), action=forced_name, source=FORCED_SOURCE
+    )
 
 
 @dataclass(frozen=True)

@@ -476,6 +476,23 @@ class TestDirectedEquivalence:
         )
         assert_equivalent(*outputs)
 
+    def test_machine_names_formatted_on_first_use(self):
+        """Only the log needs machine names; a run formats none."""
+        config = ClusterConfig(backend="fleet", **small_params())
+        result = FleetEngine(
+            config, simple_faults(), UserDefinedPolicy(CATALOG), CATALOG,
+            RngStreams(3),
+        ).run()
+        assert "machine_names" not in vars(result)
+        assert result.downtime_per_machine().shape == (config.machine_count,)
+        assert "machine_names" not in vars(result)
+        machines = {entry.machine for entry in result.to_log().entries}
+        assert result.machine_names == tuple(
+            config.machine_name_format.format(i)
+            for i in range(config.machine_count)
+        )
+        assert machines <= set(result.machine_names)
+
     def test_both_backends_raise_on_unhandled_state(self):
         """An improper policy aborts both backends with the same error
         type — the online path must never swallow it."""

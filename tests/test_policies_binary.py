@@ -15,15 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.actions import default_catalog
 from repro.errors import ConfigurationError, LogFormatError, UnhandledStateError
 from repro.mdp.state import RecoveryState
+from repro.policies.base import DecisionBatch
 from repro.policies.binary import (
     ArrayTrainedPolicy,
     load_policy_binary,
     save_policy_binary,
 )
+from repro.policies.hybrid import HybridPolicy
 from repro.policies.serialization import load_policy, save_policy
 from repro.policies.trained import TrainedPolicy
+from repro.policies.user_defined import UserDefinedPolicy
+from repro.serving import DecisionServer
 
 S0 = RecoveryState.initial("error:X")
 S1 = S0.after("REIMAGE", False)
@@ -194,7 +199,101 @@ def _probe_states(draw):
     return _state(error_type, history)
 
 
+@st.composite
+def _columnar_probes(draw):
+    """Probe states: unknown types, unknown actions, over-long histories."""
+    error_type = draw(
+        st.one_of(_ERROR_TYPES, st.just("error:never-trained"))
+    )
+    history = draw(
+        st.lists(st.sampled_from(ACTIONS + ["COFFEE"]), max_size=9)
+    )
+    return _state(error_type, history)
+
+
+def _same_outcome(got, want):
+    """Row ``got`` of a batch equals what per-state ``decide`` gave."""
+    if isinstance(want, UnhandledStateError):
+        assert isinstance(got, UnhandledStateError)
+        assert str(got) == str(want)
+        assert got.state == want.state
+        return
+    assert got == want
+    # Bit-identical costs, and "no estimate" never turned into a float.
+    assert (got.expected_cost is None) == (want.expected_cost is None)
+    if want.expected_cost is not None:
+        assert (
+            np.float64(got.expected_cost).tobytes()
+            == np.float64(want.expected_cost).tobytes()
+        )
+
+
+def _decide_each(policy, states):
+    outcomes = []
+    for state in states:
+        try:
+            outcomes.append(policy.decide(state))
+        except UnhandledStateError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 class TestBinaryJsonEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        table=_rule_tables(),
+        probes=st.lists(_columnar_probes(), max_size=12),
+        picks=st.lists(st.integers(min_value=0), max_size=24),
+    )
+    def test_columnar_answer_equals_per_state_decide(
+        self, tmp_path_factory, table, probes, picks
+    ):
+        tmp = tmp_path_factory.mktemp("columnar")
+        bin_path = tmp / "p.rpb"
+        save_policy_binary(table, bin_path)
+        pool = list(table.rules) + probes
+        # Batches repeat and reorder states; an empty pool gives [].
+        states = [pool[i % len(pool)] for i in picks] if pool else []
+        catalog = default_catalog()
+
+        def primaries():
+            return [table, load_policy_binary(bin_path)]
+
+        for primary in primaries():
+            batch = primary.decide_batch(states)
+            assert isinstance(batch, DecisionBatch)
+            assert len(batch) == len(states)
+            want = _decide_each(primary, states)
+            for row, outcome in enumerate(batch):
+                _same_outcome(outcome, want[row])
+                _same_outcome(batch[row], want[row])
+            assert len(primary.decide_batch([])) == 0
+
+        for batched_primary, scalar_primary in zip(primaries(), primaries()):
+            batched = HybridPolicy(batched_primary, UserDefinedPolicy(catalog))
+            scalar = HybridPolicy(scalar_primary, UserDefinedPolicy(catalog))
+            batch = batched.decide_batch(states)
+            for outcome, want in zip(batch, _decide_each(scalar, states)):
+                _same_outcome(outcome, want)
+            assert batched.fallback_rate == scalar.fallback_rate
+            assert len(batched.decide_batch([])) == 0
+
+        for batched_primary, scalar_primary in zip(primaries(), primaries()):
+            batched = DecisionServer(batched_primary, UserDefinedPolicy(catalog))
+            scalar = DecisionServer(scalar_primary, UserDefinedPolicy(catalog))
+            served = batched.decide_batch(states)
+            assert len(served) == len(states)
+            want = [scalar.decide(state) for state in states]
+            assert list(served) == want
+            assert [served[row] for row in range(len(states))] == want
+            assert len(batched.decide_batch([])) == 0
+            assert batched.decision_count == scalar.decision_count
+            assert batched.fallback_count == scalar.fallback_count
+            assert (
+                batched.decisions_by_version() == scalar.decisions_by_version()
+            )
+            assert batched.error_type_stats() == scalar.error_type_stats()
+
     @settings(max_examples=60, deadline=None)
     @given(
         table=_rule_tables(),
@@ -287,3 +386,63 @@ class TestArrayPolicyExtras:
         loaded = load_policy_binary(path)
         assert loaded.expected_cost(S0) == cost
         assert np.float64(loaded.expected_cost(S0)) == np.float64(cost)
+
+
+class TestHistoryMemo:
+    def test_concurrent_batches_across_memo_resets(self, tmp_path, monkeypatch):
+        """Threads share one table's history memo while it keeps resetting.
+
+        A reset rebinds the memo instead of clearing it, so a batch in
+        flight keeps the codes it read; every answer must still equal
+        per-state ``decide``, and the memo stays bounded.
+        """
+        import sys
+        import threading
+
+        from repro.policies import binary as binary_module
+
+        monkeypatch.setattr(binary_module, "_HISTORY_MEMO_LIMIT", 4)
+        histories = [
+            [ACTIONS[(i + d) % len(ACTIONS)] for d in range(i % 5)]
+            for i in range(20)
+        ]
+        rules = {
+            _state(error_type, history): (ACTIONS[i % 4], float(i))
+            for i, history in enumerate(histories)
+            for error_type in ("error:A", "error:B")
+        }
+        table = TrainedPolicy(rules)
+        path = tmp_path / "p.rpb"
+        save_policy_binary(table, path)
+        served = load_policy_binary(path)
+        states = list(rules) + [
+            _state("error:A", history + ["COFFEE"]) for history in histories
+        ]
+        want = _decide_each(table, states)
+        failures = []
+
+        def worker(offset):
+            try:
+                for _ in range(30):
+                    order = states[offset:] + states[:offset]
+                    expected = want[offset:] + want[:offset]
+                    for got, wanted in zip(served.decide_batch(order), expected):
+                        _same_outcome(got, wanted)
+            except Exception as exc:  # reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(7 * k,)) for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(served._history_codes) <= 4 + len(states)

@@ -3,19 +3,26 @@
 import pytest
 
 from repro.actions import default_catalog
+from repro.cluster import fleet as fleet_module
+from repro.cluster.cluster import ClusterConfig
+from repro.cluster.fleet import FleetEngine
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
+from repro.policies.base import DecisionBatch, Policy
 from repro.policies.binary import load_policy_binary, save_policy_binary
+from repro.policies.hybrid import HybridPolicy
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
 from repro.serving import (
     DecisionServer,
+    ServedBatch,
     ServerBackedPolicy,
     default_storm_faults,
     fleet_storm,
     run_storm,
     storm_states,
 )
+from repro.util.rng import RngStreams
 
 S0 = RecoveryState.initial("error:X")
 S1 = S0.after("REIMAGE", False)
@@ -150,3 +157,99 @@ class TestFleetStorm:
         faults = default_storm_faults()
         symptoms = {f.primary_symptom for f in faults.fault_types}
         assert symptoms == {"error:Transient", "error:Hard"}
+
+
+class _Forwarding(Policy):
+    """Forwards ``decide_batch`` untouched and records each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+        self.batch_safe = inner.batch_safe
+
+    @property
+    def name(self):
+        return self.inner.name
+
+    def decide(self, state):
+        return self.inner.decide(state)
+
+    def decide_batch(self, states):
+        answer = self.inner.decide_batch(states)
+        self.calls.append(type(answer))
+        return answer
+
+
+class TestFleetThroughWrappers:
+    def _run(self, policy, seed=5):
+        catalog = default_catalog()
+        return FleetEngine(
+            ClusterConfig(
+                backend="fleet",
+                machine_count=400,
+                duration=3 * 86_400.0,
+                mean_time_between_failures=86_400.0,
+            ),
+            default_storm_faults(),
+            policy,
+            catalog,
+            RngStreams(seed),
+        ).run()
+
+    def test_one_call_per_wave_and_no_row_objects(self, monkeypatch):
+        """Wrappers see one call per fleet wave; no row materializes.
+
+        The fleet reads the server's columns through two forwarding
+        wrappers (around the adapter and around the server's primary):
+        every wave with a free row is one adapter call, one server
+        batch and one primary call, and no batch row is ever built.
+        """
+        catalog = default_catalog()
+        storm_table = TrainedPolicy(
+            {
+                RecoveryState.initial("error:Transient"): ("REBOOT", 60.0),
+                RecoveryState.initial("error:Hard"): ("REIMAGE", 600.0),
+            },
+            label="storm",
+        )
+        primary = _Forwarding(storm_table)
+        server = DecisionServer(primary, UserDefinedPolicy(catalog))
+        adapter = _Forwarding(ServerBackedPolicy(server))
+
+        waves = []
+        real_decide_wave = fleet_module.decide_wave
+
+        def counting_decide_wave(policy, states, forced, forced_name):
+            waves.append(int((~forced).sum()))
+            return real_decide_wave(policy, states, forced, forced_name)
+
+        def no_rows(*_args):
+            raise AssertionError("a batch row was materialized")
+
+        monkeypatch.setattr(fleet_module, "decide_wave", counting_decide_wave)
+        for batch_type in (DecisionBatch, ServedBatch):
+            monkeypatch.setattr(batch_type, "__iter__", no_rows)
+            monkeypatch.setattr(batch_type, "__getitem__", no_rows)
+        wrapped = self._run(adapter)
+        monkeypatch.undo()
+
+        free_waves = sum(1 for free in waves if free)
+        assert free_waves > 1
+        assert adapter.calls == [DecisionBatch] * free_waves
+        assert primary.calls == [DecisionBatch] * free_waves
+        assert server.batch_count == free_waves
+        assert 0 < server.fallback_count < server.decision_count
+
+        # The wrappers change nothing: the same fleet as the hybrid
+        # policy the server implements, decision for decision.
+        direct = self._run(HybridPolicy(storm_table, UserDefinedPolicy(catalog)))
+        assert wrapped.to_log() == direct.to_log()
+        assert [
+            (step.action, step.expected_cost)
+            for trace in wrapped.episode_traces()
+            for step in trace.steps
+        ] == [
+            (step.action, step.expected_cost)
+            for trace in direct.episode_traces()
+            for step in trace.steps
+        ]

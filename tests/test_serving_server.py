@@ -15,10 +15,17 @@ from repro.actions import default_catalog
 from repro.core.online import RollingRetrainer
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
+from repro.policies.base import DecisionBatch, Policy
 from repro.policies.binary import load_policy_binary, save_policy_binary
+from repro.policies.static import AlwaysStrongestPolicy
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
-from repro.serving import DecisionServer, PolicyVersion, ServedDecision
+from repro.serving import (
+    DecisionServer,
+    PolicyVersion,
+    ServedBatch,
+    ServedDecision,
+)
 
 S0 = RecoveryState.initial("error:X")
 S1 = S0.after("REIMAGE", False)
@@ -91,6 +98,24 @@ class TestDecideBatch:
     def test_empty_batch(self, server):
         assert server.decide_batch([]) == []
         assert server.decision_count == 0
+        # An empty batch is a no-op on every counter: no phantom
+        # generation, no batch, no per-type entry.
+        assert server.decisions_by_version() == {}
+        assert server.batch_count == 0
+        assert server.fallback_count == 0
+        assert server.error_type_stats() == {}
+        server.decide_batch([S0])
+        assert server.batch_count == 1
+        assert server.decisions_by_version() == {1: 1}
+
+    def test_answer_is_columnar(self, server):
+        answer = server.decide_batch([S0, UNKNOWN, S1])
+        assert isinstance(answer, ServedBatch)
+        assert answer.version == 1
+        assert answer.fell_back.tolist() == [False, True, False]
+        assert isinstance(answer.decisions, DecisionBatch)
+        assert answer.decisions.hit.all()
+        assert answer[-1] == list(answer)[2]
 
     def test_works_with_array_policy(self, tmp_path, trained):
         path = tmp_path / "p.rpb"
@@ -153,6 +178,94 @@ class TestRetrainerHook:
         snapshot = server.snapshot()
         assert snapshot.primary.name != "hybrid"
         assert server.decide(UNKNOWN).fell_back
+
+
+class TestGenerationLifetime:
+    def test_publishes_keep_no_per_generation_state(self, trained):
+        """The known-type set lives on its PolicyVersion, nowhere else.
+
+        A server that published 1,000 generations without deciding
+        holds no container that grew with them.
+        """
+        server = DecisionServer(trained, UserDefinedPolicy(default_catalog()))
+        replacement = TrainedPolicy({UNKNOWN: ("REBOOT", 60.0)}, label="t2")
+        for _ in range(1_000):
+            server.publish(replacement)
+        assert server.version == 1_001
+        assert server.snapshot().known_types == frozenset(
+            replacement.error_types()
+        )
+        sizes = {
+            name: len(value)
+            for name, value in vars(server).items()
+            if isinstance(value, (dict, list, set, frozenset))
+        }
+        assert all(size <= 1 for size in sizes.values()), sizes
+
+    def test_torn_batch_answered_by_old_generation(self, trained):
+        """A publish inside the primary's batch call changes nothing.
+
+        Deterministic: the primary itself publishes a new primary *and*
+        fallback mid-call; every row must still come from generation 1,
+        misses from generation 1's fallback.
+        """
+        old_fallback = UserDefinedPolicy(default_catalog())
+
+        class PublishingPrimary(Policy):
+            name = "t1"
+
+            def decide(self, state):
+                return trained.decide(state)
+
+            def decide_batch(self, states):
+                server.publish(
+                    TrainedPolicy({UNKNOWN: ("REBOOT", 1.0)}, label="t2"),
+                    fallback=AlwaysStrongestPolicy(default_catalog()),
+                )
+                return trained.decide_batch(states)
+
+            def error_types(self):
+                return trained.error_types()
+
+        server = DecisionServer(PublishingPrimary(), old_fallback)
+        answer = server.decide_batch([S0, UNKNOWN, S1, UNKNOWN])
+        assert server.version == 2
+        assert answer.version == 1
+        assert {decision.version for decision in answer} == {1}
+        assert [d.action for d in answer] == ["REIMAGE", "TRYNOP", "RMA", "TRYNOP"]
+        assert [d.source for d in answer] == [
+            "serving:t1", "serving:user-defined", "serving:t1",
+            "serving:user-defined",
+        ]
+        assert server.decisions_by_version() == {1: 4}
+        assert server.error_type_stats()["error:never-seen"] == {
+            "hits": 0, "fallbacks": 0, "unknown": 2,
+        }
+
+
+class TestForwardingWrapper:
+    def test_one_primary_call_per_batch(self, trained):
+        """A wrapper forwarding ``decide_batch`` keeps the columnar path."""
+        calls = []
+
+        class Forwarding(Policy):
+            name = "t1"
+
+            def decide(self, state):
+                return trained.decide(state)
+
+            def decide_batch(self, states):
+                answer = trained.decide_batch(states)
+                calls.append((len(states), type(answer)))
+                return answer
+
+        server = DecisionServer(Forwarding(), UserDefinedPolicy(default_catalog()))
+        reference = DecisionServer(trained, UserDefinedPolicy(default_catalog()))
+        for batch in ([S0, UNKNOWN], [S1] * 5, [UNKNOWN]):
+            assert server.decide_batch(batch) == reference.decide_batch(batch)
+        server.decide_batch([])
+        assert calls == [(2, DecisionBatch), (5, DecisionBatch), (1, DecisionBatch)]
+        assert server.batch_count == 3
 
 
 class TestHotReloadRace:
