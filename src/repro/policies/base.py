@@ -25,20 +25,22 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
 import numpy as np
 
-from repro.errors import UnhandledStateError
+from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
 
 __all__ = [
+    "ColumnRows",
     "DecisionBatch",
     "Outcome",
     "Policy",
     "PolicyDecision",
-    "as_decision_batch",
+    "terminal_state_error",
 ]
 
 
@@ -65,6 +67,15 @@ class PolicyDecision:
 Outcome = Union[PolicyDecision, UnhandledStateError]
 """One row of a batch answer: a decision, or the error ``decide`` raises."""
 
+Row = TypeVar("Row")
+
+
+def terminal_state_error(state: RecoveryState) -> ConfigurationError:
+    """The error every policy raises when asked to act in ``state``."""
+    return ConfigurationError(
+        f"cannot decide an action in terminal state {state}"
+    )
+
 
 def _interner(vocabulary: Sequence[str]) -> Tuple[List[str], Callable[[str], int]]:
     """A growable copy of ``vocabulary`` and a name -> position function.
@@ -87,7 +98,43 @@ def _interner(vocabulary: Sequence[str]) -> Tuple[List[str], Callable[[str], int
     return names, intern
 
 
-class DecisionBatch(Sequence[Outcome]):
+class ColumnRows(Sequence[Row]):
+    """A read-only sequence of rows held as columns, built on read.
+
+    Subclasses supply ``__len__``, ``__iter__`` and ``_row`` (row ``i``
+    for ``0 <= i < len``); indexing, slicing, equality with another
+    batch of the same type or a list of rows, and ``repr`` come from
+    here.
+    """
+
+    __slots__ = ()
+
+    @abc.abstractmethod
+    def _row(self, row: int) -> Row:
+        """Materialize row ``row`` (already bounds-checked)."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(row) for row in range(*index.indices(len(self)))]
+        row = operator.index(index)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._row(row)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (type(self), list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class DecisionBatch(ColumnRows[Outcome]):
     """A policy's answers to a batch of states, held as columns.
 
     Row ``i`` answers the ``i``-th state.  The columns, one entry per
@@ -280,14 +327,7 @@ class DecisionBatch(Sequence[Outcome]):
     def __len__(self) -> int:
         return self.hit.shape[0]
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[row] for row in range(*index.indices(len(self)))]
-        row = operator.index(index)
-        if row < 0:
-            row += len(self)
-        if not 0 <= row < len(self):
-            raise IndexError("decision batch index out of range")
+    def _row(self, row: int) -> Outcome:
         if not self.hit[row]:
             return self._miss(row)
         return PolicyDecision(
@@ -314,25 +354,6 @@ class DecisionBatch(Sequence[Outcome]):
                 )
             else:
                 yield self._miss(row)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (DecisionBatch, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"DecisionBatch({list(self)!r})"
-
-
-def as_decision_batch(
-    outcomes: Union[DecisionBatch, Iterable[Outcome]]
-) -> DecisionBatch:
-    """``outcomes`` as columns (a policy may still answer with rows)."""
-    if isinstance(outcomes, DecisionBatch):
-        return outcomes
-    return DecisionBatch.from_outcomes(outcomes)
 
 
 class Policy(abc.ABC):

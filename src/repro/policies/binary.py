@@ -47,12 +47,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError, LogFormatError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import DecisionBatch, Policy, PolicyDecision
-from repro.policies.trained import (
-    TrainedPolicy,
-    no_rule_error,
+from repro.policies.base import (
+    DecisionBatch,
+    Policy,
+    PolicyDecision,
     terminal_state_error,
 )
+from repro.policies.trained import TrainedPolicy, no_rule_error
 
 __all__ = [
     "BINARY_POLICY_FORMAT",
@@ -70,10 +71,6 @@ _ALIGN = 64
 
 #: Key space ceiling: keys must fit uint64.
 _KEY_LIMIT = 2**64
-
-#: Histories :meth:`ArrayTrainedPolicy.decide_batch` remembers per table
-#: before it starts over; one call adds at most one per state it gets.
-_HISTORY_MEMO_LIMIT = 1 << 16
 
 
 def _pack_key(
@@ -300,7 +297,6 @@ class ArrayTrainedPolicy(Policy):
             self._type_offsets[:-1] = np.arange(
                 len(self._error_types), dtype=np.uint64
             ) * np.uint64(self._stride)
-        self._history_codes: Dict[Tuple[str, ...], int] = {}
         self._keys = keys
         self._actions = actions
         self._costs = costs
@@ -378,26 +374,19 @@ class ArrayTrainedPolicy(Policy):
     def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
         """One pass over the states, then one vectorized key search.
 
-        The pass reads each state's error-type id and history code
-        (histories are memoised per table: a fleet repeats a few
-        thousand of them).  numpy then adds the key parts, searches the
-        sorted key column and gathers actions and costs.
+        The pass reads each state's error-type id and history code;
+        numpy then adds the key parts, searches the sorted key column
+        and gathers actions and costs.
         """
         type_ids = self._et_ids
         unknown = len(self._error_types)
-        memo = self._history_codes
-        if len(memo) > _HISTORY_MEMO_LIMIT:
-            # Rebind, never clear: a concurrent call keeps its own memo.
-            memo = self._history_codes = {}
+        history_code = self._history_code
         types: List[int] = []
         codes: List[int] = []
         for state in states:
             if state.is_terminal:
                 raise terminal_state_error(state)
-            tried = state.tried
-            code = memo.get(tried)
-            if code is None:
-                code = memo[tried] = self._history_code(tried)
+            code = history_code(state.tried)
             if code < 0:
                 types.append(unknown)
                 codes.append(0)

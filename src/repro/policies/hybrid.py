@@ -16,12 +16,7 @@ import numpy as np
 
 from repro.errors import UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import (
-    DecisionBatch,
-    Policy,
-    PolicyDecision,
-    as_decision_batch,
-)
+from repro.policies.base import DecisionBatch, Policy, PolicyDecision
 
 __all__ = ["HybridPolicy"]
 
@@ -91,7 +86,7 @@ class HybridPolicy(Policy):
         per-state :meth:`decide` calls over the same states.
         """
         self._decision_count += len(states)
-        primary = as_decision_batch(self._trained.decide_batch(states))
+        primary = self._trained.decide_batch(states)
         fell_back = ~primary.hit
         self._fallback_count += int(np.count_nonzero(fell_back))
         answered = primary.with_fallback(states, self._fallback)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.actions.action import ActionCatalog, default_catalog
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import Policy, PolicyDecision, terminal_state_error
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
 
 def _require_non_terminal(state: RecoveryState) -> None:
     if state.is_terminal:
-        raise ConfigurationError(
-            f"cannot decide an action in terminal state {state}"
-        )
+        raise terminal_state_error(state)
 
 
 class AlwaysCheapestPolicy(Policy):

@@ -17,9 +17,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import DecisionBatch, Policy, PolicyDecision
+from repro.policies.base import (
+    DecisionBatch,
+    Policy,
+    PolicyDecision,
+    terminal_state_error,
+)
 
-__all__ = ["TrainedPolicy", "no_rule_error", "terminal_state_error"]
+__all__ = ["TrainedPolicy", "no_rule_error"]
 
 Rule = Tuple[str, float]
 """``(action name, expected remaining cost)``."""
@@ -31,13 +36,6 @@ def no_rule_error(state: RecoveryState) -> UnhandledStateError:
         f"no trained rule for state {state}; the pattern did not "
         "appear in the training log",
         state=state,
-    )
-
-
-def terminal_state_error(state: RecoveryState) -> ConfigurationError:
-    """The error every policy raises when asked to act in ``state``."""
-    return ConfigurationError(
-        f"cannot decide an action in terminal state {state}"
     )
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 from repro.actions.action import ActionCatalog, default_catalog
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import Policy, PolicyDecision, terminal_state_error
 
 __all__ = ["UserDefinedPolicy", "DEFAULT_RETRY_BUDGETS"]
 
@@ -90,9 +90,7 @@ class UserDefinedPolicy(Policy):
 
     def decide(self, state: RecoveryState) -> PolicyDecision:
         if state.is_terminal:
-            raise ConfigurationError(
-                f"cannot decide an action in terminal state {state}"
-            )
+            raise terminal_state_error(state)
         counts = state.tried_counts()
         for action in self._catalog.by_strength():
             if counts.get(action.name, 0) < self.budget_for(action.name):

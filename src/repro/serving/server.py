@@ -28,9 +28,14 @@ from typing import Dict, FrozenSet, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.actions.action import default_catalog
-from repro.errors import ConfigurationError, UnhandledStateError
+from repro.errors import UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import DecisionBatch, Policy, as_decision_batch
+from repro.policies.base import (
+    ColumnRows,
+    DecisionBatch,
+    Policy,
+    terminal_state_error,
+)
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.user_defined import UserDefinedPolicy
 
@@ -88,7 +93,7 @@ class ServedDecision:
     fell_back: bool
 
 
-class ServedBatch(Sequence[ServedDecision]):
+class ServedBatch(ColumnRows[ServedDecision]):
     """A server's answer to one batch, held as columns.
 
     ``decisions`` holds every answer as a
@@ -112,16 +117,14 @@ class ServedBatch(Sequence[ServedDecision]):
     def __len__(self) -> int:
         return len(self.decisions)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[row] for row in range(*index.indices(len(self)))]
-        decision = self.decisions[index]
+    def _row(self, row: int) -> ServedDecision:
+        decision = self.decisions[row]
         return ServedDecision(
             decision.action,
             decision.source,
             decision.expected_cost,
             self.version,
-            bool(self.fell_back[index]),
+            bool(self.fell_back[row]),
         )
 
     def __iter__(self) -> Iterator[ServedDecision]:
@@ -145,16 +148,6 @@ class ServedBatch(Sequence[ServedDecision]):
                 version,
                 fell_back,
             )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (ServedBatch, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"ServedBatch({list(self)!r})"
 
 
 class DecisionServer:
@@ -269,9 +262,7 @@ class DecisionServer:
     def decide(self, state: RecoveryState) -> ServedDecision:
         """Answer one lookup from the current generation."""
         if state.is_terminal:
-            raise ConfigurationError(
-                f"cannot decide an action in terminal state {state}"
-            )
+            raise terminal_state_error(state)
         current = self._current
         try:
             choice = current.primary.decide(state)
@@ -318,7 +309,7 @@ class DecisionServer:
                 np.zeros(0, dtype=bool),
                 current.version,
             )
-        primary = as_decision_batch(current.primary.decide_batch(states))
+        primary = current.primary.decide_batch(states)
         answered = primary.with_fallback(states, current.fallback)
         fell_back = ~primary.hit
         self._count_batch(current, states, fell_back)

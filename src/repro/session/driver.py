@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import DecisionBatch, Policy, as_decision_batch
+from repro.policies.base import DecisionBatch, Policy
 from repro.session.core import RecoverySession, Transition
 from repro.session.environment import Environment
 from repro.session.trace import FORCED_SOURCE, EpisodeTelemetry, EpisodeTrace
@@ -56,11 +56,9 @@ def decide_wave(
         raise ValueError("states and forced must align")
     free = np.flatnonzero(~forced)
     if free.size == len(states):
-        return as_decision_batch(policy.decide_batch(states))
+        return policy.decide_batch(states)
     if free.size:
-        decided = as_decision_batch(
-            policy.decide_batch([states[row] for row in free.tolist()])
-        )
+        decided = policy.decide_batch([states[row] for row in free.tolist()])
     else:
         decided = DecisionBatch.from_outcomes(())
     return decided.spread(

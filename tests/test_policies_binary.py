@@ -386,63 +386,3 @@ class TestArrayPolicyExtras:
         loaded = load_policy_binary(path)
         assert loaded.expected_cost(S0) == cost
         assert np.float64(loaded.expected_cost(S0)) == np.float64(cost)
-
-
-class TestHistoryMemo:
-    def test_concurrent_batches_across_memo_resets(self, tmp_path, monkeypatch):
-        """Threads share one table's history memo while it keeps resetting.
-
-        A reset rebinds the memo instead of clearing it, so a batch in
-        flight keeps the codes it read; every answer must still equal
-        per-state ``decide``, and the memo stays bounded.
-        """
-        import sys
-        import threading
-
-        from repro.policies import binary as binary_module
-
-        monkeypatch.setattr(binary_module, "_HISTORY_MEMO_LIMIT", 4)
-        histories = [
-            [ACTIONS[(i + d) % len(ACTIONS)] for d in range(i % 5)]
-            for i in range(20)
-        ]
-        rules = {
-            _state(error_type, history): (ACTIONS[i % 4], float(i))
-            for i, history in enumerate(histories)
-            for error_type in ("error:A", "error:B")
-        }
-        table = TrainedPolicy(rules)
-        path = tmp_path / "p.rpb"
-        save_policy_binary(table, path)
-        served = load_policy_binary(path)
-        states = list(rules) + [
-            _state("error:A", history + ["COFFEE"]) for history in histories
-        ]
-        want = _decide_each(table, states)
-        failures = []
-
-        def worker(offset):
-            try:
-                for _ in range(30):
-                    order = states[offset:] + states[:offset]
-                    expected = want[offset:] + want[:offset]
-                    for got, wanted in zip(served.decide_batch(order), expected):
-                        _same_outcome(got, wanted)
-            except Exception as exc:  # reported below
-                failures.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(7 * k,)) for k in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        assert len(served._history_codes) <= 4 + len(states)

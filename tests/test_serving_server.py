@@ -115,7 +115,19 @@ class TestDecideBatch:
         assert answer.fell_back.tolist() == [False, True, False]
         assert isinstance(answer.decisions, DecisionBatch)
         assert answer.decisions.hit.all()
-        assert answer[-1] == list(answer)[2]
+        rows = list(answer)
+        assert answer[-1] == rows[2]
+        assert answer[1:] == rows[1:]
+        assert answer[::-1] == rows[::-1]
+        assert answer == rows
+        assert answer.decisions[-3:] == list(answer.decisions)
+        for batch in (answer, answer.decisions):
+            with pytest.raises(IndexError):
+                batch[3]
+            with pytest.raises(IndexError):
+                batch[-4]
+            with pytest.raises(TypeError):
+                hash(batch)
 
     def test_works_with_array_policy(self, tmp_path, trained):
         path = tmp_path / "p.rpb"
