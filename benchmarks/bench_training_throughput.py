@@ -1,12 +1,13 @@
-"""Training-throughput baseline: dict vs array Q-table backends.
+"""Training-throughput baseline: episode telemetry off vs on.
 
-Trains the largest error types of a fixed-seed scenario under both
-Q-table backends and reports wall-clock, episodes/sec and sweeps/sec
-for each, plus their speedup.  The two backends are bit-identical by
-contract (same RNG draw sequence, Q values and convergence sweeps), so
-the benchmark first asserts exact equality of every training outcome
-and only then reports throughput — a speedup measured against diverging
-results would be meaningless.
+Trains the largest error types of a fixed-seed scenario twice — once
+plain, once with an :class:`~repro.learning.telemetry.EpisodeRecorder`
+attached as episode telemetry — and reports wall-clock, episodes/sec
+and sweeps/sec for each.  Telemetry is a pure observer by contract
+(same RNG draw sequence, Q values and convergence sweeps), so the
+benchmark first asserts exact equality of every training outcome and
+only then reports throughput: the on/off gap is the price of observing
+training, not of training differently.
 
 Standalone by design (CI runs it outside pytest)::
 
@@ -34,26 +35,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.scenario import build_scenario, default_scenario
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-from repro.learning.qtable_array import QTABLE_BACKENDS
+from repro.learning.telemetry import EpisodeRecorder
 from repro.simplatform.platform import SimulationPlatform
 from repro.tracegen.workload import small_config
 from repro.util.tables import render_table
 
 BENCH_NAME = "training_throughput"
 
-#: Profile -> (scenario kind, error types trained, sweep cap, min speedup).
-#: The smoke profile exists for CI: it must finish in seconds and makes
-#: no speedup promise (shared runners time-slice too coarsely); the full
-#: profile is the committed baseline and asserts the array backend's
-#: >= 3x episodes/sec advantage.
+#: Profile -> error types trained, sweep cap and timing repeats.  The
+#: smoke profile exists for CI and must finish in seconds; the full
+#: profile is the committed baseline.
 PROFILES = {
-    "smoke": {
-        "top_types": 2, "max_sweeps": 25, "repeats": 1, "min_speedup": 0.0,
-    },
-    "full": {
-        "top_types": 3, "max_sweeps": 120, "repeats": 3, "min_speedup": 3.0,
-    },
+    "smoke": {"top_types": 2, "max_sweeps": 25, "repeats": 1},
+    "full": {"top_types": 3, "max_sweeps": 120, "repeats": 3},
 }
+
+#: The two measured courses: episode telemetry detached and attached.
+MODES = ("off", "on")
 
 
 def _commit() -> str:
@@ -105,27 +103,30 @@ def _snapshot(result) -> Tuple:
     )
 
 
-def _run_backend(
-    backend: str,
+def _run_course(
+    mode: str,
     scenario,
     groups: Sequence[Tuple[str, Tuple]],
     max_sweeps: int,
     repeats: int,
 ) -> Tuple[Dict[str, object], List[Tuple]]:
-    """Train all groups under one backend on a fresh platform.
+    """Train all groups with telemetry ``mode`` on a fresh platform.
 
-    A fresh platform per *repeat* charges the array path's one-time
-    replay compilation to the array measurement, so the comparison is
-    end to end, not inner-loop-only.  Training is deterministic, so
-    repeats produce identical results and only the minimum wall-clock
-    (the least scheduler-perturbed run) is reported.
+    A fresh platform per *repeat* charges the one-time replay
+    compilation to every measurement, so the numbers are end to end,
+    not inner-loop-only.  Training is deterministic, so repeats produce
+    identical results and only the minimum wall-clock (the least
+    scheduler-perturbed run) is reported.
     """
     elapsed = float("inf")
+    traces = 0
     for _repeat in range(repeats):
         platform = SimulationPlatform(scenario.clean, scenario.catalog)
+        recorder = EpisodeRecorder() if mode == "on" else None
         trainer = QLearningTrainer(
             platform,
-            QLearningConfig(max_sweeps=max_sweeps, seed=11, backend=backend),
+            QLearningConfig(max_sweeps=max_sweeps, seed=11),
+            episode_telemetry=recorder,
         )
         snapshots: List[Tuple] = []
         episodes = 0
@@ -137,11 +138,13 @@ def _run_backend(
             sweeps += result.sweeps_run
             snapshots.append(_snapshot(result))
         elapsed = min(elapsed, time.perf_counter() - started)
+        traces = len(recorder) if recorder is not None else 0
     return (
         {
             "wall_clock_s": round(elapsed, 4),
             "episodes": episodes,
             "sweeps": sweeps,
+            "traces": traces,
             "episodes_per_s": round(episodes / elapsed, 1),
             "sweeps_per_s": round(sweeps / elapsed, 1),
         },
@@ -150,7 +153,7 @@ def _run_backend(
 
 
 def run(profile: str) -> Dict[str, object]:
-    """Measure both backends and return the metrics payload."""
+    """Measure both telemetry modes and return the metrics payload."""
     spec = PROFILES[profile]
     if profile == "smoke":
         scenario = build_scenario(small_config(seed=13, fault_count=40))
@@ -158,31 +161,20 @@ def run(profile: str) -> Dict[str, object]:
         scenario = default_scenario(seed=7)
     groups = _largest_groups(scenario, spec["top_types"])
 
-    per_backend: Dict[str, Dict[str, object]] = {}
-    per_backend_snapshots: Dict[str, List[Tuple]] = {}
-    # Reference (dict) first, then the fast path, so a regression that
-    # crashes the array backend still prints the baseline numbers.
-    for backend in ("dict", "array"):
-        assert backend in QTABLE_BACKENDS
-        per_backend[backend], per_backend_snapshots[backend] = _run_backend(
-            backend, scenario, groups, spec["max_sweeps"], spec["repeats"]
+    per_mode: Dict[str, Dict[str, object]] = {}
+    snapshots: Dict[str, List[Tuple]] = {}
+    for mode in MODES:
+        per_mode[mode], snapshots[mode] = _run_course(
+            mode, scenario, groups, spec["max_sweeps"], spec["repeats"]
         )
-
-    bit_identical = (
-        per_backend_snapshots["dict"] == per_backend_snapshots["array"]
-    )
-    dict_rate = per_backend["dict"]["episodes_per_s"]
-    array_rate = per_backend["array"]["episodes_per_s"]
-    speedup = round(array_rate / dict_rate, 2) if dict_rate else 0.0
     return {
         "profile": profile,
         "error_types": [name for name, _ in groups],
         "training_processes": sum(len(p) for _, p in groups),
         "max_sweeps": spec["max_sweeps"],
         "seed": 11,
-        "backends": per_backend,
-        "speedup_episodes_per_s": speedup,
-        "bit_identical": bit_identical,
+        "telemetry": per_mode,
+        "bit_identical": snapshots["off"] == snapshots["on"],
     }
 
 
@@ -196,26 +188,23 @@ def check_payload(payload: Dict[str, object]) -> List[str]:
     metrics = payload.get("metrics")
     if not isinstance(metrics, dict):
         return problems + ["metrics must be an object"]
-    backends = metrics.get("backends")
-    if not isinstance(backends, dict) or set(backends) != set(
-        QTABLE_BACKENDS
-    ):
-        problems.append(
-            f"metrics.backends must have exactly {sorted(QTABLE_BACKENDS)}"
-        )
+    modes = metrics.get("telemetry")
+    if not isinstance(modes, dict) or set(modes) != set(MODES):
+        problems.append(f"metrics.telemetry must have exactly {list(MODES)}")
     else:
-        for name, stats in backends.items():
+        for name, stats in modes.items():
             for key in (
                 "wall_clock_s",
                 "episodes",
                 "sweeps",
+                "traces",
                 "episodes_per_s",
                 "sweeps_per_s",
             ):
                 if not isinstance(stats.get(key), (int, float)):
-                    problems.append(f"backends.{name}.{key} must be numeric")
-    if not isinstance(metrics.get("speedup_episodes_per_s"), (int, float)):
-        problems.append("metrics.speedup_episodes_per_s must be numeric")
+                    problems.append(
+                        f"telemetry.{name}.{key} must be numeric"
+                    )
     if metrics.get("bit_identical") is not True:
         problems.append("metrics.bit_identical must be true")
     return problems
@@ -230,13 +219,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out",
         default=None,
         help="write the JSON artifact here (default: print to stdout)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless array/dict episodes-per-sec reaches this "
-        "(default: the profile's own floor)",
     )
     parser.add_argument(
         "--check",
@@ -273,36 +255,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             name,
             stats["wall_clock_s"],
             stats["episodes"],
+            stats["traces"],
             stats["episodes_per_s"],
             stats["sweeps_per_s"],
         )
-        for name, stats in metrics["backends"].items()
+        for name, stats in metrics["telemetry"].items()
     ]
     print()
     print(render_table(
-        ["backend", "wall-clock (s)", "episodes", "episodes/s", "sweeps/s"],
+        [
+            "telemetry",
+            "wall-clock (s)",
+            "episodes",
+            "traces",
+            "episodes/s",
+            "sweeps/s",
+        ],
         rows,
         title=f"Training throughput ({args.profile} profile, "
               f"{metrics['training_processes']:,} processes, "
               f"{len(metrics['error_types'])} types)",
     ))
-    print(f"speedup (episodes/s): {metrics['speedup_episodes_per_s']}x")
 
     if not metrics["bit_identical"]:
-        print("FAIL: backends diverged — results are not bit-identical",
+        print("FAIL: telemetry changed the training results",
               file=sys.stderr)
-        return 1
-    floor = (
-        args.min_speedup
-        if args.min_speedup is not None
-        else PROFILES[args.profile]["min_speedup"]
-    )
-    if metrics["speedup_episodes_per_s"] < floor:
-        print(
-            f"FAIL: speedup {metrics['speedup_episodes_per_s']}x below "
-            f"the {floor}x floor",
-            file=sys.stderr,
-        )
         return 1
     return 0
 

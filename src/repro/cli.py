@@ -26,7 +26,6 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import RecoveryPolicyLearner
 from repro.errors import ReproError
 from repro.evaluation.split import time_ordered_split
-from repro.learning.qlearning import QLearningConfig
 from repro.mining.clustering import coverage_curve
 from repro.mining.noise import filter_noise
 from repro.mining.streaming import mine_log_streaming
@@ -169,15 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "processes to shard per-error-type training over "
             "(results are identical for every worker count)"
-        ),
-    )
-    train.add_argument(
-        "--backend",
-        choices=("array", "dict"),
-        default="array",
-        help=(
-            "Q-table backend: the dense-array fast path (default) or "
-            "the reference dict implementation (bit-identical results)"
         ),
     )
     train.add_argument(
@@ -455,7 +445,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     learner = RecoveryPolicyLearner(
         config=PipelineConfig(
             top_k_types=args.top_k,
-            qlearning=QLearningConfig(backend=args.backend),
             n_workers=args.workers,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,

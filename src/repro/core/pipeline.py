@@ -116,18 +116,13 @@ class RecoveryPolicyLearner:
         The fingerprint covers every knob that shapes a type's course —
         hyper-parameters, extraction mode, catalog, action cap and
         baseline — so checkpoints from a differently configured run are
-        invalidated rather than silently mixed in.  The Q-table
-        ``backend`` is deliberately excluded: both backends produce
-        bit-identical courses, so a run checkpointed under one backend
-        resumes under the other without retraining.
+        invalidated rather than silently mixed in.
         """
         if not self.config.checkpoint_dir:
             return None
-        qlearning = asdict(self.config.qlearning)
-        qlearning.pop("backend", None)
         fingerprint = training_fingerprint(
             {
-                "qlearning": qlearning,
+                "qlearning": asdict(self.config.qlearning),
                 "tree": (
                     asdict(self.config.tree)
                     if self.config.use_selection_tree
@@ -143,7 +138,6 @@ class RecoveryPolicyLearner:
             self.config.checkpoint_dir,
             fingerprint=fingerprint,
             alpha_floor=self.config.qlearning.alpha_floor,
-            backend=self.config.qlearning.backend,
         )
 
     def fit(self, source: ProcessSource) -> "RecoveryPolicyLearner":

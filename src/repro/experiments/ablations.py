@@ -201,7 +201,6 @@ def ablation_approximation(
     held-out split.
     """
     from repro.learning.approximation import ApproximateQLearningTrainer
-    from repro.learning.qtable import QTableBackend
     from repro.learning.selection_tree import SelectionTreeExtractor
 
     bundle = train_fraction(scenario, fraction)
@@ -240,7 +239,7 @@ def ablation_approximation(
     table_entries = 0
     assert learner.training_result_ is not None
     for outcome in learner.training_result_.per_type.values():
-        qtable: QTableBackend = outcome.qtable
+        qtable = outcome.qtable
         table_entries += sum(
             1
             for state in qtable.states()

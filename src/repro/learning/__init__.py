@@ -33,12 +33,7 @@ from repro.learning.qlearning import (
     TrainingResult,
     TypeTrainingResult,
 )
-from repro.learning.qtable import QTable, QTableBackend
-from repro.learning.qtable_array import (
-    QTABLE_BACKENDS,
-    ArrayQTable,
-    create_qtable,
-)
+from repro.learning.qtable import QTable
 from repro.learning.selection_tree import (
     SelectionTreeConfig,
     SelectionTreeExtractor,
@@ -58,10 +53,6 @@ __all__ = [
     "ApproximateTrainingConfig",
     "ApproximateQLearningTrainer",
     "QTable",
-    "QTableBackend",
-    "ArrayQTable",
-    "create_qtable",
-    "QTABLE_BACKENDS",
     "TemperatureSchedule",
     "BoltzmannExplorer",
     "EpsilonGreedyExplorer",

@@ -109,12 +109,6 @@ class CheckpointStore:
     alpha_floor:
         Learning-rate floor to restore Q tables with (a training-time
         knob not stored in the table payload).
-    backend:
-        Q-table backend (``"array"`` or ``"dict"``) to restore tables
-        onto.  The payload is backend-agnostic and the backends are
-        bit-identical, so the fingerprint deliberately excludes this
-        knob — a checkpoint written under one backend resumes cleanly
-        under the other.
     """
 
     def __init__(
@@ -123,12 +117,10 @@ class CheckpointStore:
         *,
         fingerprint: str = "",
         alpha_floor: float = 0.0,
-        backend: str = "array",
     ) -> None:
         self._directory = Path(directory)
         self._fingerprint = fingerprint
         self._alpha_floor = alpha_floor
-        self._backend = backend
 
     @property
     def directory(self) -> Path:
@@ -188,21 +180,16 @@ class CheckpointStore:
         """The type's checkpoint, or ``None`` when absent or stale.
 
         Stale means: written under a different configuration
-        fingerprint, or unreadable.  A checkpoint for a *different* type
-        at this path (hash collision cannot happen; manual tampering
-        can) raises :class:`TrainingError`.
+        fingerprint, or unreadable (not JSON, not a checkpoint object,
+        or a field or Q-table entry that does not parse).  A checkpoint
+        for a *different* type at this path (hash collision cannot
+        happen; manual tampering can) raises :class:`TrainingError`.
         """
         path = self.path_for(error_type)
         if not path.exists():
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if payload.get("format") != _CHECKPOINT_FORMAT:
-            return None
-        if payload.get("fingerprint") != self._fingerprint:
+        payload = self._read_current(path)
+        if payload is None:
             return None
         if payload.get("error_type") != error_type:
             raise TrainingError(
@@ -212,9 +199,7 @@ class CheckpointStore:
         try:
             training_meta = payload["training"]
             qtable = qtable_from_payload(
-                payload["qtable"],
-                alpha_floor=self._alpha_floor,
-                backend=self._backend,
+                payload["qtable"], alpha_floor=self._alpha_floor
             )
             rules: RuleTable = {}
             for record in payload["rules"]:
@@ -247,20 +232,32 @@ class CheckpointStore:
             # Torn or hand-edited checkpoint: retrain rather than crash.
             return None
 
+    def _read_current(self, path: Path) -> Optional[Dict[str, object]]:
+        """The checkpoint object at ``path``, if this run wrote it.
+
+        ``None`` when the file is unreadable, not UTF-8 JSON, not an
+        object, or of another format or fingerprint.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError):  # JSON and UTF-8 decode errors
+            return None
+        if (
+            not isinstance(payload, dict)
+            or payload.get("format") != _CHECKPOINT_FORMAT
+            or payload.get("fingerprint") != self._fingerprint
+        ):
+            return None
+        return payload
+
     def completed_types(self) -> Tuple[str, ...]:
         """Error types with a valid checkpoint for this fingerprint."""
         if not self._directory.is_dir():
             return ()
         names = []
         for path in sorted(self._directory.glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if (
-                payload.get("format") == _CHECKPOINT_FORMAT
-                and payload.get("fingerprint") == self._fingerprint
-            ):
+            payload = self._read_current(path)
+            if payload is not None:
                 names.append(str(payload.get("error_type")))
         return tuple(sorted(names))

@@ -106,7 +106,7 @@ class BoltzmannExplorer:
         return names[int(self._rng.choice(len(names), p=p))]
 
     def select_index(self, q_row: np.ndarray, sweep: int) -> int:
-        """Draw one action id from a Q row (fast path).
+        """Draw one action id from a Q row (the trainer's per-step draw).
 
         Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
         the softmax mirrors :meth:`probabilities` operation for
@@ -190,7 +190,7 @@ class EpsilonGreedyExplorer:
         return min(names, key=lambda n: q_values[n])
 
     def select_index(self, q_row: np.ndarray, sweep: int) -> int:
-        """Draw one action id from a Q row (fast path).
+        """Draw one action id from a Q row (the trainer's per-step draw).
 
         Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
         same RNG consumption, and ``argmin`` matches ``min``'s

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from repro.learning.qtable import QTableBackend
+from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
 
 __all__ = ["extract_greedy_rules", "merge_rules"]
@@ -17,7 +17,7 @@ __all__ = ["extract_greedy_rules", "merge_rules"]
 Rule = Tuple[str, float]
 
 
-def extract_greedy_rules(qtable: QTableBackend) -> Dict[RecoveryState, Rule]:
+def extract_greedy_rules(qtable: QTable) -> Dict[RecoveryState, Rule]:
     """``{state: (argmin-Q action, its Q value)}`` over visited states.
 
     Only actions that were actually visited participate (never-tried

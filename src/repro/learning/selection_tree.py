@@ -21,7 +21,7 @@ from repro.learning.qlearning import (
     QLearningTrainer,
     TypeTrainingResult,
 )
-from repro.learning.qtable import QTableBackend
+from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy as PolicyLike
 from repro.policies.trained import TrainedPolicy
@@ -146,7 +146,7 @@ class SelectionTreeExtractor:
 
     # ------------------------------------------------------------------
     def candidate_rule_tables(
-        self, qtable: QTableBackend, error_type: str
+        self, qtable: QTable, error_type: str
     ) -> List[RuleTable]:
         """Build the selection tree and return one rule table per leaf.
 
@@ -257,7 +257,7 @@ class SelectionTreeExtractor:
 
     def extract_best(
         self,
-        qtable: QTableBackend,
+        qtable: QTable,
         processes: Sequence[RecoveryProcess],
         error_type: str,
         baseline: Optional["PolicyLike"] = None,
@@ -316,7 +316,7 @@ class SelectionTreeExtractor:
                 sorted((s.tried, rule[0]) for s, rule in rules.items())
             )
 
-        def callback(sweep: int, qtable: QTableBackend) -> bool:
+        def callback(sweep: int, qtable: QTable) -> bool:
             if sweep + 1 < self.config.min_sweeps:
                 return False
             if (sweep + 1) % self.config.check_interval != 0:

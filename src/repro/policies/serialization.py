@@ -18,9 +18,8 @@ import json
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
-from repro.errors import LogFormatError
-from repro.learning.qtable import QTableBackend
-from repro.learning.qtable_array import create_qtable
+from repro.errors import ConfigurationError, LogFormatError, TrainingError
+from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
 from repro.policies.binary import (
     load_policy_binary,
@@ -121,7 +120,7 @@ def load_policy(path: PathLike) -> TrainedPolicy:
     return TrainedPolicy(rules, label=str(payload.get("label", "trained")))
 
 
-def qtable_to_payload(qtable: QTableBackend) -> Dict[str, object]:
+def qtable_to_payload(qtable: QTable) -> Dict[str, object]:
     """A Q-table (values and visit counts) as a JSON-serializable payload.
 
     Persisting the visit counts preserves the equation-(6) learning-rate
@@ -151,46 +150,59 @@ def qtable_to_payload(qtable: QTableBackend) -> Dict[str, object]:
 
 
 def qtable_from_payload(
-    payload: Dict[str, object],
-    *,
-    alpha_floor: float = 0.0,
-    backend: str = "array",
-) -> QTableBackend:
+    payload: object, *, alpha_floor: float = 0.0
+) -> QTable:
     """Invert :func:`qtable_to_payload`.
 
-    ``alpha_floor`` and ``backend`` are training-time knobs, not part of
-    the payload, and are supplied by the caller.  The payload is
-    backend-agnostic — a table saved under either backend restores onto
-    either (both are bit-identical in semantics), which is what lets a
-    checkpointed run resume under a different
-    ``QLearningConfig.backend``.
+    ``alpha_floor`` is a training-time knob, not part of the payload,
+    and is supplied by the caller.  Every way a payload can be malformed
+    — not an object, a missing field, an entry the table refuses (zero
+    visits, an action outside ``actions``) — raises
+    :class:`LogFormatError`.
     """
+    if not isinstance(payload, dict):
+        raise LogFormatError(
+            f"expected a Q-table object, got {type(payload).__name__}"
+        )
     if payload.get("format") != _QTABLE_FORMAT:
         raise LogFormatError(
             f"expected format {_QTABLE_FORMAT!r}, "
             f"got {payload.get('format')!r}"
         )
-    qtable = create_qtable(
-        [str(a) for a in payload["actions"]],
-        initial_value=float(payload.get("initial_value", 0.0)),
-        alpha_floor=alpha_floor,
-        backend=backend,
-    )
-    for record in payload.get("entries", []):
+    entries = payload.get("entries", [])
+    try:
+        if not isinstance(entries, list):
+            raise TypeError(f"entries must be a list, got {entries!r}")
+        qtable = QTable(
+            [str(a) for a in payload["actions"]],
+            initial_value=float(payload.get("initial_value", 0.0)),
+            alpha_floor=alpha_floor,
+        )
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        raise LogFormatError(f"bad Q-table header: {exc}") from None
+    for record in entries:
         state = state_from_record(record)
         try:
-            action = str(record["action"])
-            value = float(record["value"])
-            visits = int(record["visits"])
-        except (KeyError, TypeError, ValueError) as exc:
+            qtable.restore(
+                state,
+                str(record["action"]),
+                float(record["value"]),
+                int(record["visits"]),
+            )
+        except (
+            KeyError,
+            TypeError,
+            ValueError,
+            ConfigurationError,
+            TrainingError,
+        ) as exc:
             raise LogFormatError(
                 f"bad entry record {record!r}: {exc}"
             ) from None
-        qtable.restore(state, action, value, visits)
     return qtable
 
 
-def save_qtable(qtable: QTableBackend, path: PathLike) -> int:
+def save_qtable(qtable: QTable, path: PathLike) -> int:
     """Write a Q-table as JSON; see :func:`qtable_to_payload`.
 
     Returns the number of (state, action) pairs written.
@@ -203,13 +215,12 @@ def save_qtable(qtable: QTableBackend, path: PathLike) -> int:
     return len(entries)
 
 
-def load_qtable(
-    path: PathLike, *, alpha_floor: float = 0.0, backend: str = "array"
-) -> QTableBackend:
+def load_qtable(path: PathLike, *, alpha_floor: float = 0.0) -> QTable:
     """Read a Q-table saved by :func:`save_qtable`.
 
-    Values and visit counts are restored exactly; ``alpha_floor`` and
-    ``backend`` are training-time knobs and are supplied by the caller.
+    Values and visit counts are restored exactly; ``alpha_floor`` is a
+    training-time knob supplied by the caller.  A malformed file raises
+    :class:`LogFormatError` prefixed with its path.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -217,8 +228,6 @@ def load_qtable(
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"{path}: bad JSON: {exc}") from None
     try:
-        return qtable_from_payload(
-            payload, alpha_floor=alpha_floor, backend=backend
-        )
+        return qtable_from_payload(payload, alpha_floor=alpha_floor)
     except LogFormatError as exc:
         raise LogFormatError(f"{path}: {exc}") from None

@@ -3,16 +3,12 @@
 One state machine (:class:`RecoverySession`), one cap rule
 (:func:`forced_action`), one trace schema (:class:`EpisodeTrace`), and
 synchronous drivers (:func:`drive`, :func:`drive_batch`) behind a small
-:class:`Environment` protocol.  Log replay, policy evaluation, online
-cluster recovery and training episodes all execute through this package.
+:class:`Environment` protocol.  Log replay, policy evaluation and online
+cluster recovery execute through this package; the trainer's id-indexed
+episode loop shares its cap rule and trace schema.
 """
 
-from repro.session.core import (
-    RecoverySession,
-    SessionDecision,
-    Transition,
-    forced_action,
-)
+from repro.session.core import RecoverySession, SessionDecision, forced_action
 from repro.session.driver import EpisodeOutcome, drive, drive_batch
 from repro.session.environment import (
     Environment,
@@ -29,7 +25,6 @@ from repro.session.trace import (
 __all__ = [
     "RecoverySession",
     "SessionDecision",
-    "Transition",
     "forced_action",
     "EpisodeOutcome",
     "drive",

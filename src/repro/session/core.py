@@ -6,8 +6,10 @@ observe the outcome, stop at the ``N`` = 20 action cap.  Historically the
 repo re-implemented that loop in four places (platform replay, the
 evaluator, the cluster simulator's online recovery, the trainer's
 episode loop), each enforcing the cap and emitting telemetry slightly
-differently.  :class:`RecoverySession` is the one implementation they
-all share now.
+differently.  :class:`RecoverySession` is the one implementation the
+first three share now; the trainer's loop, which runs on interned ids
+without per-step objects, shares its cap rule (:func:`forced_action`)
+and emits the same :class:`~repro.session.trace.EpisodeTrace`.
 
 The session is deliberately a *state machine*, not a closed loop:
 ``next_action()`` produces the next decision and ``record_outcome()``
@@ -29,10 +31,6 @@ from repro.session.trace import FORCED_SOURCE, EpisodeTrace, StepTrace
 
 __all__ = ["forced_action", "SessionDecision", "RecoverySession"]
 
-#: One recorded transition: ``(state, action, cost, next_state)`` — the
-#: exact tuple the Q-learning update consumes.
-Transition = Tuple[RecoveryState, str, float, RecoveryState]
-
 
 def forced_action(
     attempt_count: int, max_actions: int, forced_name: str
@@ -44,8 +42,8 @@ def forced_action(
     choice happens at ``attempt_count == max_actions - 2`` and from
     ``max_actions - 1`` on the manual action is mandatory.  Returns
     ``None`` while the policy may still choose.  This is the single
-    source of the cap rule: sessions, the platform's fast training loop
-    and the compiled replay all call it.
+    source of the cap rule: sessions and the trainer's episode loop (via
+    the platform) both call it.
     """
     if attempt_count >= max_actions - 1:
         return forced_name
@@ -93,10 +91,6 @@ class RecoverySession:
         ``"cluster"``, ...).
     initial_cost:
         Detection-segment seconds charged before the first action.
-    record_transitions:
-        Keep ``(state, action, cost, next_state)`` tuples for the
-        Q-learning update (off by default; traces alone serve the other
-        loops).
     """
 
     def __init__(
@@ -108,7 +102,6 @@ class RecoverySession:
         forced_action_name: str,
         origin: str = "session",
         initial_cost: float = 0.0,
-        record_transitions: bool = False,
     ) -> None:
         if max_actions < 2:
             raise ConfigurationError(
@@ -127,9 +120,6 @@ class RecoverySession:
         self._pending: Optional[SessionDecision] = None
         self._forced_manual = False
         self._aborted = False
-        self._transitions: Optional[List[Transition]] = (
-            [] if record_transitions else None
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -173,13 +163,6 @@ class RecoverySession:
     def actions(self) -> Tuple[str, ...]:
         """Actions executed so far."""
         return self._state.tried
-
-    @property
-    def transitions(self) -> Tuple[Transition, ...]:
-        """Recorded transitions (``record_transitions=True`` only)."""
-        if self._transitions is None:
-            return ()
-        return tuple(self._transitions)
 
     @property
     def pending(self) -> Optional[SessionDecision]:
@@ -308,15 +291,10 @@ class RecoverySession:
                 expected_cost=decision.expected_cost,
             )
         )
-        previous = self._state
         if next_state is None:
-            next_state = previous.after(decision.action, succeeded)
+            next_state = self._state.after(decision.action, succeeded)
         self._state = next_state
         self._total += cost
-        if self._transitions is not None:
-            self._transitions.append(
-                (previous, decision.action, cost, next_state)
-            )
         return next_state
 
     def abort(self) -> None:

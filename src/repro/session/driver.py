@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import UnhandledStateError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import DecisionBatch, Policy
-from repro.session.core import RecoverySession, Transition
+from repro.session.core import RecoverySession
 from repro.session.environment import Environment
 from repro.session.trace import FORCED_SOURCE, EpisodeTelemetry, EpisodeTrace
 
@@ -84,9 +84,6 @@ class EpisodeOutcome:
         Whether the ``N``-action cap forced the manual repair.
     trace:
         The structured per-step episode trace.
-    transitions:
-        ``(state, action, cost, next_state)`` tuples when the session
-        recorded them (the training loop), else empty.
     """
 
     handled: bool
@@ -94,7 +91,6 @@ class EpisodeOutcome:
     actions: Tuple[str, ...]
     forced_manual: bool
     trace: EpisodeTrace
-    transitions: Tuple[Transition, ...] = ()
 
 
 def _finish(
@@ -109,15 +105,11 @@ def _finish(
         actions=session.actions,
         forced_manual=session.forced_manual,
         trace=trace,
-        transitions=session.transitions,
     )
 
 
 def _make_session(
-    environment: Environment,
-    policy: Policy,
-    origin: str,
-    record_transitions: bool,
+    environment: Environment, policy: Policy, origin: str
 ) -> RecoverySession:
     return RecoverySession(
         environment.error_type,
@@ -126,7 +118,6 @@ def _make_session(
         forced_action_name=environment.forced_action_name,
         origin=origin,
         initial_cost=environment.initial_cost(),
-        record_transitions=record_transitions,
     )
 
 
@@ -136,7 +127,6 @@ def drive(
     *,
     origin: str = "replay",
     telemetry: Optional[EpisodeTelemetry] = None,
-    record_transitions: bool = False,
 ) -> EpisodeOutcome:
     """Run ``policy`` against ``environment`` until the episode ends.
 
@@ -144,7 +134,7 @@ def drive(
     the episode with ``handled=False`` (the paper's unhandled cases);
     the actions executed up to that point are preserved in the outcome.
     """
-    session = _make_session(environment, policy, origin, record_transitions)
+    session = _make_session(environment, policy, origin)
     while not session.done:
         try:
             decision = session.next_action()
@@ -186,7 +176,7 @@ def drive_batch(
             for environment in environments
         ]
     sessions = [
-        _make_session(environment, policy, origin, False)
+        _make_session(environment, policy, origin)
         for environment in environments
     ]
     active = [

@@ -11,8 +11,8 @@ simulated time; everything else adapts here.
 :class:`ReplayEnvironment` is the adapter for counterfactual log replay
 (one :class:`~repro.recoverylog.process.RecoveryProcess` on a
 :class:`~repro.simplatform.platform.SimulationPlatform`), used by
-``SimulationPlatform.replay``, the policy evaluator, the trainer's
-reference episode loop and the rolling retrainer's deployed path.
+``SimulationPlatform.replay``, the policy evaluator and the rolling
+retrainer's deployed path.
 """
 
 from __future__ import annotations

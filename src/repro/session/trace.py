@@ -1,10 +1,11 @@
 """Structured per-step episode traces and the observer hook they feed.
 
-Every episode loop in the system — log replay, policy evaluation, online
-cluster recovery, training exploration — runs through
+Log replay, policy evaluation and online cluster recovery run through
 :class:`~repro.session.core.RecoverySession`, which records one
 :class:`StepTrace` per executed action and closes the episode with an
-:class:`EpisodeTrace`.  The schema is the single observability record
+:class:`EpisodeTrace`; the trainer's id-indexed exploration loop builds
+the same trace (origin ``"training"``) when a recorder is attached.  The
+schema is the single observability record
 the ROADMAP's serving-scale direction needs: uniform across origins, so
 a dashboard aggregating "cost per step by error type" reads training,
 evaluation and production recovery identically.

@@ -120,9 +120,9 @@ class CompiledReplay:
     required strengths, the logged attempt at each position, average
     costs — precomputed into plain lists indexed by process index and
     action id (catalog position, which equals strength rank since the
-    catalog orders actions by ascending strength).  The fast training
-    loop then decides success, cost and log-matching with integer
-    compares only; bit-identical to ``step`` by construction:
+    catalog orders actions by ascending strength).  The trainer's
+    episode loop then decides success, cost and log-matching with
+    integer compares only; bit-identical to ``step`` by construction:
 
     * ``covers`` over strength multisets is equivalent to cumulative
       rank-count dominance (for every rank ``r``, the number of executed
@@ -142,8 +142,8 @@ class CompiledReplay:
     required_ge:
         Per process: ``required_ge[r]`` counts required occurrences of
         rank >= r, or ``None`` when the process references an action
-        outside the catalog (the error then surfaces on first use, as
-        on the uncompiled path).
+        outside the catalog (the trainer rejects such a process before
+        its first episode).
     attempt_aids:
         Per process, per attempt position: the logged action id, or -1
         when the logged action is not in the catalog (matches nothing).
@@ -277,8 +277,8 @@ class SimulationPlatform:
 
         Delegates to the session core's
         :func:`~repro.session.core.forced_action`, the single source of
-        the cap rule; kept as a method because the trainer's fast
-        episode loop asks the platform directly.
+        the cap rule; kept as a method because the trainer's episode
+        loop asks the platform directly.
         """
         return cap_forced_action(
             attempt_count, self._max_actions, self._forced_name

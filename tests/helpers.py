@@ -1,8 +1,16 @@
-"""Shared builders for tests: compact construction of processes and logs."""
+"""Shared test helpers.
+
+Compact construction of processes and logs, and :func:`snapshot_digest`
+for pinning results to frozen SHA-256 digests.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.recoverylog.entry import LogEntry
 from repro.recoverylog.log import RecoveryLog
@@ -101,3 +109,45 @@ def ladder_processes(
             )
             index += 1
     return processes
+
+
+def _canonical(obj: object) -> object:
+    """A backend-neutral, order-stable image of a result structure.
+
+    Floats become their exact hex spelling, numpy scalars plain Python
+    values, dataclasses ``(class name, fields)`` and mappings sorted item
+    lists, so two structures digest alike exactly when they are equal
+    value for value.
+    """
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (
+            type(obj).__name__,
+            [
+                _canonical(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+            ],
+        )
+    if isinstance(obj, dict):
+        return sorted(
+            ((_canonical(k), _canonical(v)) for k, v in obj.items()),
+            key=repr,
+        )
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(item) for item in obj]
+    return obj
+
+
+def snapshot_digest(obj: object) -> str:
+    """SHA-256 of :func:`_canonical`'s image of ``obj``.
+
+    Frozen digests pin results that a deleted reference implementation
+    once produced: equal digests mean bit-identical floats, counts,
+    states and ordering of every list.
+    """
+    return hashlib.sha256(repr(_canonical(obj)).encode("utf-8")).hexdigest()

@@ -100,6 +100,44 @@ class TestCheckpointStore:
         path.write_text(path.read_text()[: path.stat().st_size // 2])
         assert store.load("error:Hard") is None
 
+    def _corrupt(self, tmp_path, edit):
+        """Train every type, then rewrite error:Hard's checkpoint."""
+        groups = ladder_groups()
+        store = store_at(tmp_path)
+        engine_for(groups, store).train(groups)
+        path = store.path_for("error:Hard")
+        payload = edit(json.loads(path.read_text()))
+        path.write_text(json.dumps(payload))
+        return store
+
+    def test_non_object_checkpoint_loads_none(self, tmp_path):
+        store = self._corrupt(tmp_path, lambda payload: [payload])
+        assert store.load("error:Hard") is None
+
+    def test_non_utf8_checkpoint_loads_none(self, tmp_path):
+        store = self._corrupt(tmp_path, lambda payload: payload)
+        store.path_for("error:Hard").write_bytes(b"\xff\xfe{}")
+        assert store.load("error:Hard") is None
+        assert store.completed_types() == ("error:Mid", "error:Soft")
+
+    def test_non_object_checkpoint_is_not_completed(self, tmp_path):
+        store = self._corrupt(tmp_path, lambda payload: "checkpoint")
+        assert store.completed_types() == ("error:Mid", "error:Soft")
+
+    def test_zero_visit_entry_retrains(self, tmp_path):
+        def edit(payload):
+            payload["qtable"]["entries"][0]["visits"] = 0
+            return payload
+
+        assert self._corrupt(tmp_path, edit).load("error:Hard") is None
+
+    def test_entry_outside_catalog_retrains(self, tmp_path):
+        def edit(payload):
+            payload["qtable"]["entries"][0]["action"] = "FSCK"
+            return payload
+
+        assert self._corrupt(tmp_path, edit).load("error:Hard") is None
+
     def test_tampered_error_type_raises(self, tmp_path):
         groups = ladder_groups()
         store = store_at(tmp_path)

@@ -2,12 +2,17 @@
 
 import pytest
 
-from helpers import ladder_processes
+from helpers import ladder_processes, make_process
 from repro.actions import default_catalog
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import (
+    ConfigurationError,
+    SimulationError,
+    TrainingError,
+    UnknownActionError,
+)
 from repro.learning.exploration import TemperatureSchedule
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-from repro.learning.qtable import QTable
+from repro.learning.telemetry import EpisodeRecorder, TelemetryRecorder
 from repro.mdp.state import RecoveryState
 from repro.simplatform.platform import SimulationPlatform
 
@@ -64,48 +69,97 @@ class TestConfigValidation:
 
 
 class TestEpisodes:
+    """The episode loop, observed through its traces."""
+
+    def recorded_course(self, processes, platform=None, **config):
+        platform = platform or SimulationPlatform(processes, CATALOG)
+        recorder = EpisodeRecorder()
+        trainer = QLearningTrainer(
+            platform, QLearningConfig(**config), episode_telemetry=recorder
+        )
+        result = trainer.train_type(processes[0].error_type, processes)
+        return result, recorder.traces
+
     def test_episode_terminates_and_records_transitions(self):
         processes = reimage_type_processes()
-        trainer = trainer_for(processes)
-        qtable = QTable(CATALOG.names())
-        from repro.learning.exploration import BoltzmannExplorer
-
-        explorer = BoltzmannExplorer(seed=0)
-        trajectory = trainer.run_episode(
-            qtable, explorer, processes[0], sweep=0
+        result, traces = self.recorded_course(
+            processes, max_sweeps=1, episodes_per_sweep=4, seed=1
         )
-        assert trajectory
-        assert trajectory[-1][3].is_terminal
-        # Every visited (state, action) received an update.
-        for state, action, _cost, _nxt in trajectory:
-            assert qtable.visit_count(state, action) >= 1
+        assert len(traces) == 4
+        for trace in traces:
+            assert trace.origin == "training" and trace.succeeded
+            # Every visited (state, action) received an update.
+            state = RecoveryState.initial("error:Hard")
+            for step in trace.steps:
+                assert result.qtable.visit_count(state, step.action) >= 1
+                state = state.after(step.action, step.succeeded)
+            assert state.is_terminal
 
     def test_episode_respects_action_cap(self):
         processes = ladder_processes(
             "error:RMAonly", [(["TRYNOP", "REBOOT", "REIMAGE", "RMA"], 5)]
         )
         platform = SimulationPlatform(processes, CATALOG, max_actions=4)
-        trainer = QLearningTrainer(
-            platform, QLearningConfig(max_sweeps=5, seed=0)
+        _result, traces = self.recorded_course(
+            processes, platform, max_sweeps=5, seed=0
         )
-        qtable = QTable(CATALOG.names())
-        from repro.learning.exploration import BoltzmannExplorer
-
-        trajectory = trainer.run_episode(
-            qtable, BoltzmannExplorer(seed=0), processes[0], sweep=0
-        )
-        assert len(trajectory) <= 4
-        assert trajectory[-1][3].is_terminal
+        assert traces
+        for trace in traces:
+            assert trace.step_count <= 4
+            assert trace.succeeded
 
     def test_warm_start_anchors_logged_pairs(self):
         processes = reimage_type_processes()
-        trainer = trainer_for(processes, warm_start_passes=1)
-        qtable = QTable(CATALOG.names())
-        trainer.warm_start(qtable, processes)
+        result, traces = self.recorded_course(
+            processes,
+            max_sweeps=1,
+            episodes_per_sweep=1,
+            warm_start_passes=1,
+            seed=1,
+        )
+        assert result.episodes == len(processes) + len(traces)
         s0 = RecoveryState.initial("error:Hard")
-        assert qtable.visit_count(s0, "TRYNOP") == len(processes)
+        explored = sum(1 for t in traces if t.actions()[0] == "TRYNOP")
+        # One warm-start visit per process, plus exploration's.
+        assert result.qtable.visit_count(s0, "TRYNOP") == (
+            len(processes) + explored
+        )
         # The anchored value reflects actual ladder costs (finite, > 0).
-        assert qtable.value(s0, "TRYNOP") > 0
+        assert result.qtable.value(s0, "TRYNOP") > 0
+
+
+class TestCourseSetup:
+    """A course that cannot train fails before its first episode."""
+
+    def test_foreign_process_raises_simulation_error(self):
+        processes = reimage_type_processes()
+        platform = SimulationPlatform(processes[:-1], CATALOG)
+        recorder = EpisodeRecorder()
+        telemetry = TelemetryRecorder()
+        trainer = QLearningTrainer(
+            platform, QLearningConfig(seed=1), episode_telemetry=recorder
+        )
+        with pytest.raises(SimulationError, match="not part of this platform"):
+            trainer.train_type("error:Hard", processes, telemetry=telemetry)
+        assert len(recorder) == 0
+        assert telemetry.per_type == {}
+
+    def test_unknown_logged_action_raises_naming_the_process(self):
+        processes = reimage_type_processes() + [
+            make_process(
+                ["TRYNOP", "FSCK", "REIMAGE"],
+                machine="m-odd",
+                error_type="error:Hard",
+            )
+        ]
+        platform = SimulationPlatform(processes, CATALOG)
+        recorder = EpisodeRecorder()
+        trainer = QLearningTrainer(
+            platform, QLearningConfig(seed=1), episode_telemetry=recorder
+        )
+        with pytest.raises(UnknownActionError, match="'m-odd'.*FSCK"):
+            trainer.train_type("error:Hard", processes)
+        assert len(recorder) == 0
 
 
 class TestTrainType:
@@ -114,7 +168,7 @@ class TestTrainType:
         trainer = trainer_for(processes)
         result = trainer.train_type("error:Hard", processes)
         s0 = RecoveryState.initial("error:Hard")
-        values = result.qtable.values_for(s0)
+        values = {a: result.qtable.value(s0, a) for a in CATALOG.names()}
         # Jumping straight to REIMAGE must beat starting with TRYNOP,
         # whose path pays the whole ladder.
         assert values["REIMAGE"] < values["TRYNOP"]

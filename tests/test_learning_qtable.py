@@ -1,4 +1,8 @@
-"""Tests for the tabular Q-function."""
+"""Tests for the tabular Q-function.
+
+The training loop reads by interned state id; :func:`sid` interns a
+state so the id-keyed reads can be checked against named states.
+"""
 
 import pytest
 
@@ -10,6 +14,11 @@ ACTIONS = ["TRYNOP", "REBOOT", "REIMAGE", "RMA"]
 S0 = RecoveryState.initial("error:X")
 S1 = S0.after("TRYNOP", False)
 TERMINAL = S0.after("REBOOT", True)
+
+
+def sid(table, state):
+    """The table's row id for ``state``."""
+    return table.index.intern(state)
 
 
 class TestConstruction:
@@ -44,7 +53,7 @@ class TestUpdates:
         table.update(S0, "TRYNOP", 1.0)
         table.update(S0, "REBOOT", 1.0)
         assert table.visit_count(S0, "TRYNOP") == 2
-        assert table.total_visits(S0) == 3
+        assert sum(table.visit_count(S0, a) for a in ACTIONS) == 3
 
     def test_alpha_floor_weights_recent_targets(self):
         flat = QTable(ACTIONS, alpha_floor=0.0)
@@ -77,34 +86,35 @@ class TestQueries:
 
     def test_known_requires_a_visit(self):
         table = QTable(ACTIONS)
-        assert not table.known(S0)
+        sid(table, S0)  # interning alone does not make a state known
+        assert S0 not in set(table.states())
         table.update(S0, "TRYNOP", 1.0)
-        assert table.known(S0)
+        assert S0 in set(table.states())
 
     def test_values_for_covers_all_actions(self):
         table = QTable(ACTIONS)
         table.update(S0, "REBOOT", 5.0)
-        values = table.values_for(S0)
-        assert set(values) == set(ACTIONS)
-        assert values["REBOOT"] == 5.0
+        row = table.q_row(sid(table, S0)).tolist()
+        assert row == [0.0, 5.0, 0.0, 0.0]  # catalog order
 
     def test_min_value_over_all_actions(self):
         table = QTable(ACTIONS)
         table.update(S0, "REBOOT", 5.0)
-        assert table.min_value(S0) == 0.0  # unvisited optimistic default
+        # Unvisited entries keep the optimistic default in the row.
+        assert min(table.q_row(sid(table, S0)).tolist()) == 0.0
 
     def test_min_value_terminal_is_zero(self):
         table = QTable(ACTIONS, initial_value=9.0)
-        assert table.min_value(TERMINAL) == 0.0
+        assert table.bootstrap_by_id(sid(table, TERMINAL)) == 0.0
 
     def test_bootstrap_value_ignores_unvisited(self):
         table = QTable(ACTIONS)
         table.update(S1, "REBOOT", 500.0)
-        assert table.bootstrap_value(S1) == pytest.approx(500.0)
+        assert table.bootstrap_by_id(sid(table, S1)) == pytest.approx(500.0)
 
     def test_bootstrap_value_unvisited_state_is_initial(self):
         table = QTable(ACTIONS, initial_value=3.0)
-        assert table.bootstrap_value(S1) == 3.0
+        assert table.bootstrap_by_id(sid(table, S1)) == 3.0
 
     def test_greedy_action_only_among_visited(self):
         table = QTable(ACTIONS)
@@ -133,16 +143,18 @@ class TestQueries:
 
     def test_underexplored_action_least_visited_first(self):
         table = QTable(ACTIONS)
+        s0 = sid(table, S0)
         table.update(S0, "TRYNOP", 1.0)
-        assert table.underexplored_action(S0, 1) == "REBOOT"
+        assert ACTIONS[table.underexplored_by_id(s0, 1)] == "REBOOT"
         for action in ACTIONS:
             table.update(S0, action, 1.0)
-        assert table.underexplored_action(S0, 1) is None
+        assert table.underexplored_by_id(s0, 1) == -1
         # TRYNOP already has 2 visits; REBOOT (1 visit) is least.
-        assert table.underexplored_action(S0, 2) == "REBOOT"
+        assert ACTIONS[table.underexplored_by_id(s0, 2)] == "REBOOT"
 
     def test_underexplored_disabled_with_zero(self):
-        assert QTable(ACTIONS).underexplored_action(S0, 0) is None
+        table = QTable(ACTIONS)
+        assert table.underexplored_by_id(sid(table, S0), 0) == -1
 
     def test_states_iteration(self):
         table = QTable(ACTIONS)

@@ -1,6 +1,7 @@
 """Tests for policy and Q-table persistence."""
 
 import json
+import re
 
 import pytest
 
@@ -116,6 +117,37 @@ class TestQTableRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "x", "actions": [], "entries": []}')
         with pytest.raises(LogFormatError, match="format"):
+            load_qtable(path)
+
+    def test_missing_actions_rejected_with_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "repro/qtable@1", "entries": []}')
+        pattern = f"^{re.escape(str(path))}: .*'actions'"
+        with pytest.raises(LogFormatError, match=pattern):
+            load_qtable(path)
+
+    def test_non_object_payload_rejected_with_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('["repro/qtable@1"]')
+        pattern = f"^{re.escape(str(path))}: .*object"
+        with pytest.raises(LogFormatError, match=pattern):
+            load_qtable(path)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [({"visits": 0}, "visits must be >= 1"), ({"action": "FSCK"}, "FSCK")],
+        ids=["zero-visits", "outside-catalog"],
+    )
+    def test_unrestorable_entry_rejected_with_path(
+        self, tmp_path, edit, reason
+    ):
+        path = tmp_path / "qtable.json"
+        save_qtable(self._table(), path)
+        payload = json.loads(path.read_text())
+        payload["entries"][0].update(edit)
+        path.write_text(json.dumps(payload))
+        pattern = f"^{re.escape(str(path))}: bad entry.*{reason}"
+        with pytest.raises(LogFormatError, match=pattern):
             load_qtable(path)
 
     def test_restore_rejects_zero_visits(self):

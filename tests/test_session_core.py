@@ -142,15 +142,6 @@ class TestRecoverySession:
         with pytest.raises(SimulationError):
             session.next_action()
 
-    def test_transitions_recorded_on_request(self):
-        session = self.make_session(record_transitions=True)
-        session.next_action()
-        session.record_outcome(7.0, True)
-        ((state, action, cost, next_state),) = session.transitions
-        assert state == RecoveryState.initial("error:X")
-        assert cost == pytest.approx(7.0)
-        assert next_state.is_terminal
-
     def test_batched_resolve_and_force_pending(self):
         session = self.make_session()
         decision = session.resolve(
@@ -175,9 +166,7 @@ class TestRecoverySession:
             session.force_pending()
 
     def test_trace_schema(self):
-        session = self.make_session(
-            origin="unit", initial_cost=2.0, record_transitions=True
-        )
+        session = self.make_session(origin="unit", initial_cost=2.0)
         session.next_action()
         session.record_outcome(5.0, True, matched_log=True)
         trace = session.trace()

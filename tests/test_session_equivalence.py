@@ -1,13 +1,14 @@
 """Session-core routing equivalence.
 
-Replay, evaluation, cluster recovery and training all execute through
-:mod:`repro.session` now.  The contract of that refactor is
-*bit-identical* behaviour: the shared driver must produce exactly the
-results the four hand-rolled loops produced before — same float sums in
-the same order, same RNG draw sequences, same action traces.  This
-module pins the contract by re-implementing the pre-refactor loops
-inline (frozen copies of the old code) and comparing exactly, the same
-way ``test_backend_equivalence`` pins the dict/array Q-table pair.
+Replay, evaluation and cluster recovery execute through
+:mod:`repro.session`; training runs its own id-indexed loop that shares
+the session's cap rule and trace schema.  The contract is
+*bit-identical* behaviour with the hand-rolled loops these replaced —
+same float sums in the same order, same RNG draw sequences, same action
+traces.  This module pins the contract by re-implementing the
+pre-refactor loops inline (frozen copies of the old code) and comparing
+exactly, the same way ``test_backend_equivalence`` pins the Q table
+against its dict reference.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 
 import pytest
 
-from helpers import ladder_processes, make_process
+from helpers import ladder_processes, make_process, snapshot_digest
+from reference_qtable import ReferenceQTable
 from repro.actions import default_catalog
 from repro.cluster.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.faults import FaultCatalog, FaultType
@@ -39,6 +41,17 @@ from repro.simplatform.platform import ReplayResult, SimulationPlatform
 from repro.util.rng import RngStreams, make_rng
 
 CATALOG = default_catalog()
+
+# Digests of ``test_episode_telemetry_does_not_change_results``'s course
+# and its episode traces, recorded when an attached recorder routed
+# training through the session driver (identical for the dict and array
+# Q tables).
+TELEMETRY_RESULT_DIGEST = (
+    "6982ada0941936a00c81ec70d650730f2877f4007c1be303536492607f87771f"
+)
+TELEMETRY_TRACES_DIGEST = (
+    "043cfb06839324021340f3d656fdf3009326adf259365174757bd07a6d350ef9"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +149,22 @@ def reference_episode(platform, qtable, explorer, process, sweep, config):
         )
         state = outcome.next_state
     return trajectory
+
+
+def reference_updates(qtable, trajectory):
+    """The trainer's reverse-order equation-(6) updates, pre-refactor."""
+    for state, action_name, cost, next_state in reversed(trajectory):
+        target = cost + qtable.bootstrap_value(next_state)
+        qtable.update(state, action_name, target)
+
+
+def q_cells(table):
+    """Every visited (state, action) cell as ``(value, visits)``."""
+    return {
+        (s, a): (table.value(s, a), table.visit_count(s, a))
+        for s in table.states()
+        for a in CATALOG.names()
+    }
 
 
 def replay_snapshot(result: ReplayResult):
@@ -305,29 +334,31 @@ class TestEvaluationEquivalence:
 
 
 class TestTrainingEquivalence:
-    """run_episode (session-driven) == the frozen trainer loop."""
+    """The trainer's episode loop == the frozen pre-refactor loop."""
 
     def test_episodes_bit_identical_with_same_rng(self):
         platform, _processes = mixed_platform()
-        config = QLearningConfig(seed=5, backend="dict")
-        trainer = QLearningTrainer(platform, config)
+        config = QLearningConfig(seed=5)
+        recorder = EpisodeRecorder()
+        trainer = QLearningTrainer(
+            platform, config, episode_telemetry=recorder
+        )
         training = ladder_processes(
             "error:Hard",
             [(["TRYNOP", "REBOOT", "REIMAGE"], 4)],
             realistic_durations=True,
         )
 
-        reference_table = QTable(
+        reference_table = ReferenceQTable(
             CATALOG.names(), alpha_floor=config.alpha_floor
         )
-        routed_table = QTable(
-            CATALOG.names(), alpha_floor=config.alpha_floor
-        )
+        table = QTable(CATALOG.names(), alpha_floor=config.alpha_floor)
+        course = trainer._course(table, "error:Hard", training)
         reference_explorer = trainer._make_explorer(make_rng(5))
-        routed_explorer = trainer._make_explorer(make_rng(5))
+        explorer = trainer._make_explorer(make_rng(5))
 
         for sweep in range(30):
-            for process in training:
+            for process, row in zip(training, course.rows):
                 expected = reference_episode(
                     platform,
                     reference_table,
@@ -336,29 +367,16 @@ class TestTrainingEquivalence:
                     sweep,
                     config,
                 )
-                # Reference applies its updates through the same helper.
-                trainer._apply_updates(reference_table, expected)
-                got = trainer.run_episode(
-                    routed_table, routed_explorer, process, sweep
-                )
-                assert got == expected
-        # After 120 interleaved episodes every Q cell still matches
-        # exactly, so the RNG streams never diverged.
-        assert {
-            (s, a): (
-                reference_table.value(s, a),
-                reference_table.visit_count(s, a),
-            )
-            for s in reference_table.states()
-            for a in CATALOG.names()
-        } == {
-            (s, a): (
-                routed_table.value(s, a),
-                routed_table.visit_count(s, a),
-            )
-            for s in routed_table.states()
-            for a in CATALOG.names()
-        }
+                reference_updates(reference_table, expected)
+                trainer._explore_episode(table, explorer, course, row, sweep)
+                steps = recorder.traces[-1].steps
+                assert [(s.action, s.cost) for s in steps] == [
+                    (action, cost) for _s, action, cost, _n in expected
+                ]
+                # Every Q cell matches after every episode, so the RNG
+                # streams never diverge.
+                assert q_cells(table) == q_cells(reference_table)
+        assert len(recorder) == 30 * len(training)
 
     def test_episode_telemetry_does_not_change_results(self):
         platform, _processes = mixed_platform()
@@ -392,6 +410,8 @@ class TestTrainingEquivalence:
             platform, config, episode_telemetry=recorder
         ).train_type("error:Hard", training)
         assert snapshot(observed) == snapshot(plain)
+        assert snapshot_digest(snapshot(plain)) == TELEMETRY_RESULT_DIGEST
+        assert snapshot_digest(recorder.traces) == TELEMETRY_TRACES_DIGEST
         assert len(recorder) > 0
         assert set(t.origin for t in recorder.traces) == {"training"}
         # Every trace carries per-step provenance from the training rule.

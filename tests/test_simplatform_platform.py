@@ -212,26 +212,31 @@ class TestForcedActionCap:
         assert platform.forced_action(len(result.actions) - 2) is None
 
     def test_trainer_episode_obeys_the_same_boundary(self):
-        from repro.learning.exploration import BoltzmannExplorer
         from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-        from repro.learning.qtable_array import create_qtable
+        from repro.learning.telemetry import EpisodeRecorder
 
         process = make_process(["RMA"])
         platform = platform_for([process], max_actions=3)
-        for backend in ("dict", "array"):
-            trainer = QLearningTrainer(
-                platform,
-                QLearningConfig(min_visits_per_action=5, backend=backend),
-            )
-            qtable = create_qtable(CATALOG.names(), backend=backend)
-            trajectory = trainer.run_episode(
-                qtable, BoltzmannExplorer(seed=0), process, sweep=0
-            )
-            # Forced exploration keeps proposing TRYNOP (fresh states,
-            # catalog-order tie break) until the cap forces the manual
-            # repair at attempt_count == max_actions - 1.
-            assert [t[1] for t in trajectory] == ["TRYNOP", "TRYNOP", "RMA"]
-            assert trajectory[-1][0].attempt_count == platform.max_actions - 1
+        recorder = EpisodeRecorder()
+        trainer = QLearningTrainer(
+            platform,
+            QLearningConfig(
+                min_visits_per_action=5, max_sweeps=1, warm_start_passes=0
+            ),
+            episode_telemetry=recorder,
+        )
+        trainer.train_type("error:X", [process])
+        (trace,) = recorder.traces
+        # Forced exploration keeps proposing TRYNOP (fresh states,
+        # catalog-order tie break) until the cap forces the manual
+        # repair at attempt_count == max_actions - 1.
+        assert trace.actions() == ("TRYNOP", "TRYNOP", "RMA")
+        assert [step.source for step in trace.steps] == [
+            "explore:forced",
+            "explore:forced",
+            "forced:cap",
+        ]
+        assert trace.steps[-1].attempt_count == platform.max_actions - 1
 
 
 class TestRequiredStrengthsCache:
