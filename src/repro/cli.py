@@ -218,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--verify",
         action="store_true",
-        help="reload the binary file and check every rule decides "
-        "identically to the JSON policy before reporting success",
+        help="reload the binary file (checksum and rows) and check its "
+        "label, vocabularies, keys, action ids and cost bits equal the "
+        "JSON policy's before reporting success",
     )
 
     serve = commands.add_parser(
@@ -564,10 +565,21 @@ def _cmd_export_policy(args: argparse.Namespace) -> int:
     size = Path(args.out).stat().st_size
     print(f"exported {count:,} rules to {args.out} ({size:,} bytes)")
     if args.verify:
+        import numpy as np
+
         from repro.policies.serialization import load_policy_binary
 
         reloaded = load_policy_binary(args.out, verify=True)
-        if reloaded.to_trained().rules != policy.rules:
+        ours, theirs = policy.columns, reloaded.columns
+        # Vocabularies, keys and action ids must be equal, costs
+        # bit-identical.
+        if not (
+            reloaded.name == policy.name
+            and ours[:4] == theirs[:4]
+            and np.array_equal(ours.keys, theirs.keys)
+            and np.array_equal(ours.actions, theirs.actions)
+            and ours.costs.tobytes() == theirs.costs.tobytes()
+        ):
             print(
                 "error: binary decisions diverge from the JSON policy",
                 file=sys.stderr,

@@ -210,15 +210,16 @@ class SelectionTreeExtractor:
         """Mean replayed cost of the candidate policy over ``processes``.
 
         Unhandled replays are charged their real downtime, a neutral
-        substitution that neither rewards nor punishes rule gaps.
+        substitution that neither rewards nor punishes rule gaps.  The
+        replays run in lockstep waves, one ``decide_batch`` per wave
+        (bit-identical to replaying one process at a time).
         """
         if not processes:
             raise TrainingError("cannot evaluate a policy on no processes")
         sample = self._evaluation_sample(processes)
         policy = TrainedPolicy(rules, label="candidate")
         total = 0.0
-        for process in sample:
-            result = self.platform.replay(process, policy)
+        for result in self.platform.replay_many(sample, policy):
             total += result.cost if result.handled else result.real_cost
         return total / len(sample)
 

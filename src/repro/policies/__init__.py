@@ -2,7 +2,9 @@
 
 * :class:`UserDefinedPolicy` — the escalating cheapest-action-first rule
   the paper's production cluster ran (Section 4.1).
-* :class:`TrainedPolicy` — greedy over a learned Q-function; raises
+* :class:`TrainedPolicy` — greedy over a learned Q-function, held as
+  one packed rule table whether built in memory, parsed from JSON or
+  memory-mapped from a binary container; raises
   :class:`~repro.errors.UnhandledStateError` on states never explored.
 * :class:`HybridPolicy` — the trained policy with automatic fallback to
   the user-defined one (Section 3.4).
@@ -13,7 +15,6 @@
 """
 
 from repro.policies.base import DecisionBatch, Policy, PolicyDecision
-from repro.policies.binary import ArrayTrainedPolicy
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.index_policy import action_indices, design_index_policy
 from repro.policies.serialization import (
@@ -38,7 +39,6 @@ __all__ = [
     "load_policy",
     "save_policy_binary",
     "load_policy_binary",
-    "ArrayTrainedPolicy",
     "save_qtable",
     "load_qtable",
     "action_indices",

@@ -6,10 +6,12 @@ rule tables must round-trip through storage.  Two formats exist:
 
 * the JSON schema here — stable and human-auditable, so operators can
   review exactly which action the policy will take in which state
-  before deploying it;
+  before deploying it.  It is an interchange format only:
+  :func:`load_policy` packs what it parses into the same
+  :class:`~repro.policies.trained.TrainedPolicy` table;
 * the zero-copy binary container in :mod:`repro.policies.binary`
-  (re-exported below) — what the decision server memory-maps, with
-  decisions bit-identical to the JSON-loaded policy.
+  (re-exported below) — the table's own columns, which the decision
+  server memory-maps.
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ def state_from_record(record: Dict[str, object]) -> RecoveryState:
         raise LogFormatError(f"bad state record {record!r}: {exc}") from None
 
 
-# Backwards-compatible private aliases.
-_state_to_record = state_to_record
-_state_from_record = state_from_record
-
-
 def save_policy(policy: TrainedPolicy, path: PathLike) -> int:
     """Write a trained policy's rules as JSON; returns the rule count."""
     rules = []
@@ -78,7 +75,7 @@ def save_policy(policy: TrainedPolicy, path: PathLike) -> int:
         policy.rules.items(),
         key=lambda item: (item[0].error_type, item[0].tried),
     ):
-        record = _state_to_record(state)
+        record = state_to_record(state)
         record["action"] = action
         record["expected_cost"] = cost
         rules.append(record)
@@ -93,31 +90,58 @@ def save_policy(policy: TrainedPolicy, path: PathLike) -> int:
     return len(rules)
 
 
-def load_policy(path: PathLike) -> TrainedPolicy:
-    """Read a trained policy saved by :func:`save_policy`."""
+def _read_json(path: PathLike) -> object:
+    """The JSON document at ``path``; undecodable text is a format error."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise LogFormatError(f"{path}: bad JSON: {exc}") from None
+
+
+def _policy_from_payload(payload: object) -> TrainedPolicy:
+    """Pack a parsed policy document; raises without naming a path."""
+    if not isinstance(payload, dict):
+        raise LogFormatError(
+            f"expected a policy object, got {type(payload).__name__}"
+        )
     if payload.get("format") != _POLICY_FORMAT:
         raise LogFormatError(
-            f"{path}: expected format {_POLICY_FORMAT!r}, "
+            f"expected format {_POLICY_FORMAT!r}, "
             f"got {payload.get('format')!r}"
         )
+    records = payload.get("rules", [])
+    if not isinstance(records, list):
+        raise LogFormatError(
+            f"rules must be a list, got {type(records).__name__}"
+        )
     rules: Dict[RecoveryState, Tuple[str, float]] = {}
-    for record in payload.get("rules", []):
-        state = _state_from_record(record)
+    for record in records:
+        state = state_from_record(record)
         try:
             rules[state] = (
                 str(record["action"]),
                 float(record["expected_cost"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise LogFormatError(
-                f"{path}: bad rule record {record!r}: {exc}"
-            ) from None
+            raise LogFormatError(f"bad rule record {record!r}: {exc}") from None
     return TrainedPolicy(rules, label=str(payload.get("label", "trained")))
+
+
+def load_policy(path: PathLike) -> TrainedPolicy:
+    """Read a trained policy saved by :func:`save_policy`.
+
+    The rules are packed into a :class:`TrainedPolicy` as they are read:
+    JSON is an interchange format only.  Every way a file can be
+    malformed — not UTF-8 JSON, not an object, a bad format tag or rule
+    record, a rule the table refuses — raises :class:`LogFormatError`
+    prefixed with its path.
+    """
+    payload = _read_json(path)
+    try:
+        return _policy_from_payload(payload)
+    except (LogFormatError, ConfigurationError) as exc:
+        raise LogFormatError(f"{path}: {exc}") from None
 
 
 def qtable_to_payload(qtable: QTable) -> Dict[str, object]:
@@ -222,11 +246,7 @@ def load_qtable(path: PathLike, *, alpha_floor: float = 0.0) -> QTable:
     training-time knob supplied by the caller.  A malformed file raises
     :class:`LogFormatError` prefixed with its path.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise LogFormatError(f"{path}: bad JSON: {exc}") from None
+    payload = _read_json(path)
     try:
         return qtable_from_payload(payload, alpha_floor=alpha_floor)
     except LogFormatError as exc:

@@ -17,7 +17,7 @@ Two storm shapes, both deterministic under a seed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.cluster.fleet import FleetEngine
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import DecisionBatch, Policy, PolicyDecision
-from repro.policies.binary import ArrayTrainedPolicy
 from repro.policies.trained import TrainedPolicy
 from repro.serving.server import DecisionServer
 from repro.serving.telemetry import LatencyRecorder
@@ -51,7 +50,7 @@ _UNKNOWN_PREFIX = "error:__storm-unknown-"
 
 
 def storm_states(
-    policy: Union[ArrayTrainedPolicy, TrainedPolicy],
+    policy: TrainedPolicy,
     n_queries: int,
     *,
     unknown_fraction: float = 0.1,
@@ -60,10 +59,11 @@ def storm_states(
     """Sample a deterministic stream of lookup states for a storm.
 
     Known states are drawn uniformly (with replacement) from the
-    policy's own rule table; ``unknown_fraction`` of the stream is
-    replaced by states no trained policy can handle, so the fallback
-    path is exercised at a controlled rate.  The interleaving is a
-    seeded permutation — same seed, same storm.
+    policy's own rule table, by row in key order, so a table and its
+    JSON and binary copies send the same storm.  ``unknown_fraction``
+    of the stream is replaced by states no trained policy can handle,
+    so the fallback path is exercised at a controlled rate.  The
+    interleaving is a seeded permutation — same seed, same storm.
     """
     if n_queries < 0:
         raise ConfigurationError(f"n_queries must be >= 0, got {n_queries}")
@@ -73,15 +73,7 @@ def storm_states(
         )
     rng = derive_rng(seed, "serving.storm")
     n_unknown = int(round(n_queries * unknown_fraction))
-    if isinstance(policy, ArrayTrainedPolicy):
-        rule_count = len(policy)
-        decode = policy.state_at
-    else:
-        table = sorted(
-            policy.rules, key=lambda s: (s.error_type, s.tried)
-        )
-        rule_count = len(table)
-        decode = table.__getitem__
+    rule_count = len(policy)
     if rule_count == 0:
         n_unknown = n_queries
     n_known = n_queries - n_unknown
@@ -89,7 +81,7 @@ def storm_states(
     states: List[RecoveryState] = []
     if n_known:
         rows = rng.integers(0, rule_count, size=n_known)
-        states.extend(decode(int(row)) for row in rows)
+        states.extend(policy.state_at(int(row)) for row in rows)
     for i in range(n_unknown):
         states.append(
             RecoveryState.initial(f"{_UNKNOWN_PREFIX}{i % 17}")

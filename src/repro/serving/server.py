@@ -157,7 +157,8 @@ class DecisionServer:
     ----------
     policy:
         The initial primary policy (a
-        :class:`~repro.policies.binary.ArrayTrainedPolicy` for the
+        :class:`~repro.policies.trained.TrainedPolicy`, memory-mapped by
+        :func:`~repro.policies.binary.load_policy_binary` for the
         zero-copy serving path, or any other deterministic policy).
     fallback:
         The proper fallback; defaults to the paper's

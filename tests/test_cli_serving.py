@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -45,6 +46,32 @@ class TestExportPolicy:
         )
         assert code == 0
         assert "decide identically" in capsys.readouterr().out
+
+    def test_verify_flag_catches_a_diverging_cost(
+        self, policy_path, tmp_path, capsys, monkeypatch
+    ):
+        from repro.policies import serialization
+
+        writer = serialization.save_policy_binary
+
+        def nudged_writer(policy, path):
+            rules = policy.rules
+            action, cost = rules[S1]
+            rules[S1] = (action, float(np.nextafter(cost, np.inf)))
+            return writer(TrainedPolicy(rules, label=policy.name), path)
+
+        monkeypatch.setattr(serialization, "save_policy_binary", nudged_writer)
+        out = tmp_path / "policy.rpb"
+        code = main(
+            [
+                "export-policy",
+                "--policy", policy_path,
+                "--out", str(out),
+                "--verify",
+            ]
+        )
+        assert code == 1
+        assert "diverge" in capsys.readouterr().err
 
 
 class TestServe:

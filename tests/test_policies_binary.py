@@ -1,29 +1,30 @@
 """Tests for the versioned binary policy container (zero-copy serving).
 
-The load-bearing property: a binary round trip must be *decision
-equivalent* to the JSON reference — same action, same expected cost,
-and the same ``UnhandledStateError`` on every state the trained table
-does not cover.  A hypothesis property drives that over arbitrary rule
-tables; the unit tests cover the container plumbing (magic, version,
-corruption, alignment, mmap).
+The load-bearing property: the packed :class:`TrainedPolicy` — built in
+memory, loaded from JSON or memory-mapped from a binary container — must
+be *decision equivalent* to the dict-keyed reference table
+(``reference_policy.py``): same action, bit-identical expected cost, and
+the same ``UnhandledStateError`` on every state the table does not
+cover.  Hypothesis properties drive that over arbitrary rule tables;
+the unit tests cover the container plumbing (magic, version, header
+checks, corruption, alignment, mmap).
 """
 
 import json
+import re
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_policy import ReferenceTrainedPolicy
 from repro.actions import default_catalog
 from repro.errors import ConfigurationError, LogFormatError, UnhandledStateError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import DecisionBatch
-from repro.policies.binary import (
-    ArrayTrainedPolicy,
-    load_policy_binary,
-    save_policy_binary,
-)
+from repro.policies.binary import load_policy_binary, save_policy_binary
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.serialization import load_policy, save_policy
 from repro.policies.trained import TrainedPolicy
@@ -33,14 +34,12 @@ from repro.serving import DecisionServer
 S0 = RecoveryState.initial("error:X")
 S1 = S0.after("REIMAGE", False)
 ACTIONS = ["TRYNOP", "REBOOT", "REIMAGE", "RMA"]
+RULES = {S0: ("REIMAGE", 7200.0), S1: ("RMA", 172800.0)}
 
 
 @pytest.fixture
 def policy():
-    return TrainedPolicy(
-        {S0: ("REIMAGE", 7200.0), S1: ("RMA", 172800.0)},
-        label="night-shift",
-    )
+    return TrainedPolicy(RULES, label="night-shift")
 
 
 class TestBinaryRoundTrip:
@@ -49,9 +48,9 @@ class TestBinaryRoundTrip:
         count = save_policy_binary(policy, path)
         assert count == 2
         loaded = load_policy_binary(path)
-        assert isinstance(loaded, ArrayTrainedPolicy)
+        assert isinstance(loaded, TrainedPolicy)
         assert len(loaded) == 2
-        assert loaded.to_trained().rules == policy.rules
+        assert loaded.rules == policy.rules == RULES
         assert loaded.name == "night-shift"
 
     def test_decisions_match_original(self, tmp_path, policy):
@@ -84,7 +83,7 @@ class TestBinaryRoundTrip:
         save_policy_binary(policy, path)
         mapped = load_policy_binary(path, mmap=True)
         eager = load_policy_binary(path, mmap=False)
-        assert mapped.to_trained().rules == eager.to_trained().rules
+        assert mapped.rules == eager.rules == RULES
 
     def test_verify_checksum_accepts_good_file(self, tmp_path, policy):
         path = tmp_path / "policy.rpb"
@@ -150,6 +149,114 @@ class TestContainerFormat:
         assert loaded.source_path == path
 
 
+def _rewrite(path, header_edit=None, data_edit=None):
+    """Rewrite a container's header or data section in place.
+
+    ``header_edit(header)`` returns the new header value;
+    ``data_edit(header, data)`` edits the data section's bytearray, and
+    the stored CRC-32 is then recomputed, so only the edit is wrong.
+    """
+    blob = path.read_bytes()
+    size = int.from_bytes(blob[12:20], "little")
+    header = json.loads(blob[20 : 20 + size])
+    data = bytearray(blob[-(-(20 + size) // 64) * 64 :])
+    if data_edit is not None:
+        data_edit(header, data)
+        header["data_crc32"] = zlib.crc32(bytes(data))
+    if header_edit is not None:
+        header = header_edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    prefix = blob[:12] + len(raw).to_bytes(8, "little") + raw
+    path.write_bytes(prefix + b"\x00" * (-len(prefix) % 64) + bytes(data))
+
+
+class TestHeaderChecks:
+    """Every load checks the header; ``verify=True`` also checks rows."""
+
+    @pytest.fixture
+    def path(self, tmp_path, policy):
+        path = tmp_path / "policy.rpb"
+        save_policy_binary(policy, path)
+        return path
+
+    def _rejects(self, path, match, verify=False):
+        pattern = f"^{re.escape(str(path))}: .*{match}"
+        with pytest.raises(LogFormatError, match=pattern):
+            load_policy_binary(path, verify=verify)
+
+    def test_rewritten_container_still_loads(self, path):
+        _rewrite(path, header_edit=lambda header: header)
+        assert load_policy_binary(path, verify=True).rules == RULES
+
+    def test_non_object_header_rejected(self, path):
+        _rewrite(path, header_edit=lambda header: [header])
+        self._rejects(path, "header must be an object, got list")
+
+    @pytest.mark.parametrize(
+        "column, field, value",
+        [
+            ("costs", "shape", [1]),
+            ("keys", "dtype", "<i8"),
+            ("actions", "dtype", ">u4"),
+            ("costs", "dtype", "<f4"),
+        ],
+        ids=["short-costs", "signed-keys", "big-endian-actions", "float32-costs"],
+    )
+    def test_column_spec_mismatch_rejected(self, path, column, field, value):
+        def edit(header):
+            header["arrays"][column][field] = value
+            return header
+
+        _rewrite(path, header_edit=edit)
+        spec = {"keys": "<u8", "actions": "<u4", "costs": "<f8"}[column]
+        self._rejects(path, f"'{column}' must be {spec} of shape \\[2\\]")
+
+    def test_negative_max_history_rejected(self, path):
+        _rewrite(path, header_edit=lambda h: {**h, "max_history": -1})
+        self._rejects(path, "max_history must be >= 0")
+
+    @pytest.mark.parametrize(
+        "history_actions, max_history",
+        [([f"ACTION-{i}" for i in range(30)], 30), (["REIMAGE"], 10**6)],
+        ids=["wide", "deep"],
+    )
+    def test_key_space_wider_than_64_bits_rejected(
+        self, path, history_actions, max_history
+    ):
+        _rewrite(
+            path,
+            header_edit=lambda h: {
+                **h,
+                "history_actions": history_actions,
+                "max_history": max_history,
+            },
+        )
+        self._rejects(path, "overflows uint64")
+
+    def test_keys_out_of_order_rejected_on_verify(self, path):
+        def swap_keys(header, data):
+            start = header["arrays"]["keys"]["offset"]
+            first, second = data[start : start + 8], data[start + 8 : start + 16]
+            data[start : start + 16] = second + first
+
+        _rewrite(path, data_edit=swap_keys)
+        # A plain load reads no data page, so only verify can see it.
+        assert len(load_policy_binary(path)) == 2
+        self._rejects(path, "do not strictly increase", verify=True)
+
+    def test_short_action_vocabulary_rejected_on_verify(self, path):
+        # Without the check the REIMAGE rule would answer RMA.
+        _rewrite(path, header_edit=lambda h: {**h, "decided_actions": ["RMA"]})
+        self._rejects(path, "action id 1 outside the 1 decided", verify=True)
+
+    def test_key_outside_error_types_rejected_on_verify(self, tmp_path):
+        path = tmp_path / "two-types.rpb"
+        rules = {S0: ("REBOOT", 1.0), RecoveryState.initial("error:Y"): ("RMA", 2.0)}
+        save_policy_binary(TrainedPolicy(rules), path)
+        _rewrite(path, header_edit=lambda h: {**h, "error_types": ["error:X"]})
+        self._rejects(path, "outside the key space of 1 error types", verify=True)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis: binary and JSON serve identical decisions, state for state
 # ---------------------------------------------------------------------------
@@ -172,6 +279,7 @@ def _state(error_type, history):
 
 @st.composite
 def _rule_tables(draw):
+    """A rule dict ``{state: (action, expected cost)}``."""
     entries = draw(
         st.lists(
             st.tuples(
@@ -187,7 +295,7 @@ def _rule_tables(draw):
     rules = {}
     for error_type, history, action, cost in entries:
         rules[_state(error_type, history)] = (action, cost)
-    return TrainedPolicy(rules, label="prop")
+    return rules
 
 
 @st.composite
@@ -211,6 +319,13 @@ def _columnar_probes(draw):
     return _state(error_type, history)
 
 
+def _same_cost(got, want):
+    """Equal expected costs: both absent, or bit-identical floats."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def _same_outcome(got, want):
     """Row ``got`` of a batch equals what per-state ``decide`` gave."""
     if isinstance(want, UnhandledStateError):
@@ -220,12 +335,7 @@ def _same_outcome(got, want):
         return
     assert got == want
     # Bit-identical costs, and "no estimate" never turned into a float.
-    assert (got.expected_cost is None) == (want.expected_cost is None)
-    if want.expected_cost is not None:
-        assert (
-            np.float64(got.expected_cost).tobytes()
-            == np.float64(want.expected_cost).tobytes()
-        )
+    _same_cost(got.expected_cost, want.expected_cost)
 
 
 def _decide_each(policy, states):
@@ -238,54 +348,58 @@ def _decide_each(policy, states):
     return outcomes
 
 
+def _packed_copies(rules, tmp):
+    """The packed table built in memory, loaded from JSON, and mapped."""
+    table = TrainedPolicy(rules, label="prop")
+    save_policy(table, tmp / "p.json")
+    save_policy_binary(table, tmp / "p.rpb")
+    return [table, load_policy(tmp / "p.json"), load_policy_binary(tmp / "p.rpb")]
+
+
 class TestBinaryJsonEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(
-        table=_rule_tables(),
+        rules=_rule_tables(),
         probes=st.lists(_columnar_probes(), max_size=12),
         picks=st.lists(st.integers(min_value=0), max_size=24),
     )
     def test_columnar_answer_equals_per_state_decide(
-        self, tmp_path_factory, table, probes, picks
+        self, tmp_path_factory, rules, probes, picks
     ):
         tmp = tmp_path_factory.mktemp("columnar")
-        bin_path = tmp / "p.rpb"
-        save_policy_binary(table, bin_path)
-        pool = list(table.rules) + probes
+        reference = ReferenceTrainedPolicy(rules, label="prop")
+        pool = list(rules) + probes
         # Batches repeat and reorder states; an empty pool gives [].
         states = [pool[i % len(pool)] for i in picks] if pool else []
+        want = _decide_each(reference, states)
         catalog = default_catalog()
 
-        def primaries():
-            return [table, load_policy_binary(bin_path)]
-
-        for primary in primaries():
+        for primary in _packed_copies(rules, tmp):
             batch = primary.decide_batch(states)
             assert isinstance(batch, DecisionBatch)
             assert len(batch) == len(states)
-            want = _decide_each(primary, states)
             for row, outcome in enumerate(batch):
                 _same_outcome(outcome, want[row])
                 _same_outcome(batch[row], want[row])
+            for outcome, expected in zip(_decide_each(primary, states), want):
+                _same_outcome(outcome, expected)
             assert len(primary.decide_batch([])) == 0
 
-        for batched_primary, scalar_primary in zip(primaries(), primaries()):
-            batched = HybridPolicy(batched_primary, UserDefinedPolicy(catalog))
-            scalar = HybridPolicy(scalar_primary, UserDefinedPolicy(catalog))
+            batched = HybridPolicy(primary, UserDefinedPolicy(catalog))
+            scalar = HybridPolicy(reference, UserDefinedPolicy(catalog))
             batch = batched.decide_batch(states)
-            for outcome, want in zip(batch, _decide_each(scalar, states)):
-                _same_outcome(outcome, want)
+            for outcome, expected in zip(batch, _decide_each(scalar, states)):
+                _same_outcome(outcome, expected)
             assert batched.fallback_rate == scalar.fallback_rate
             assert len(batched.decide_batch([])) == 0
 
-        for batched_primary, scalar_primary in zip(primaries(), primaries()):
-            batched = DecisionServer(batched_primary, UserDefinedPolicy(catalog))
-            scalar = DecisionServer(scalar_primary, UserDefinedPolicy(catalog))
+            batched = DecisionServer(primary, UserDefinedPolicy(catalog))
+            scalar = DecisionServer(reference, UserDefinedPolicy(catalog))
             served = batched.decide_batch(states)
             assert len(served) == len(states)
-            want = [scalar.decide(state) for state in states]
-            assert list(served) == want
-            assert [served[row] for row in range(len(states))] == want
+            expected = [scalar.decide(state) for state in states]
+            assert list(served) == expected
+            assert [served[row] for row in range(len(states))] == expected
             assert len(batched.decide_batch([])) == 0
             assert batched.decision_count == scalar.decision_count
             assert batched.fallback_count == scalar.fallback_count
@@ -296,38 +410,34 @@ class TestBinaryJsonEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        table=_rule_tables(),
+        rules=_rule_tables(),
         probes=st.lists(_probe_states(), max_size=20),
     )
-    def test_same_decision_on_every_state(self, tmp_path_factory, table, probes):
+    def test_same_decision_on_every_state(self, tmp_path_factory, rules, probes):
         tmp = tmp_path_factory.mktemp("binprop")
-        json_path = tmp / "p.json"
-        bin_path = tmp / "p.rpb"
-        save_policy(table, json_path)
-        save_policy_binary(table, bin_path)
-        reference = load_policy(json_path)
-        binary = load_policy_binary(bin_path)
-
+        reference = ReferenceTrainedPolicy(rules, label="prop")
         # Every trained rule, plus arbitrary probes (known and unknown).
-        for state in list(table.rules) + probes:
-            try:
-                expected = reference.decide(state)
-            except UnhandledStateError:
-                with pytest.raises(UnhandledStateError):
-                    binary.decide(state)
-                continue
-            got = binary.decide(state)
-            assert got.action == expected.action
-            assert got.expected_cost == expected.expected_cost
+        states = list(rules) + probes
+        want = _decide_each(reference, states)
+        for copy in _packed_copies(rules, tmp):
+            assert len(copy) == len(reference)
+            assert copy.error_types() == reference.error_types()
+            for outcome, expected in zip(_decide_each(copy, states), want):
+                _same_outcome(outcome, expected)
+            for state in states:
+                assert copy.handles(state) == reference.handles(state)
+                _same_cost(
+                    copy.expected_cost(state), reference.expected_cost(state)
+                )
 
     @settings(max_examples=30, deadline=None)
-    @given(table=_rule_tables(), probes=st.lists(_probe_states(), max_size=16))
-    def test_batch_agrees_with_scalar(self, tmp_path_factory, table, probes):
+    @given(rules=_rule_tables(), probes=st.lists(_probe_states(), max_size=16))
+    def test_batch_agrees_with_scalar(self, tmp_path_factory, rules, probes):
         tmp = tmp_path_factory.mktemp("binbatch")
         bin_path = tmp / "p.rpb"
-        save_policy_binary(table, bin_path)
+        save_policy_binary(TrainedPolicy(rules), bin_path)
         binary = load_policy_binary(bin_path)
-        states = list(table.rules) + probes
+        states = list(rules) + probes
         batched = binary.decide_batch(states)
         assert len(batched) == len(states)
         for state, outcome in zip(states, batched):
@@ -341,13 +451,16 @@ class TestBinaryJsonEquivalence:
             assert outcome.expected_cost == scalar.expected_cost
 
     @settings(max_examples=30, deadline=None)
-    @given(table=_rule_tables())
-    def test_round_trip_rules_exact(self, tmp_path_factory, table):
+    @given(rules=_rule_tables())
+    def test_round_trip_rules_exact(self, tmp_path_factory, rules):
         tmp = tmp_path_factory.mktemp("binrt")
-        bin_path = tmp / "p.rpb"
-        save_policy_binary(table, bin_path)
-        loaded = load_policy_binary(bin_path)
-        assert loaded.to_trained().rules == table.rules
+        for copy in _packed_copies(rules, tmp):
+            decoded = copy.rules
+            assert decoded == rules
+            # Decoded in key order, the order storms sample rows in.
+            assert list(decoded) == [copy.state_at(i) for i in range(len(copy))]
+            for state, (_action, cost) in rules.items():
+                _same_cost(decoded[state][1], cost)
 
 
 class TestArrayPolicyExtras:

@@ -77,6 +77,45 @@ class TestPolicyRoundTrip:
         with pytest.raises(LogFormatError, match="bad rule"):
             load_policy(path)
 
+    def _rejects(self, path, match):
+        pattern = f"^{re.escape(str(path))}: .*{match}"
+        with pytest.raises(LogFormatError, match=pattern):
+            load_policy(path)
+
+    def test_non_object_payload_rejected_with_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('["repro/trained-policy@1"]')
+        self._rejects(path, "expected a policy object, got list")
+
+    def test_non_list_rules_rejected_with_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "repro/trained-policy@1", "rules": 5}')
+        self._rejects(path, "rules must be a list, got int")
+
+    def test_non_utf8_file_rejected_with_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"format": "repro/trained-policy@1", "label": "\xff"}')
+        self._rejects(path, "bad JSON: .*utf-8")
+
+    @pytest.mark.parametrize(
+        "rule, reason",
+        [
+            ({"tried": [], "action": ""}, "empty action"),
+            (
+                {"tried": [f"ACTION-{i}" for i in range(30)], "action": "RMA"},
+                "overflows uint64",
+            ),
+        ],
+        ids=["empty-action", "key-space-too-wide"],
+    )
+    def test_refused_rule_rejected_with_path(self, tmp_path, rule, reason):
+        path = tmp_path / "bad.json"
+        record = {"error_type": "error:X", "expected_cost": 1.0, **rule}
+        path.write_text(
+            json.dumps({"format": "repro/trained-policy@1", "rules": [record]})
+        )
+        self._rejects(path, reason)
+
 
 class TestQTableRoundTrip:
     def _table(self):
@@ -130,6 +169,13 @@ class TestQTableRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('["repro/qtable@1"]')
         pattern = f"^{re.escape(str(path))}: .*object"
+        with pytest.raises(LogFormatError, match=pattern):
+            load_qtable(path)
+
+    def test_non_utf8_file_rejected_with_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"format": "repro/qtable@1", "actions": ["\xff"]}')
+        pattern = f"^{re.escape(str(path))}: bad JSON: .*utf-8"
         with pytest.raises(LogFormatError, match=pattern):
             load_qtable(path)
 

@@ -62,6 +62,13 @@ class TestTrainedPolicy:
         with pytest.raises(ConfigurationError):
             TrainedPolicy({S0: ("", 0.0)})
 
+    def test_key_space_wider_than_64_bits_rejected(self):
+        # 30 distinct history actions, 30 deep: 31 * 31**30 keys.
+        tried = tuple(f"ACTION-{i}" for i in range(30))
+        wide = RecoveryState("error:X", tried=tried)
+        with pytest.raises(ConfigurationError, match="overflows uint64"):
+            TrainedPolicy({wide: ("RMA", 1.0)})
+
     def test_custom_label(self):
         policy = TrainedPolicy({}, label="with-tree")
         assert policy.name == "with-tree"

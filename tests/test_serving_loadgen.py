@@ -11,6 +11,7 @@ from repro.mdp.state import RecoveryState
 from repro.policies.base import DecisionBatch, Policy
 from repro.policies.binary import load_policy_binary, save_policy_binary
 from repro.policies.hybrid import HybridPolicy
+from repro.policies.serialization import load_policy, save_policy
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
 from repro.serving import (
@@ -63,6 +64,26 @@ class TestStormStates:
         array_policy = load_policy_binary(tmp_path / "p.rpb")
         states = storm_states(array_policy, 300, unknown_fraction=0.0, seed=2)
         assert set(states) <= set(trained.rules)
+
+    def test_json_and_binary_copies_send_the_same_storm(self, tmp_path):
+        # (error_type, tried) order and key order differ on this table:
+        # ("REBOOT", "REBOOT") sorts before ("TRYNOP",) but packs after.
+        table = TrainedPolicy(
+            {
+                S0: ("TRYNOP", 600.0),
+                S0.after("TRYNOP", False): ("REBOOT", 900.0),
+                S0.after("REBOOT", False).after("REBOOT", False): ("RMA", 1.0),
+            }
+        )
+        save_policy(table, tmp_path / "p.json")
+        save_policy_binary(table, tmp_path / "p.rpb")
+        copies = [
+            table,
+            load_policy(tmp_path / "p.json"),
+            load_policy_binary(tmp_path / "p.rpb"),
+        ]
+        storms = [storm_states(copy, 200, seed=7) for copy in copies]
+        assert storms[0] == storms[1] == storms[2]
 
     def test_empty_policy_yields_only_unknowns(self):
         states = storm_states(TrainedPolicy({}), 40, seed=0)
