@@ -47,10 +47,8 @@ from repro.session import (
     EpisodeTelemetry,
     EpisodeTrace,
     RecoverySession,
-    ReplayEnvironment,
     StepTrace,
     drive,
-    drive_batch,
 )
 from repro.tracegen import (
     TraceConfig,
@@ -92,10 +90,8 @@ __all__ = [
     "EpisodeTelemetry",
     "EpisodeTrace",
     "RecoverySession",
-    "ReplayEnvironment",
     "StepTrace",
     "drive",
-    "drive_batch",
     "TraceConfig",
     "default_config",
     "paper_scale_config",

@@ -80,9 +80,9 @@ class _IdKeyedCacheVisitor(RuleVisitor):
                 node,
                 "id(...) value stored or used as a cache/dict key; "
                 "object addresses are recycled after garbage collection",
-                "key by value, or pin the object in the cache entry and "
-                "verify identity with 'is' before reuse (see "
-                "simplatform/platform.py), then suppress with a reason",
+                "key by value (see SimulationPlatform.process_index), or "
+                "pin the object in the cache entry and verify identity "
+                "with 'is' before reuse, then suppress with a reason",
             )
         self.generic_visit(node)
 

@@ -313,8 +313,8 @@ def ablation_hypotheses(
         estimated = 0.0
         real = 0.0
         early_count = 0
-        for process in processes:
-            result = platform.replay(process, scenario.user_policy)
+        results = platform.replay_many(processes, scenario.user_policy)
+        for process, result in zip(processes, results):
             if not result.handled:
                 continue
             estimated += result.cost

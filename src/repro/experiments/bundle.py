@@ -44,8 +44,8 @@ class FractionBundle:
 # Entries pin the scenario object: an id() key alone can alias a *new*
 # scenario allocated at a recycled address once the old one is garbage
 # collected, so each entry holds the keyed scenario and is verified by
-# identity before reuse (determinism contract R1; same pattern as
-# simplatform/platform.py's required-strengths cache).
+# identity before reuse (determinism contract R1).  Where keying by
+# value works, prefer it, as SimulationPlatform.process_index does.
 _CACHE: Dict[
     Tuple[int, float, Optional[PipelineConfig]],
     Tuple[Scenario, FractionBundle],

@@ -245,35 +245,39 @@ class ApproximateQLearningTrainer:
             raise TrainingError(
                 f"no training processes for error type {error_type!r}"
             )
+        platform = self.platform
+        for process in processes:
+            if process.error_type != error_type:
+                raise TrainingError(
+                    f"process of type {process.error_type!r} passed to the "
+                    f"training course of {error_type!r}"
+                )
+        compiled = platform.compiled()
+        rows = [platform.process_index(process) for process in processes]
         rng = make_rng(self.config.seed)
         explorer = BoltzmannExplorer(self.config.temperature, rng=rng)
         qfunction = self._make_qfunction()
-        catalog = self.platform.catalog
         batch = min(self.config.episodes_per_sweep, len(processes))
         episodes = 0
         for sweep in range(self.config.sweeps):
             indices = rng.choice(len(processes), size=batch, replace=False)
             for index in indices:
-                process = processes[index]
+                row = rows[index]
+                executed = [0] * compiled.n_actions
                 state = RecoveryState.initial(error_type)
                 trajectory = []
                 while not state.is_terminal:
-                    if (
-                        state.attempt_count
-                        >= self.platform.max_actions - 1
-                    ):
-                        action_name = catalog.strongest.name
-                    else:
+                    depth = state.attempt_count
+                    action_name = platform.forced_action(depth)
+                    if action_name is None:
                         action_name = explorer.select(
                             qfunction.values_for(state), sweep
                         )
-                    outcome = self.platform.step(
-                        process, state, action_name
-                    )
-                    trajectory.append(
-                        (state, action_name, outcome.cost, outcome.next_state)
-                    )
-                    state = outcome.next_state
+                    aid = platform.action_id(action_name)
+                    succeeded, cost = compiled.step(row, executed, depth, aid)
+                    next_state = state.after(action_name, succeeded)
+                    trajectory.append((state, action_name, cost, next_state))
+                    state = next_state
                 for s, action_name, cost, s_next in reversed(trajectory):
                     target = cost + qfunction.min_value(s_next)
                     qfunction.update(s, action_name, target)

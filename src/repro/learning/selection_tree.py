@@ -24,7 +24,7 @@ from repro.learning.qlearning import (
 from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy as PolicyLike
-from repro.policies.trained import TrainedPolicy
+from repro.policies.trained import check_rules
 from repro.recoverylog.process import RecoveryProcess
 from repro.simplatform.platform import SimulationPlatform
 
@@ -210,18 +210,79 @@ class SelectionTreeExtractor:
         """Mean replayed cost of the candidate policy over ``processes``.
 
         Unhandled replays are charged their real downtime, a neutral
-        substitution that neither rewards nor punishes rule gaps.  The
-        replays run in lockstep waves, one ``decide_batch`` per wave
-        (bit-identical to replaying one process at a time).
+        substitution that neither rewards nor punishes rule gaps.  Each
+        process replays on the platform's compiled rows
+        (:meth:`~repro.simplatform.platform.CompiledReplay.step`),
+        looking rules up by tried-action-id tuples: bit-identical to
+        :meth:`~repro.simplatform.platform.SimulationPlatform.replay`
+        under a :class:`~repro.policies.trained.TrainedPolicy` of
+        ``rules``, without building one.
         """
         if not processes:
             raise TrainingError("cannot evaluate a policy on no processes")
         sample = self._evaluation_sample(processes)
-        policy = TrainedPolicy(rules, label="candidate")
+        platform = self.platform
+        compiled = platform.compiled()
+        tables = self._rule_ids(rules)
+        strongest_aid = platform.action_id(platform.forced_action_name)
         total = 0.0
-        for result in self.platform.replay_many(sample, policy):
-            total += result.cost if result.handled else result.real_cost
+        for process in sample:
+            if not process.attempts:
+                # Self-healed: nothing to decide; charge real downtime.
+                total += process.downtime
+                continue
+            row = platform.process_index(process)
+            table = tables.get(process.error_type, {})
+            executed = [0] * compiled.n_actions
+            tried: Tuple[int, ...] = ()
+            cost = compiled.initial_cost[row]
+            depth = 0
+            while True:
+                if platform.forced_action(depth) is not None:
+                    aid = strongest_aid
+                else:
+                    aid = table.get(tried)
+                    if aid is None:
+                        cost = process.downtime
+                        break
+                    if aid < 0:
+                        # Outside the catalog: resolving the rule's
+                        # action by name raises the catalog's error.
+                        state = RecoveryState(
+                            process.error_type,
+                            tried=tuple(compiled.actions[a] for a in tried),
+                        )
+                        aid = platform.action_id(rules[state][0])
+                succeeded, step_cost = compiled.step(
+                    row, executed, depth, aid
+                )
+                cost += step_cost
+                if succeeded:
+                    break
+                tried += (aid,)
+                depth += 1
+            total += cost
         return total / len(sample)
+
+    def _rule_ids(
+        self, rules: RuleTable
+    ) -> Dict[str, Dict[Tuple[int, ...], int]]:
+        """``rules`` keyed by error type, then by tried-action ids.
+
+        A rule whose action is outside the catalog maps to -1 and raises
+        only when a replay reaches it, as a policy's answer would; a
+        rule whose history is outside the catalog is dropped, since no
+        replay can reach its state.
+        """
+        check_rules(rules)
+        action_ids = self.platform.action_ids
+        tables: Dict[str, Dict[Tuple[int, ...], int]] = {}
+        for state, (action, _cost) in rules.items():
+            tried = tuple(action_ids.get(name, -1) for name in state.tried)
+            if -1 not in tried:
+                table = tables.setdefault(state.error_type, {})
+                table[tried] = action_ids.get(action, -1)
+        return tables
 
     def _evaluation_sample(
         self, processes: Sequence[RecoveryProcess]

@@ -200,27 +200,49 @@ class DecisionBatch(ColumnRows[Outcome]):
     # ------------------------------------------------------------------
     @classmethod
     def from_outcomes(cls, outcomes: Iterable[Outcome]) -> "DecisionBatch":
-        """Columns from row objects (policies that decide one by one)."""
-        outcomes = list(outcomes)
-        size = len(outcomes)
-        errors = {
-            row: outcome
-            for row, outcome in enumerate(outcomes)
-            if isinstance(outcome, UnhandledStateError)
-        }
-        decided = [row for row in range(size) if row not in errors]
-        misses = cls(
-            hit=np.zeros(size, dtype=bool),
-            action_ids=np.zeros(size, dtype=np.intp),
-            actions=(),
-            costs=np.zeros(size, dtype=np.float64),
-            estimated=np.zeros(size, dtype=bool),
-            source_ids=np.zeros(size, dtype=np.intp),
-            sources=(),
+        """Columns from row objects (policies that decide one by one).
+
+        One pass over the rows: this is every per-state policy's batch
+        answer, one-row waves included, so it builds each column once.
+        """
+        # Name -> id, in first-seen order (dicts keep insertion order).
+        actions: Dict[str, int] = {}
+        sources: Dict[str, int] = {}
+        errors: Dict[int, UnhandledStateError] = {}
+        hit: List[bool] = []
+        action_ids: List[int] = []
+        source_ids: List[int] = []
+        estimates: List[Optional[float]] = []
+        for row, outcome in enumerate(outcomes):
+            if isinstance(outcome, UnhandledStateError):
+                errors[row] = outcome
+                hit.append(False)
+                action_ids.append(0)
+                source_ids.append(0)
+                estimates.append(None)
+            else:
+                hit.append(True)
+                action_ids.append(
+                    actions.setdefault(outcome.action, len(actions))
+                )
+                source_ids.append(
+                    sources.setdefault(outcome.source, len(sources))
+                )
+                estimates.append(outcome.expected_cost)
+        return cls(
+            hit=np.array(hit, dtype=bool),
+            action_ids=np.array(action_ids, dtype=np.intp),
+            actions=tuple(actions),
+            costs=np.array(
+                [0.0 if cost is None else cost for cost in estimates],
+                dtype=np.float64,
+            ),
+            estimated=np.array(
+                [cost is not None for cost in estimates], dtype=bool
+            ),
+            source_ids=np.array(source_ids, dtype=np.intp),
+            sources=tuple(sources),
             miss=errors.__getitem__,
-        )
-        return misses._filled(
-            np.array(decided, dtype=np.intp), [outcomes[row] for row in decided]
         )
 
     def with_sources(

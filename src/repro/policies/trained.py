@@ -47,13 +47,26 @@ from repro.policies.base import (
     terminal_state_error,
 )
 
-__all__ = ["RuleColumns", "TrainedPolicy", "no_rule_error"]
+__all__ = ["RuleColumns", "TrainedPolicy", "check_rules", "no_rule_error"]
 
 Rule = Tuple[str, float]
 """``(action name, expected remaining cost)``."""
 
 #: Key space ceiling: keys must fit uint64.
 _KEY_LIMIT = 2**64
+
+
+def check_rules(rules: Mapping[RecoveryState, Rule]) -> None:
+    """Raise :class:`ConfigurationError` for a rule no table may hold.
+
+    A rule may not be given for a terminal state, nor decide an empty
+    action.
+    """
+    for state, (action, _cost) in rules.items():
+        if state.is_terminal:
+            raise ConfigurationError(f"rule given for terminal state {state}")
+        if not action:
+            raise ConfigurationError(f"empty action in rule for {state}")
 
 
 def no_rule_error(state: RecoveryState) -> UnhandledStateError:
@@ -98,13 +111,7 @@ class TrainedPolicy(Policy):
         rules: Mapping[RecoveryState, Rule],
         label: str = "trained",
     ) -> None:
-        for state, (action, _cost) in rules.items():
-            if state.is_terminal:
-                raise ConfigurationError(
-                    f"rule given for terminal state {state}"
-                )
-            if not action:
-                raise ConfigurationError(f"empty action in rule for {state}")
+        check_rules(rules)
         self._set_vocabularies(
             sorted({state.error_type for state in rules}),
             sorted({name for state in rules for name in state.tried}),

@@ -68,9 +68,9 @@ class RecoveryProcess:
 
     def __hash__(self) -> int:
         # Same fields as the generated dataclass hash, but memoized:
-        # value-keyed caches (e.g. the simulation platform's required
-        # strengths) hash processes on every replay step, and rehashing
-        # the whole entry tuple each time is O(|entries|).
+        # value-keyed indexes (e.g. the simulation platform's process
+        # index) hash processes on every replay, and rehashing the
+        # whole entry tuple each time is O(|entries|).
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.machine, self.entries))

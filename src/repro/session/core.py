@@ -2,31 +2,32 @@
 
 The paper's whole pipeline is a single loop — observe
 ``(error_type, result, actions-tried)``, ask a policy, apply an action,
-observe the outcome, stop at the ``N`` = 20 action cap.  Historically the
-repo re-implemented that loop in four places (platform replay, the
-evaluator, the cluster simulator's online recovery, the trainer's
-episode loop), each enforcing the cap and emitting telemetry slightly
-differently.  :class:`RecoverySession` is the one implementation the
-first three share now; the trainer's loop, which runs on interned ids
-without per-step objects, shares its cap rule (:func:`forced_action`)
-and emits the same :class:`~repro.session.trace.EpisodeTrace`.
+observe the outcome, stop at the ``N`` = 20 action cap.  Live recovery
+runs it as a :class:`RecoverySession` (the cluster simulator's online
+recovery, :func:`~repro.session.driver.drive` for the rolling
+retrainer).  Log replay, policy evaluation, selection-tree scoring and
+training run it on integer ids over the platform's compiled rows
+(:meth:`~repro.simplatform.platform.CompiledReplay.step`), without
+per-step objects; they share the session's cap rule
+(:func:`forced_action`) and emit the same
+:class:`~repro.session.trace.EpisodeTrace`.
 
 The session is deliberately a *state machine*, not a closed loop:
 ``next_action()`` produces the next decision and ``record_outcome()``
-advances the state.  Synchronous callers use the driver functions in
-:mod:`repro.session.driver`; the event-driven cluster simulator calls
-the two halves directly across simulated time (decide now, observe the
-outcome when the action's completion event fires).
+advances the state.  Synchronous callers use
+:func:`~repro.session.driver.drive`; the event-driven cluster simulator
+calls the two halves directly across simulated time (decide now,
+observe the outcome when the action's completion event fires).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import Policy
 from repro.session.trace import FORCED_SOURCE, EpisodeTrace, StepTrace
 
 __all__ = ["forced_action", "SessionDecision", "RecoverySession"]
@@ -42,8 +43,8 @@ def forced_action(
     choice happens at ``attempt_count == max_actions - 2`` and from
     ``max_actions - 1`` on the manual action is mandatory.  Returns
     ``None`` while the policy may still choose.  This is the single
-    source of the cap rule: sessions and the trainer's episode loop (via
-    the platform) both call it.
+    source of the cap rule: sessions and every compiled replay loop
+    (via the platform) call it.
     """
     if attempt_count >= max_actions - 1:
         return forced_name
@@ -164,11 +165,6 @@ class RecoverySession:
         """Actions executed so far."""
         return self._state.tried
 
-    @property
-    def pending(self) -> Optional[SessionDecision]:
-        """The decision awaiting its outcome, if any (batched path)."""
-        return self._pending
-
     # ------------------------------------------------------------------
     def forced_action(self) -> Optional[str]:
         """The cap-forced action for the current state, if any."""
@@ -211,66 +207,16 @@ class RecoverySession:
         self._pending = decision
         return decision
 
-    def resolve(
-        self, outcome: Union[PolicyDecision, UnhandledStateError]
-    ) -> Optional[SessionDecision]:
-        """Adopt an externally produced decision (the batched path).
-
-        ``drive_batch`` collects the states of many concurrent sessions
-        and calls :meth:`Policy.decide_batch` once; each session then
-        resolves its own entry.  A cap-forced session ignores the
-        argument-free path entirely — callers must check
-        :meth:`forced_action` first and only batch the free states.
-        Passing an :class:`~repro.errors.UnhandledStateError` aborts the
-        session and returns ``None``.
-        """
-        if self.done:
-            raise SimulationError("cannot decide in a finished session")
-        if self._pending is not None:
-            raise SimulationError(
-                "previous decision has no recorded outcome yet"
-            )
-        if isinstance(outcome, UnhandledStateError):
-            self._aborted = True
-            return None
-        decision = SessionDecision(
-            action=outcome.action,
-            forced=False,
-            source=outcome.source,
-            expected_cost=outcome.expected_cost,
-        )
-        self._pending = decision
-        return decision
-
-    def force_pending(self) -> SessionDecision:
-        """Record the cap-forced decision as pending (batched path)."""
-        forced = self.forced_action()
-        if forced is None:
-            raise SimulationError("the action cap does not force yet")
-        if self._pending is not None:
-            raise SimulationError(
-                "previous decision has no recorded outcome yet"
-            )
-        decision = SessionDecision(
-            action=forced, forced=True, source=FORCED_SOURCE
-        )
-        self._pending = decision
-        return decision
-
     def record_outcome(
         self,
         cost: float,
         succeeded: bool,
         *,
         matched_log: Optional[bool] = None,
-        next_state: Optional[RecoveryState] = None,
     ) -> RecoveryState:
         """Observe the executed action's outcome and advance the state.
 
-        ``next_state`` lets environments that already computed the
-        successor (the replay platform's ``step``) hand it over instead
-        of rebuilding it; it must equal ``state.after(action,
-        succeeded)``.  Returns the new current state.
+        Returns the new current state.
         """
         decision = self._pending
         if decision is None:
@@ -291,11 +237,9 @@ class RecoverySession:
                 expected_cost=decision.expected_cost,
             )
         )
-        if next_state is None:
-            next_state = self._state.after(decision.action, succeeded)
-        self._state = next_state
+        self._state = self._state.after(decision.action, succeeded)
         self._total += cost
-        return next_state
+        return self._state
 
     def abort(self) -> None:
         """Mark the session unhandled (the policy could not act)."""

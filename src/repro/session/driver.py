@@ -1,25 +1,25 @@
-"""Drivers that run recovery sessions to completion.
+"""Driving recovery sessions, and the lockstep decision wave.
 
 :func:`drive` couples one session to a synchronous
 :class:`~repro.session.environment.Environment` and loops
-observe → decide → act → update until the episode ends.  :func:`drive_batch`
-advances many independent sessions in lockstep *waves*, collecting every
-session that needs a policy decision and asking
-:meth:`~repro.policies.base.Policy.decide_batch` once per wave — the
-shape the ROADMAP's serving layer needs (one vectorized decision call
-over all concurrently open recoveries).
+observe → decide → act → update until the episode ends (online
+recovery).  :func:`decide_wave` is the other shape: one policy call for
+many concurrently open recoveries, each a row of a lockstep wave.  Log
+replay (:meth:`SimulationPlatform.replay_many
+<repro.simplatform.platform.SimulationPlatform.replay_many>`) and the
+fleet engine advance their episodes through it.
 
 Because policies are stateless functions of the recovery state, a
-deterministic policy produces bit-identical per-session episodes under
-either driver; only the *interleaving* of decide calls differs.
-Policies whose decisions consume internal RNG state declare
-``batch_safe = False`` and are driven sequentially instead.
+deterministic policy decides a state identically alone or inside a
+wave; only the *interleaving* of decide calls differs.  Policies whose
+decisions consume internal RNG state declare ``batch_safe = False``,
+and wave callers then run one episode at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.session.core import RecoverySession
 from repro.session.environment import Environment
 from repro.session.trace import FORCED_SOURCE, EpisodeTelemetry, EpisodeTrace
 
-__all__ = ["EpisodeOutcome", "decide_wave", "drive", "drive_batch"]
+__all__ = ["EpisodeOutcome", "decide_wave", "drive"]
 
 
 def decide_wave(
@@ -41,16 +41,16 @@ def decide_wave(
 ) -> DecisionBatch:
     """Resolve one lockstep decision wave over mixed forced/free states.
 
-    This is the wave-splitting rule :func:`drive_batch` applies and the
-    fleet backend's single policy touchpoint: rows whose ``N``-cap
+    This is the wave-splitting rule of the replay platform's waves and
+    the fleet backend's single policy touchpoint: rows whose ``N``-cap
     already forces an action (``forced[i]`` True) bypass the policy and
     decide ``forced_name`` from :data:`FORCED_SOURCE` with no estimate;
     all remaining states pool into **one**
     :meth:`~repro.policies.base.Policy.decide_batch` call.  The answer
     comes back as columns in input order; a policy miss stays a miss
-    row — returned, not raised, so callers choose between aborting one
-    session (the replay drivers) and propagating (the live cluster
-    backends).
+    row — returned, not raised, so callers choose between ending one
+    replay unhandled (the replay platform) and propagating (the live
+    cluster backends).
     """
     if len(states) != len(forced):
         raise ValueError("states and forced must align")
@@ -145,72 +145,5 @@ def drive(
             result.cost,
             result.succeeded,
             matched_log=result.matched_log,
-            next_state=result.next_state,
         )
     return _finish(session, telemetry)
-
-
-def drive_batch(
-    environments: Sequence[Environment],
-    policy: Policy,
-    *,
-    origin: str = "replay",
-    telemetry: Optional[EpisodeTelemetry] = None,
-) -> List[EpisodeOutcome]:
-    """Run one session per environment, deciding in lockstep waves.
-
-    Each wave gathers the states of every still-open session whose next
-    action is not cap-forced and resolves them with a single
-    :meth:`Policy.decide_batch` call; cap-forced sessions take the
-    manual repair without consulting the policy.  Per-session episodes
-    are identical to :func:`drive` for any deterministic policy (see
-    module docstring); policies with ``batch_safe = False`` fall back
-    to sequential driving to preserve their RNG draw order.
-
-    Outcomes are returned in input order; telemetry fires once per
-    episode, also in input order, after every session finished.
-    """
-    if not policy.batch_safe:
-        return [
-            drive(environment, policy, origin=origin, telemetry=telemetry)
-            for environment in environments
-        ]
-    sessions = [
-        _make_session(environment, policy, origin)
-        for environment in environments
-    ]
-    active = [
-        (session, environment)
-        for session, environment in zip(sessions, environments)
-        if not session.done
-    ]
-    while active:
-        # Split the wave: cap-forced sessions act immediately; the rest
-        # pool their states into one batched decision.
-        deciding: List[Tuple[RecoverySession, Environment]] = []
-        states: List[RecoveryState] = []
-        for session, environment in active:
-            if session.forced_action() is not None:
-                session.force_pending()
-            else:
-                deciding.append((session, environment))
-                states.append(session.state)
-        if states:
-            decisions = policy.decide_batch(states)
-            for (session, _environment), decision in zip(deciding, decisions):
-                session.resolve(decision)
-        still_active = []
-        for session, environment in active:
-            if session.handled and not session.done:
-                decision = session.pending
-                result = environment.execute(session.state, decision.action)
-                session.record_outcome(
-                    result.cost,
-                    result.succeeded,
-                    matched_log=result.matched_log,
-                    next_state=result.next_state,
-                )
-            if not session.done:
-                still_active.append((session, environment))
-        active = still_active
-    return [_finish(session, telemetry) for session in sessions]

@@ -1,14 +1,15 @@
 """Structured per-step episode traces and the observer hook they feed.
 
-Log replay, policy evaluation and online cluster recovery run through
+Online cluster recovery runs through
 :class:`~repro.session.core.RecoverySession`, which records one
 :class:`StepTrace` per executed action and closes the episode with an
-:class:`EpisodeTrace`; the trainer's id-indexed exploration loop builds
-the same trace (origin ``"training"``) when a recorder is attached.  The
-schema is the single observability record
-the ROADMAP's serving-scale direction needs: uniform across origins, so
-a dashboard aggregating "cost per step by error type" reads training,
-evaluation and production recovery identically.
+:class:`EpisodeTrace`; log replay, policy evaluation and the trainer's
+exploration loop run on integer ids and build the same trace from the
+ids they recorded, only when a recorder is attached.  The schema is
+the single observability record the ROADMAP's serving-scale direction
+needs: uniform across origins, so a dashboard aggregating "cost per
+step by error type" reads training, evaluation and production recovery
+identically.
 
 :class:`EpisodeTelemetry` is the hook interface; the standard recorder
 (:class:`~repro.learning.telemetry.EpisodeRecorder`) lives next to the

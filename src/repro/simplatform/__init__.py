@@ -20,7 +20,6 @@ from repro.simplatform.platform import (
     CostMode,
     ReplayResult,
     SimulationPlatform,
-    StepOutcome,
 )
 from repro.simplatform.validation import PlatformValidationReport, validate_platform
 
@@ -29,7 +28,6 @@ __all__ = [
     "covers",
     "CostStatistics",
     "SimulationPlatform",
-    "StepOutcome",
     "ReplayResult",
     "CostMode",
     "PlatformValidationReport",

@@ -1,40 +1,38 @@
 """The simulation platform: counterfactual replay of recovery processes.
 
-:meth:`SimulationPlatform.step` answers "what happens if action ``a`` is
-executed in state ``s`` while replaying process ``p``": success is decided
-by the required-action hypotheses
-(:mod:`repro.simplatform.hypotheses`), and the time cost is the actual
-logged duration when the proposal matches the log at that position, or the
-learned average otherwise.  :meth:`replay` drives a full policy through a
-process, enforcing the paper's ``N``-action cap by forcing the manual
-repair on the final slot.
+Replay answers "what happens if action ``a`` is executed in state ``s``
+while replaying process ``p``": success is decided by the
+required-action hypotheses (:mod:`repro.simplatform.hypotheses`), and
+the time cost is the actual logged duration when the proposal matches
+the log at that position, or the learned average otherwise.  The rule
+is written once, as :meth:`CompiledReplay.step` over integer action ids;
+training, selection-tree scoring and :meth:`SimulationPlatform.replay`
+all call it.  :meth:`~SimulationPlatform.replay_many` drives a policy
+through many processes in lockstep waves, enforcing the paper's
+``N``-action cap by forcing the manual repair on the final slot.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.actions.action import ActionCatalog
-from repro.errors import (
-    ConfigurationError,
-    SimulationError,
-    UnknownActionError,
-)
+from repro.errors import ConfigurationError, SimulationError, UnknownActionError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy
 from repro.recoverylog.process import RecoveryProcess
 from repro.session.core import forced_action as cap_forced_action
-from repro.session.driver import EpisodeOutcome, drive, drive_batch
-from repro.session.environment import ReplayEnvironment
-from repro.session.trace import EpisodeTelemetry, EpisodeTrace
+from repro.session.driver import decide_wave
+from repro.session.trace import EpisodeTelemetry, EpisodeTrace, StepTrace
 from repro.simplatform.coststats import CostStatistics
-from repro.simplatform.hypotheses import covers, required_strengths
+from repro.simplatform.hypotheses import required_strengths
 
 __all__ = [
     "CostMode",
-    "StepOutcome",
     "ReplayResult",
     "CompiledReplay",
     "SimulationPlatform",
@@ -57,30 +55,6 @@ class CostMode(enum.Enum):
 
     ACTUAL_WHEN_MATCHING = "actual-when-matching"
     AVERAGES_ONLY = "averages-only"
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of executing one action during replay.
-
-    Attributes
-    ----------
-    cost:
-        Seconds charged for the attempt (execution plus observation).
-    next_state:
-        The successor recovery state.
-    succeeded:
-        Whether the action cured the process.
-    matched_log:
-        Whether the proposal coincided with the logged action at this
-        position (and thus was charged its actual duration in
-        ``ACTUAL_WHEN_MATCHING`` mode).
-    """
-
-    cost: float
-    next_state: RecoveryState
-    succeeded: bool
-    matched_log: bool
 
 
 @dataclass(frozen=True)
@@ -114,23 +88,23 @@ class ReplayResult:
 
 @dataclass(frozen=True)
 class CompiledReplay:
-    """Integer-indexed view of a platform's processes for fast replay.
+    """Integer-indexed view of a platform's processes, and the replay step.
 
-    Everything :meth:`SimulationPlatform.step` consults per step —
-    required strengths, the logged attempt at each position, average
-    costs — precomputed into plain lists indexed by process index and
-    action id (catalog position, which equals strength rank since the
-    catalog orders actions by ascending strength).  The trainer's
-    episode loop then decides success, cost and log-matching with
-    integer compares only; bit-identical to ``step`` by construction:
+    Everything a replay step consults — required strengths, the logged
+    attempt at each position, average costs — precomputed into plain
+    tuples indexed by process row and action id (catalog position, which
+    equals strength rank since the catalog orders actions by ascending
+    strength).  :meth:`step` then decides success and cost with integer
+    compares only:
 
-    * ``covers`` over strength multisets is equivalent to cumulative
-      rank-count dominance (for every rank ``r``, the number of executed
-      actions of rank >= r must reach ``required_ge[pidx][r]``), because
-      the catalog's id order is a strictly monotone image of its
-      strength order;
-    * costs are the same ``CostStatistics`` values, just read from a
-      per-type row instead of recomputed per call.
+    * success is cumulative rank-count dominance (for every rank ``r``,
+      the number of executed actions of rank >= r must reach
+      ``required_ge[row][r]``), which equals
+      :func:`~repro.simplatform.hypotheses.covers` over strength
+      multisets because the catalog's id order is a strictly monotone
+      image of its strength order;
+    * costs are the same ``CostStatistics`` values, read from a per-type
+      row instead of recomputed per call.
 
     Attributes
     ----------
@@ -141,9 +115,11 @@ class CompiledReplay:
         (``CostMode.ACTUAL_WHEN_MATCHING``).
     required_ge:
         Per process: ``required_ge[r]`` counts required occurrences of
-        rank >= r, or ``None`` when the process references an action
-        outside the catalog (the trainer rejects such a process before
-        its first episode).
+        rank >= r, or ``None`` when the process's log names an action
+        outside the catalog that the required-action rule must rank.
+    unranked:
+        Per process whose ``required_ge`` is ``None``: the catalog's
+        :class:`UnknownActionError` message, which :meth:`step` raises.
     attempt_aids:
         Per process, per attempt position: the logged action id, or -1
         when the logged action is not in the catalog (matches nothing).
@@ -152,20 +128,93 @@ class CompiledReplay:
     success_cost / failure_cost:
         Per process, per action id: the average-cost fallbacks for the
         process's error type (rows shared between same-type processes).
+    initial_cost:
+        Per process: the detection segment charged before the first
+        action (:meth:`SimulationPlatform.initial_cost`).
+    downtime:
+        Per process: its actual logged downtime.
     """
 
     actions: Tuple[str, ...]
     actual_mode: bool
     required_ge: Tuple[Optional[Tuple[int, ...]], ...]
+    unranked: Dict[int, str]
     attempt_aids: Tuple[Tuple[int, ...], ...]
     attempt_succeeded: Tuple[Tuple[bool, ...], ...]
     attempt_durations: Tuple[Tuple[float, ...], ...]
     success_cost: Tuple[Tuple[float, ...], ...]
     failure_cost: Tuple[Tuple[float, ...], ...]
+    initial_cost: Tuple[float, ...]
+    downtime: Tuple[float, ...]
 
     @property
     def n_actions(self) -> int:
         return len(self.actions)
+
+    def matches_log(
+        self, row: int, depth: int, aid: int, succeeded: bool
+    ) -> bool:
+        """Whether attempt ``depth`` of ``row`` logged ``aid`` ending so."""
+        logged = self.attempt_aids[row]
+        return (
+            depth < len(logged)
+            and logged[depth] == aid
+            and self.attempt_succeeded[row][depth] == succeeded
+        )
+
+    def step(
+        self, row: int, executed: List[int], depth: int, aid: int
+    ) -> Tuple[bool, float]:
+        """Execute action ``aid`` as attempt ``depth`` of process ``row``.
+
+        ``executed`` counts the episode's executed actions per action id
+        and is updated in place.  Returns ``(succeeded, cost)``: success
+        by cumulative rank counts; the cost is the logged duration when
+        the attempt matches the log in actual-cost mode, else the type's
+        average success or failure cost of ``aid``.  A process whose log
+        cannot be ranked (see :attr:`unranked`) raises
+        :class:`UnknownActionError` naming the action.
+        """
+        required_ge = self.required_ge[row]
+        if required_ge is None:
+            raise UnknownActionError(self.unranked[row])
+        executed[aid] += 1
+        running = 0
+        succeeded = True
+        for rank in range(len(executed) - 1, -1, -1):
+            running += executed[rank]
+            if running < required_ge[rank]:
+                succeeded = False
+                break
+        if self.actual_mode and self.matches_log(row, depth, aid, succeeded):
+            return succeeded, self.attempt_durations[row][depth]
+        if succeeded:
+            return True, self.success_cost[row][aid]
+        return False, self.failure_cost[row][aid]
+
+
+class _Episode:
+    """One open replay in :meth:`SimulationPlatform.replay_many`'s waves."""
+
+    __slots__ = (
+        "position", "row", "state", "executed", "total", "aids", "costs",
+        "sources", "estimates",
+    )
+
+    def __init__(
+        self, position: int, row: int, error_type: str,
+        compiled: CompiledReplay,
+    ) -> None:
+        self.position = position
+        self.row = row
+        self.state = RecoveryState.initial(error_type)
+        self.executed = [0] * compiled.n_actions
+        self.total = compiled.initial_cost[row]
+        self.aids: List[int] = []
+        # Recorded only for traces (telemetry attached).
+        self.costs: List[float] = []
+        self.sources: List[str] = []
+        self.estimates: List[Optional[float]] = []
 
 
 class SimulationPlatform:
@@ -175,7 +224,8 @@ class SimulationPlatform:
     ----------
     processes:
         The processes available for replay (typically a train or test
-        split).
+        split).  Only these can be replayed; a process outside them
+        raises :class:`SimulationError` unless it self-healed.
     catalog:
         Repair-action catalog.
     stats:
@@ -214,30 +264,12 @@ class SimulationPlatform:
         self._cost_mode = cost_mode
         self._last_action_only = last_action_only
         self._max_actions = max_actions
-        # Required strengths are replay-invariant, so precompute them for
-        # the platform's own processes.  Keying by process *value* (the
-        # frozen dataclass, with a memoized hash) bounds the cache to
-        # this ensemble — unlike an id-keyed dict it cannot grow across
-        # scenarios, and value-equal duplicates share one entry.  A
-        # process referencing an action outside the catalog is skipped
-        # here so the UnknownActionError still surfaces on first replay,
-        # exactly like the lazily computed path.
-        self._required_by_process: Dict[
-            RecoveryProcess, Tuple[int, ...]
-        ] = {}
-        for process in self._processes:
-            if process not in self._required_by_process:
-                try:
-                    self._required_by_process[process] = required_strengths(
-                        process,
-                        self._catalog,
-                        last_action_only=self._last_action_only,
-                    )
-                except UnknownActionError:
-                    pass
         self._compiled: Optional[CompiledReplay] = None
         self._process_index: Optional[Dict[RecoveryProcess, int]] = None
         self._forced_name = self._catalog.strongest.name
+        self._action_ids = {
+            name: aid for aid, name in enumerate(self._catalog.names())
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -261,35 +293,38 @@ class SimulationPlatform:
         """The manual repair the ``N``-cap forces on the final slot."""
         return self._forced_name
 
-    def _required(self, process: RecoveryProcess) -> Tuple[int, ...]:
-        required = self._required_by_process.get(process)
-        if required is None:
-            # Foreign (or unknown-action) process: compute uncached so
-            # the dictionary stays bounded by the platform's ensemble.
-            required = required_strengths(
-                process, self._catalog, last_action_only=self._last_action_only
-            )
-        return required
-
     # ------------------------------------------------------------------
     def forced_action(self, attempt_count: int) -> Optional[str]:
         """The action the ``N``-cap forces after ``attempt_count`` tries.
 
         Delegates to the session core's
         :func:`~repro.session.core.forced_action`, the single source of
-        the cap rule; kept as a method because the trainer's episode
-        loop asks the platform directly.
+        the cap rule; kept as a method because every replay loop asks
+        the platform directly.
         """
         return cap_forced_action(
             attempt_count, self._max_actions, self._forced_name
         )
 
+    @property
+    def action_ids(self) -> Mapping[str, int]:
+        """Action name -> action id (catalog position)."""
+        return self._action_ids
+
+    def action_id(self, name: str) -> int:
+        """The action id (catalog position) of ``name``.
+
+        Raises the catalog's :class:`UnknownActionError` for a name
+        outside it.
+        """
+        return self._action_ids[self._catalog[name].name]
+
     def compiled(self) -> CompiledReplay:
         """The integer-indexed replay view of this platform's processes.
 
-        Built once, on first use (training platforms pay; evaluation
-        platforms that never ask don't), and immutable thereafter —
-        it is keyed to the platform's own ``processes`` tuple.
+        Built once, on first use (platforms that never replay don't
+        pay), and immutable thereafter — it is keyed to the platform's
+        own ``processes`` tuple.
         """
         if self._compiled is None:
             self._compiled = self._compile()
@@ -319,22 +354,29 @@ class SimulationPlatform:
     def _compile(self) -> CompiledReplay:
         actions = tuple(self._catalog.names())
         n_actions = len(actions)
-        action_ids = {name: aid for aid, name in enumerate(actions)}
+        action_ids = self._action_ids
         rank_of_strength = {
             action.strength: aid
             for aid, action in enumerate(self._catalog.by_strength())
         }
         cost_rows: Dict[str, Tuple[Tuple[float, ...], Tuple[float, ...]]] = {}
         required_ge: List[Optional[Tuple[int, ...]]] = []
+        unranked: Dict[int, str] = {}
         attempt_aids: List[Tuple[int, ...]] = []
         attempt_succeeded: List[Tuple[bool, ...]] = []
         attempt_durations: List[Tuple[float, ...]] = []
         success_cost: List[Tuple[float, ...]] = []
         failure_cost: List[Tuple[float, ...]] = []
-        for process in self._processes:
-            required = self._required_by_process.get(process)
-            if required is None:
+        for row, process in enumerate(self._processes):
+            try:
+                required = required_strengths(
+                    process,
+                    self._catalog,
+                    last_action_only=self._last_action_only,
+                )
+            except UnknownActionError as exc:
                 required_ge.append(None)
+                unranked[row] = exc.args[0]
             else:
                 counts = [0] * n_actions
                 for strength in required:
@@ -371,11 +413,14 @@ class SimulationPlatform:
             actions=actions,
             actual_mode=self._cost_mode is CostMode.ACTUAL_WHEN_MATCHING,
             required_ge=tuple(required_ge),
+            unranked=unranked,
             attempt_aids=tuple(attempt_aids),
             attempt_succeeded=tuple(attempt_succeeded),
             attempt_durations=tuple(attempt_durations),
             success_cost=tuple(success_cost),
             failure_cost=tuple(failure_cost),
+            initial_cost=tuple(self.initial_cost(p) for p in self._processes),
+            downtime=tuple(p.downtime for p in self._processes),
         )
 
     def initial_cost(self, process: RecoveryProcess) -> float:
@@ -387,78 +432,7 @@ class SimulationPlatform:
             return attempts[0].start_time - process.start_time
         return self._stats.initial_delay(process.error_type)
 
-    def step(
-        self,
-        process: RecoveryProcess,
-        state: RecoveryState,
-        action_name: str,
-    ) -> StepOutcome:
-        """Execute ``action_name`` in ``state`` while replaying ``process``."""
-        if state.is_terminal:
-            raise SimulationError(
-                f"cannot step from terminal state {state}"
-            )
-        if state.error_type != process.error_type:
-            raise SimulationError(
-                f"state error type {state.error_type!r} does not match "
-                f"process error type {process.error_type!r}"
-            )
-        action = self._catalog[action_name]
-        executed = [self._catalog[name].strength for name in state.tried]
-        executed.append(action.strength)
-        succeeded = covers(self._required(process), executed)
-
-        position = state.attempt_count
-        attempts = process.attempts
-        matched = (
-            position < len(attempts)
-            and attempts[position].action == action_name
-            and attempts[position].succeeded == succeeded
-        )
-        if matched and self._cost_mode is CostMode.ACTUAL_WHEN_MATCHING:
-            cost = attempts[position].duration
-        elif succeeded:
-            cost = self._stats.success_cost(process.error_type, action_name)
-        else:
-            cost = self._stats.failure_cost(process.error_type, action_name)
-        return StepOutcome(
-            cost=cost,
-            next_state=state.after(action_name, succeeded),
-            succeeded=succeeded,
-            matched_log=matched,
-        )
-
-    def _self_healed_trace(
-        self, process: RecoveryProcess, origin: str
-    ) -> EpisodeTrace:
-        return EpisodeTrace(
-            origin=origin,
-            error_type=process.error_type,
-            initial_cost=process.downtime,
-            steps=(),
-            handled=True,
-            forced_manual=False,
-        )
-
-    @staticmethod
-    def _to_replay_result(
-        outcome: EpisodeOutcome, process: RecoveryProcess
-    ) -> ReplayResult:
-        if not outcome.handled:
-            return ReplayResult(
-                handled=False,
-                cost=float("nan"),
-                actions=outcome.actions,
-                real_cost=process.downtime,
-            )
-        return ReplayResult(
-            handled=True,
-            cost=outcome.cost,
-            actions=outcome.actions,
-            real_cost=process.downtime,
-            forced_manual=outcome.forced_manual,
-        )
-
+    # ------------------------------------------------------------------
     def replay(
         self,
         process: RecoveryProcess,
@@ -469,27 +443,11 @@ class SimulationPlatform:
     ) -> ReplayResult:
         """Drive ``policy`` through ``process`` until cured or unhandled.
 
-        The episode itself runs through the shared recovery-session
-        driver (:func:`repro.session.driver.drive`) over a
-        :class:`~repro.session.environment.ReplayEnvironment`.
+        One process of :meth:`replay_many`.
         """
-        if not process.attempts:
-            # Self-healed process: nothing to decide; charge real downtime.
-            if telemetry is not None:
-                telemetry.on_episode(self._self_healed_trace(process, origin))
-            return ReplayResult(
-                handled=True,
-                cost=process.downtime,
-                actions=(),
-                real_cost=process.downtime,
-            )
-        outcome = drive(
-            ReplayEnvironment(self, process),
-            policy,
-            origin=origin,
-            telemetry=telemetry,
-        )
-        return self._to_replay_result(outcome, process)
+        return self.replay_many(
+            (process,), policy, origin=origin, telemetry=telemetry
+        )[0]
 
     def replay_many(
         self,
@@ -499,42 +457,192 @@ class SimulationPlatform:
         origin: str = "replay",
         telemetry: Optional[EpisodeTelemetry] = None,
     ) -> List[ReplayResult]:
-        """Replay many processes, batching policy decisions per wave.
+        """Replay many processes, deciding in lockstep waves.
 
-        Batch-safe policies (deterministic ones — see
-        :attr:`~repro.policies.base.Policy.batch_safe`) are decided via
-        one :meth:`~repro.policies.base.Policy.decide_batch` call per
-        lockstep wave of concurrent sessions; per-process results are
-        bit-identical to sequential :meth:`replay` calls.  Policies with
-        internal RNG fall back to sequential driving automatically.
-        Results — and telemetry, when given — follow input order.
+        Every open replay advances one step per wave.  Its states pool
+        into one :func:`~repro.session.driver.decide_wave` call, which
+        forces the manual repair once the ``N``-cap binds, and the
+        answers execute through :meth:`CompiledReplay.step`.  A policy
+        miss (:class:`~repro.errors.UnhandledStateError` per state) ends
+        that replay unhandled.  Self-healed processes charge their real
+        downtime and decide nothing; any other process must belong to
+        the platform (:meth:`process_index`).
+
+        Per-process results are bit-identical to replaying one process
+        at a time for every deterministic policy.  Policies with
+        internal RNG (``batch_safe`` False) run their waves one process
+        at a time, to keep their draw order.  Results — and telemetry,
+        when given — follow input order; traces are built from the
+        recorded action ids after the episodes, only when telemetry is
+        attached.
         """
-        driven_envs = []
-        driven_positions = []
+        compiled = self.compiled()
+        record = telemetry is not None
         results: List[Optional[ReplayResult]] = [None] * len(processes)
         traces: List[Optional[EpisodeTrace]] = [None] * len(processes)
+        episodes: List[_Episode] = []
         for position, process in enumerate(processes):
-            if not process.attempts:
-                results[position] = ReplayResult(
-                    handled=True,
-                    cost=process.downtime,
-                    actions=(),
-                    real_cost=process.downtime,
+            if process.attempts:
+                row = self.process_index(process)
+                episodes.append(
+                    _Episode(position, row, process.error_type, compiled)
                 )
-                traces[position] = self._self_healed_trace(process, origin)
-            else:
-                driven_envs.append(ReplayEnvironment(self, process))
-                driven_positions.append(position)
-        outcomes = drive_batch(driven_envs, policy, origin=origin)
-        for position, outcome in zip(driven_positions, outcomes):
-            results[position] = self._to_replay_result(
-                outcome, processes[position]
+                continue
+            # Self-healed: nothing to decide; charge real downtime.
+            results[position] = ReplayResult(
+                handled=True,
+                cost=process.downtime,
+                actions=(),
+                real_cost=process.downtime,
             )
-            traces[position] = outcome.trace
+            if record:
+                traces[position] = EpisodeTrace(
+                    origin=origin,
+                    error_type=process.error_type,
+                    initial_cost=process.downtime,
+                    steps=(),
+                    handled=True,
+                    forced_manual=False,
+                )
+        if policy.batch_safe:
+            lanes = [episodes]
+        else:
+            lanes = [[episode] for episode in episodes]
+        for lane in lanes:
+            self._run_waves(lane, policy, origin, record, results, traces)
         # Every position was filled above; the None checks only narrow
         # the Optional type.
         if telemetry is not None:
-            for trace in traces:
-                if trace is not None:
-                    telemetry.on_episode(trace)
+            for episode_trace in traces:
+                if episode_trace is not None:
+                    telemetry.on_episode(episode_trace)
         return [result for result in results if result is not None]
+
+    def _run_waves(
+        self,
+        active: List[_Episode],
+        policy: Policy,
+        origin: str,
+        record: bool,
+        results: List[Optional[ReplayResult]],
+        traces: List[Optional[EpisodeTrace]],
+    ) -> None:
+        """Advance ``active`` in lockstep waves until every episode ends.
+
+        Each episode's result, and its trace when ``record``, lands at
+        its input position in ``results`` and ``traces``.
+        """
+        compiled = self.compiled()
+        names = compiled.actions
+        action_ids = self._action_ids
+        depth = 0
+        while active:
+            forced = self.forced_action(depth) is not None
+            batch = decide_wave(
+                policy,
+                [episode.state for episode in active],
+                np.full(len(active), forced),
+                self._forced_name,
+            )
+            wave_aids = [action_ids.get(name, -1) for name in batch.actions]
+            hits = batch.hit.tolist()
+            decided = batch.action_ids.tolist()
+            if record:
+                sources = [batch.sources[i] for i in batch.source_ids.tolist()]
+                estimates = [
+                    cost if estimated else None
+                    for cost, estimated in zip(
+                        batch.costs.tolist(), batch.estimated.tolist()
+                    )
+                ]
+            still_active = []
+            for i, episode in enumerate(active):
+                handled = hits[i]
+                if handled:
+                    aid = wave_aids[decided[i]]
+                    if aid < 0:
+                        # Outside the catalog: the lookup by name raises
+                        # the catalog's error.
+                        aid = self.action_id(batch.actions[decided[i]])
+                    succeeded, cost = compiled.step(
+                        episode.row, episode.executed, depth, aid
+                    )
+                    episode.total += cost
+                    episode.aids.append(aid)
+                    if record:
+                        episode.costs.append(cost)
+                        episode.sources.append(sources[i])
+                        episode.estimates.append(estimates[i])
+                    if not succeeded:
+                        episode.state = episode.state.after(names[aid], False)
+                        still_active.append(episode)
+                        continue
+                results[episode.position] = ReplayResult(
+                    handled=handled,
+                    cost=episode.total if handled else float("nan"),
+                    actions=tuple(names[aid] for aid in episode.aids),
+                    real_cost=compiled.downtime[episode.row],
+                    forced_manual=handled and forced,
+                )
+                if record:
+                    traces[episode.position] = self.episode_trace(
+                        episode.row,
+                        episode.aids,
+                        episode.costs,
+                        episode.sources,
+                        origin=origin,
+                        handled=handled,
+                        estimates=episode.estimates,
+                    )
+            active = still_active
+            depth += 1
+
+    def episode_trace(
+        self,
+        row: int,
+        aids: Sequence[int],
+        costs: Sequence[float],
+        sources: Sequence[str],
+        *,
+        origin: str,
+        handled: bool,
+        estimates: Optional[Sequence[Optional[float]]] = None,
+    ) -> EpisodeTrace:
+        """The trace of a compiled replay of process ``row``.
+
+        Rebuilt after the episode from what it recorded per step: the
+        action ids, costs and decision sources, and the policy's cost
+        estimates when it gave any.  The ``N``-cap marks forced steps
+        by depth, and every step but a handled episode's last failed:
+        a replay ends on its first cure, or aborts at a decision.
+        """
+        compiled = self.compiled()
+        last = len(aids) - 1 if handled else -1
+        steps = []
+        for depth, aid in enumerate(aids):
+            succeeded = depth == last
+            steps.append(
+                StepTrace(
+                    step=depth,
+                    attempt_count=depth,
+                    action=compiled.actions[aid],
+                    source=sources[depth],
+                    forced=self.forced_action(depth) is not None,
+                    cost=costs[depth],
+                    succeeded=succeeded,
+                    matched_log=compiled.matches_log(
+                        row, depth, aid, succeeded
+                    ),
+                    expected_cost=(
+                        None if estimates is None else estimates[depth]
+                    ),
+                )
+            )
+        return EpisodeTrace(
+            origin=origin,
+            error_type=self._processes[row].error_type,
+            initial_cost=compiled.initial_cost[row],
+            steps=tuple(steps),
+            handled=handled,
+            forced_manual=any(step.forced for step in steps),
+        )

@@ -116,15 +116,13 @@ def validate_platform(
     selected = set(error_types)
     estimated: Dict[str, float] = {t: 0.0 for t in error_types}
     real: Dict[str, float] = {t: 0.0 for t in error_types}
-    for process in evaluation:
-        error_type = process.error_type
-        if error_type not in selected:
-            continue
-        result = platform.replay(process, policy)
+    replayed = [p for p in evaluation if p.error_type in selected]
+    results = platform.replay_many(replayed, policy)
+    for process, result in zip(replayed, results):
         if not result.handled:
             continue
-        estimated[error_type] += result.cost
-        real[error_type] += result.real_cost
+        estimated[process.error_type] += result.cost
+        real[process.error_type] += result.real_cost
 
     relative = {
         t: (estimated[t] / real[t]) if real[t] > 0 else 1.0

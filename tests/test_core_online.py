@@ -13,8 +13,7 @@ from repro.learning.telemetry import EpisodeRecorder
 from repro.mdp.state import RecoveryState
 from repro.mining.dependence import SymptomCooccurrence
 from repro.mining.streaming import StreamingMiner
-from repro.session.environment import ReplayEnvironment
-from repro.simplatform.platform import SimulationPlatform
+from reference_replay import ReferencePlatform, ReplayEnvironment
 
 CATALOG = default_catalog()
 
@@ -222,7 +221,7 @@ class TestRecover:
         process = make_process(
             ["TRYNOP", "REBOOT"], error_type="error:Drift"
         )
-        platform = SimulationPlatform([process], CATALOG)
+        platform = ReferencePlatform([process], CATALOG)
         retrainer = RollingRetrainer(CATALOG, fast_config())
         recorder = EpisodeRecorder()
         outcome = retrainer.recover(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import ladder_processes
+from helpers import ladder_processes, snapshot_digest
 from repro.actions import default_catalog
 from repro.errors import ConfigurationError, TrainingError
 from repro.learning.approximation import (
@@ -17,6 +17,13 @@ from repro.simplatform.platform import SimulationPlatform
 CATALOG = default_catalog()
 STRENGTHS = {a.name: a.strength for a in CATALOG}
 S0 = RecoveryState.initial("error:X")
+
+# Digest of both setup types' rules, weights, episode and update counts
+# under the default config, recorded when each step went through the
+# string-keyed ``SimulationPlatform.step``.
+TRAINING_DIGEST = (
+    "23c23b66f371fc601cc114b424f994946685754db505f13ddc620d763feb872e"
+)
 
 
 def make_qfunction(**kwargs):
@@ -151,6 +158,25 @@ class TestApproximateTrainer:
         evaluator = PolicyEvaluator(hard, CATALOG)
         evaluation = evaluator.evaluate(policy)
         assert evaluation.overall_relative_cost < 0.85
+
+    def test_training_matches_frozen_digest(self, setup):
+        platform, hard, soft = setup
+        trainer = ApproximateQLearningTrainer(platform)
+        courses = []
+        for error_type, processes in (
+            ("error:Hard", hard),
+            ("error:Soft", soft),
+        ):
+            result = trainer.train_type(error_type, processes)
+            courses.append(
+                (
+                    result.rules,
+                    result.qfunction._weights.tolist(),
+                    result.episodes,
+                    result.qfunction.updates,
+                )
+            )
+        assert snapshot_digest(courses) == TRAINING_DIGEST
 
     def test_empty_processes_rejected(self, setup):
         platform, _hard, _soft = setup

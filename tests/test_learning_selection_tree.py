@@ -2,7 +2,9 @@
 
 import pytest
 
+import reference_replay as reference
 from helpers import ladder_processes
+from reference_replay import ReferencePlatform
 from repro.actions import default_catalog
 from repro.errors import ConfigurationError
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
@@ -11,7 +13,7 @@ from repro.learning.selection_tree import (
     SelectionTreeExtractor,
 )
 from repro.mdp.state import RecoveryState
-from repro.policies import UserDefinedPolicy
+from repro.policies import TrainedPolicy, UserDefinedPolicy
 from repro.simplatform.platform import SimulationPlatform
 
 CATALOG = default_catalog()
@@ -96,6 +98,18 @@ class TestCandidateEnumeration:
         assert candidates == [{}]
 
 
+def reference_mean_cost(rules, processes, sample):
+    """Mean cost of ``rules`` replayed one process at a time by the
+    string-keyed reference, unhandled replays charged real downtime."""
+    platform = ReferencePlatform(processes, CATALOG)
+    policy = TrainedPolicy(rules)
+    total = 0.0
+    for process in sample:
+        result = reference.replay(platform, process, policy)
+        total += result.cost if result.handled else result.real_cost
+    return total / len(sample)
+
+
 class TestEvaluation:
     def test_evaluate_matches_manual_replay(self, trained):
         platform, _trainer, qtable, processes = trained
@@ -104,8 +118,33 @@ class TestEvaluation:
             qtable, processes, "error:Hard"
         )
         assert count >= 1
-        # Re-evaluate independently.
-        assert extractor.evaluate(rules, processes) == pytest.approx(cost)
+        assert cost == reference_mean_cost(rules, processes, processes)
+        # An evaluation_sample=5 extractor thins to evenly spaced
+        # processes; the reference replays exactly those.
+        thin = SelectionTreeExtractor(
+            platform, SelectionTreeConfig(evaluation_sample=5)
+        )
+        stride = len(processes) / 5
+        sample = [processes[int(i * stride)] for i in range(5)]
+        assert thin.evaluate(rules, processes) == reference_mean_cost(
+            rules, processes, sample
+        )
+
+    @pytest.mark.parametrize("refused", ["terminal-state", "empty-action"])
+    def test_refused_rule_raises_as_trained_policy_does(
+        self, trained, refused
+    ):
+        platform, _trainer, _qtable, processes = trained
+        initial = RecoveryState.initial("error:Hard")
+        if refused == "terminal-state":
+            rules = {initial.after("REBOOT", True): ("REBOOT", 1.0)}
+        else:
+            rules = {initial: ("", 1.0)}
+        with pytest.raises(ConfigurationError) as expected:
+            TrainedPolicy(rules)
+        with pytest.raises(ConfigurationError) as caught:
+            SelectionTreeExtractor(platform).evaluate(rules, processes)
+        assert str(caught.value) == str(expected.value)
 
     def test_best_candidate_jumps_to_reimage(self, trained):
         platform, _trainer, qtable, processes = trained

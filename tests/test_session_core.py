@@ -23,14 +23,18 @@ from repro.session import (
     EpisodeTelemetry,
     ExecutionResult,
     RecoverySession,
-    ReplayEnvironment,
     drive,
-    drive_batch,
     forced_action,
 )
 from repro.simplatform.platform import SimulationPlatform
 
 from helpers import ladder_processes, make_process
+from reference_replay import (
+    BatchSession,
+    ReferencePlatform,
+    ReplayEnvironment,
+    drive_batch,
+)
 
 
 class ScriptedEnvironment(Environment):
@@ -81,13 +85,15 @@ class TestForcedAction:
 
 
 class TestRecoverySession:
-    def make_session(self, policy=None, **kwargs):
+    def make_session(
+        self, policy=None, session_class=RecoverySession, **kwargs
+    ):
         kwargs.setdefault("max_actions", 5)
         kwargs.setdefault("forced_action_name", "RMA")
         # `is None`, not truthiness: an empty TrainedPolicy is falsy.
         if policy is None:
             policy = UserDefinedPolicy()
-        return RecoverySession("error:X", policy, **kwargs)
+        return session_class("error:X", policy, **kwargs)
 
     def test_validates_max_actions(self):
         with pytest.raises(ConfigurationError):
@@ -143,7 +149,7 @@ class TestRecoverySession:
             session.next_action()
 
     def test_batched_resolve_and_force_pending(self):
-        session = self.make_session()
+        session = self.make_session(session_class=BatchSession)
         decision = session.resolve(
             PolicyDecision(action="REBOOT", source="test")
         )
@@ -156,12 +162,12 @@ class TestRecoverySession:
         assert forced.forced and forced.action == "RMA"
 
     def test_resolve_unhandled_aborts(self):
-        session = self.make_session()
+        session = self.make_session(session_class=BatchSession)
         assert session.resolve(UnhandledStateError("none")) is None
         assert session.done and not session.handled
 
     def test_force_pending_before_cap_raises(self):
-        session = self.make_session()
+        session = self.make_session(session_class=BatchSession)
         with pytest.raises(SimulationError):
             session.force_pending()
 
@@ -293,6 +299,50 @@ class TestDecideBatch:
         singles = [policy.decide(s) for s in self.states()]
         assert batch == singles
 
+    def test_default_columns_keep_misses_and_estimates(self):
+        class Scripted(Policy):
+            answers = {
+                (): PolicyDecision("REBOOT", "ladder", 4.5),
+                ("TRYNOP",): PolicyDecision("TRYNOP", "probe"),
+                ("TRYNOP", "TRYNOP"): PolicyDecision(
+                    "REBOOT", "probe", float("nan")
+                ),
+            }
+
+            @property
+            def name(self) -> str:
+                return "scripted"
+
+            def decide(self, state):
+                answer = self.answers.get(state.tried)
+                if answer is None:
+                    raise UnhandledStateError("no answer", state=state)
+                return answer
+
+        initial = RecoveryState.initial("error:X")
+        states = [
+            initial.after("TRYNOP", False),
+            initial.after("RMA", False),
+            initial,
+            initial.after("TRYNOP", False).after("TRYNOP", False),
+        ]
+        policy = Scripted()
+        batch = policy.decide_batch(states)
+        assert batch.hit.tolist() == [True, False, True, True]
+        assert batch.actions == ("TRYNOP", "REBOOT")
+        assert batch.sources == ("probe", "ladder")
+        ids = batch.action_ids.tolist()
+        assert [ids[0], ids[2], ids[3]] == [0, 1, 1]
+        assert batch.estimated.tolist() == [False, False, True, True]
+        assert batch.costs[0] == 0.0 and batch.costs[2] == 4.5
+        assert math.isnan(batch.costs[3])
+        rows = list(batch)
+        assert rows[0] == policy.decide(states[0])
+        assert rows[2] == policy.decide(states[2])
+        assert isinstance(rows[1], UnhandledStateError)
+        assert rows[1].state == states[1]
+        assert rows[3].action == "REBOOT" and math.isnan(rows[3].expected_cost)
+
     def test_trained_override_matches_decide(self):
         states = self.states()
         rules = {states[0]: ("TRYNOP", 12.0)}
@@ -331,7 +381,7 @@ class TestDecideBatch:
 class TestReplayEnvironment:
     def test_delegates_to_platform(self, catalog):
         process = make_process(["REBOOT", "RMA"], error_type="error:X")
-        platform = SimulationPlatform([process], catalog)
+        platform = ReferencePlatform([process], catalog)
         environment = ReplayEnvironment(platform, process)
         assert environment.error_type == "error:X"
         assert environment.max_actions == platform.max_actions
@@ -347,7 +397,7 @@ class TestReplayEnvironment:
         )
         assert result.cost == expected.cost
         assert result.succeeded == expected.succeeded
-        assert result.next_state == expected.next_state
+        assert result.matched_log == expected.matched_log
 
     def test_platform_forced_action_delegates_to_core(self, catalog):
         processes = ladder_processes("error:X", [(["REBOOT", "RMA"], 2)])

@@ -1,14 +1,15 @@
-"""Session-core routing equivalence.
+"""Episode-loop routing equivalence.
 
-Replay, evaluation and cluster recovery execute through
-:mod:`repro.session`; training runs its own id-indexed loop that shares
+Cluster recovery executes through :mod:`repro.session`; replay,
+evaluation and training run on the platform's compiled rows and share
 the session's cap rule and trace schema.  The contract is
 *bit-identical* behaviour with the hand-rolled loops these replaced —
 same float sums in the same order, same RNG draw sequences, same action
 traces.  This module pins the contract by re-implementing the
-pre-refactor loops inline (frozen copies of the old code) and comparing
-exactly, the same way ``test_backend_equivalence`` pins the Q table
-against its dict reference.
+pre-refactor loops inline (frozen copies of the old code, stepping
+through ``reference_replay``'s string ``step``) and comparing exactly,
+the same way ``test_backend_equivalence`` pins the Q table against its
+dict reference.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from helpers import ladder_processes, make_process, snapshot_digest
 from reference_qtable import ReferenceQTable
+from reference_replay import ReferencePlatform
 from repro.actions import default_catalog
 from repro.cluster.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.faults import FaultCatalog, FaultType
@@ -37,7 +39,7 @@ from repro.policies.static import (
 )
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
-from repro.simplatform.platform import ReplayResult, SimulationPlatform
+from repro.simplatform.platform import ReplayResult
 from repro.util.rng import RngStreams, make_rng
 
 CATALOG = default_catalog()
@@ -192,7 +194,7 @@ def mixed_platform():
             machine_prefix="s",
         )
     )
-    return SimulationPlatform(processes, CATALOG), processes
+    return ReferencePlatform(processes, CATALOG), processes
 
 
 def policies_under_test():
@@ -278,7 +280,7 @@ class TestEvaluationEquivalence:
         policy = policies_under_test()[policy_index]
         evaluator = PolicyEvaluator(processes, CATALOG)
         expected = reference_evaluate(
-            evaluator.platform,
+            ReferencePlatform(processes, CATALOG),
             [p for p in processes],
             evaluator.error_types,
             policy,
@@ -291,7 +293,7 @@ class TestEvaluationEquivalence:
         evaluator = PolicyEvaluator(small_processes, CATALOG)
         policy = UserDefinedPolicy(CATALOG)
         expected = reference_evaluate(
-            evaluator.platform,
+            ReferencePlatform(small_processes, CATALOG),
             [
                 p
                 for p in small_processes

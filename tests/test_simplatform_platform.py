@@ -1,10 +1,18 @@
-"""Tests for the simulation platform's step and replay semantics."""
+"""Tests for the simulation platform's step and replay semantics.
+
+The string ``step`` is the test-only reference's
+(``reference_replay.ReferencePlatform``); replay runs on the compiled
+kernel.
+"""
 
 import pytest
 
 from helpers import ladder_processes, make_process
+from reference_replay import ReferencePlatform
 from repro.actions import default_catalog
-from repro.errors import SimulationError
+from repro.errors import SimulationError, UnknownActionError
+from repro.learning.qtable import QTable
+from repro.learning.selection_tree import SelectionTreeExtractor
 from repro.mdp.state import RecoveryState
 from repro.policies import (
     AlwaysStrongestPolicy,
@@ -21,10 +29,29 @@ def platform_for(processes, **kwargs):
     return SimulationPlatform(processes, CATALOG, **kwargs)
 
 
+def reference_for(processes, **kwargs):
+    return ReferencePlatform(processes, CATALOG, **kwargs)
+
+
+def weird_process():
+    """A process whose log names an action outside the catalog."""
+    from repro.recoverylog.entry import LogEntry
+    from repro.recoverylog.process import RecoveryProcess
+
+    return RecoveryProcess(
+        "m",
+        (
+            LogEntry.symptom(0.0, "m", "error:X"),
+            LogEntry.action(60.0, "m", "FROBNICATE"),
+            LogEntry.success(600.0, "m"),
+        ),
+    )
+
+
 class TestStep:
     def test_matching_action_uses_actual_cost(self):
         process = make_process(["TRYNOP", "REBOOT"], step=600.0)
-        platform = platform_for([process])
+        platform = reference_for([process])
         state = RecoveryState.initial("error:X")
         outcome = platform.step(process, state, "TRYNOP")
         assert outcome.matched_log
@@ -33,7 +60,7 @@ class TestStep:
 
     def test_success_at_final_matching_action(self):
         process = make_process(["TRYNOP", "REBOOT"], step=600.0)
-        platform = platform_for([process])
+        platform = reference_for([process])
         state = RecoveryState("error:X", tried=("TRYNOP",))
         outcome = platform.step(process, state, "REBOOT")
         assert outcome.succeeded
@@ -42,7 +69,7 @@ class TestStep:
 
     def test_stronger_action_covers_early(self):
         process = make_process(["TRYNOP", "REBOOT"])
-        platform = platform_for([process])
+        platform = reference_for([process])
         state = RecoveryState.initial("error:X")
         outcome = platform.step(process, state, "REIMAGE")
         assert outcome.succeeded
@@ -52,7 +79,7 @@ class TestStep:
         processes = ladder_processes(
             "error:X", [(["TRYNOP", "REBOOT"], 5)], step=700.0
         )
-        platform = platform_for(processes)
+        platform = reference_for(processes)
         state = RecoveryState.initial("error:X")
         # REBOOT at position 0 does not match the logged TRYNOP, but it
         # covers the required {REBOOT} -> success with averaged cost.
@@ -62,7 +89,7 @@ class TestStep:
 
     def test_averages_only_mode_never_matches(self):
         process = make_process(["REBOOT"], step=600.0)
-        platform = platform_for([process], cost_mode=CostMode.AVERAGES_ONLY)
+        platform = reference_for([process], cost_mode=CostMode.AVERAGES_ONLY)
         outcome = platform.step(
             process, RecoveryState.initial("error:X"), "REBOOT"
         )
@@ -71,14 +98,14 @@ class TestStep:
 
     def test_terminal_state_rejected(self):
         process = make_process(["REBOOT"])
-        platform = platform_for([process])
+        platform = reference_for([process])
         terminal = RecoveryState("error:X", True, ("REBOOT",))
         with pytest.raises(SimulationError):
             platform.step(process, terminal, "REBOOT")
 
     def test_error_type_mismatch_rejected(self):
         process = make_process(["REBOOT"], error_type="error:X")
-        platform = platform_for([process])
+        platform = reference_for([process])
         with pytest.raises(SimulationError, match="does not match"):
             platform.step(
                 process, RecoveryState.initial("error:Y"), "REBOOT"
@@ -239,51 +266,71 @@ class TestForcedActionCap:
         assert trace.steps[-1].attempt_count == platform.max_actions - 1
 
 
+#: The catalog's message for the action name no catalog has.
+FROBNICATE_MESSAGE = (
+    "unknown repair action 'FROBNICATE'; catalog has "
+    "['TRYNOP', 'REBOOT', 'REIMAGE', 'RMA']"
+)
+
+
 class TestRequiredStrengthsCache:
-    def test_precomputed_for_the_ensemble_by_value(self):
-        processes = ladder_processes(
-            "error:X", [(["TRYNOP", "REBOOT"], 3), (["REIMAGE"], 2)]
+    def test_unknown_logged_action_surfaces_at_first_step(self):
+        weird = weird_process()
+        # Construction must not raise: the error belongs to replay time.
+        platform = platform_for([weird, make_process(["REBOOT"])])
+        with pytest.raises(UnknownActionError) as caught:
+            platform.replay(weird, AlwaysStrongestPolicy(CATALOG))
+        assert caught.value.args == (FROBNICATE_MESSAGE,)
+
+
+class TestKernelFailurePaths:
+    """Failure paths the string ``step`` raised, kept by the kernel."""
+
+    CALLERS = ("replay", "replay_many", "evaluate", "baseline")
+
+    @staticmethod
+    def call(caller, platform, process, rules):
+        """Replay ``process`` under ``rules`` through ``caller``."""
+        policy = TrainedPolicy(rules)
+        if caller == "replay":
+            return platform.replay(process, policy)
+        if caller == "replay_many":
+            return platform.replay_many([process], policy)
+        extractor = SelectionTreeExtractor(platform)
+        if caller == "evaluate":
+            return extractor.evaluate(rules, [process])
+        # An empty Q table has one empty candidate; the baseline's
+        # unrolled rules are then scored as the incumbent.
+        return extractor.extract_best(
+            QTable(CATALOG.names()), [process], "error:X", baseline=policy
         )
-        platform = platform_for(processes)
-        assert set(platform._required_by_process) == set(processes)
 
-    def test_value_equal_duplicates_share_one_entry(self):
-        process = make_process(["TRYNOP", "REBOOT"])
-        duplicate = make_process(["TRYNOP", "REBOOT"])
-        assert process == duplicate and process is not duplicate
-        platform = platform_for([process, duplicate])
-        assert len(platform._required_by_process) == 1
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_answer_outside_catalog_raises_unknown_action(self, caller):
+        process = make_process(["REBOOT"])
+        rules = {RecoveryState.initial("error:X"): ("FROBNICATE", 0.0)}
+        with pytest.raises(UnknownActionError) as caught:
+            self.call(caller, platform_for([process]), process, rules)
+        assert caught.value.args == (FROBNICATE_MESSAGE,)
 
-    def test_foreign_process_replays_without_growing_the_cache(self):
+    @pytest.mark.parametrize("caller", CALLERS[1:3])
+    def test_logged_action_outside_catalog_raises_unknown_action(
+        self, caller
+    ):
+        weird = weird_process()
+        platform = platform_for([make_process(["REBOOT"]), weird])
+        rules = {RecoveryState.initial("error:X"): ("REBOOT", 0.0)}
+        with pytest.raises(UnknownActionError) as caught:
+            self.call(caller, platform, weird, rules)
+        assert caught.value.args == (FROBNICATE_MESSAGE,)
+
+    @pytest.mark.parametrize("caller", CALLERS[:3])
+    def test_foreign_process_is_rejected(self, caller):
         platform = platform_for([make_process(["TRYNOP", "REBOOT"])])
         foreign = make_process(["REIMAGE"], machine="m-foreign")
-        before = dict(platform._required_by_process)
-        outcome = platform.step(
-            foreign, RecoveryState.initial("error:X"), "REIMAGE"
-        )
-        assert outcome.succeeded
-        assert platform._required_by_process == before
-
-    def test_unknown_logged_action_surfaces_at_first_step(self):
-        from repro.errors import UnknownActionError
-        from repro.recoverylog.entry import LogEntry
-        from repro.recoverylog.process import RecoveryProcess
-
-        weird = RecoveryProcess(
-            "m",
-            (
-                LogEntry.symptom(0.0, "m", "error:X"),
-                LogEntry.action(60.0, "m", "FROBNICATE"),
-                LogEntry.success(600.0, "m"),
-            ),
-        )
-        # Construction must not raise: the error belongs to replay time,
-        # exactly as with the lazily computed required strengths.
-        platform = platform_for([weird, make_process(["REBOOT"])])
-        with pytest.raises(UnknownActionError):
-            platform.step(
-                weird, RecoveryState.initial("error:X"), "REBOOT"
-            )
+        rules = {RecoveryState.initial("error:X"): ("REIMAGE", 0.0)}
+        with pytest.raises(SimulationError, match="not part of this platform"):
+            self.call(caller, platform, foreign, rules)
 
 
 def _fast_succeeds(compiled, pidx, executed_counts):
@@ -298,14 +345,14 @@ def _fast_succeeds(compiled, pidx, executed_counts):
 
 
 class TestCompiledReplay:
-    def _platform(self):
+    def _platform(self, factory=platform_for):
         processes = ladder_processes(
             "error:X",
             [(["TRYNOP", "REBOOT"], 2), (["TRYNOP", "REBOOT", "REIMAGE"], 2),
              (["RMA"], 1)],
             realistic_durations=True,
         )
-        return platform_for(processes)
+        return factory(processes)
 
     def test_compiled_is_built_once(self):
         platform = self._platform()
@@ -325,7 +372,7 @@ class TestCompiledReplay:
             platform.process_index(make_process(["RMA"], machine="x"))
 
     def test_success_rule_matches_step_exactly(self):
-        platform = self._platform()
+        platform = self._platform(reference_for)
         compiled = platform.compiled()
         names = compiled.actions
         for pidx, process in enumerate(platform.processes):
@@ -366,6 +413,10 @@ class TestCompiledReplay:
             assert compiled.attempt_durations[pidx] == tuple(
                 a.duration for a in attempts
             )
+            assert compiled.initial_cost[pidx] == platform.initial_cost(
+                process
+            )
+            assert compiled.downtime[pidx] == process.downtime
             for aid, name in enumerate(names):
                 assert compiled.success_cost[pidx][aid] == (
                     platform.stats.success_cost(process.error_type, name)
@@ -375,18 +426,7 @@ class TestCompiledReplay:
                 )
 
     def test_unknown_action_process_is_marked_uncompilable(self):
-        from repro.recoverylog.entry import LogEntry
-        from repro.recoverylog.process import RecoveryProcess
-
-        weird = RecoveryProcess(
-            "m",
-            (
-                LogEntry.symptom(0.0, "m", "error:X"),
-                LogEntry.action(60.0, "m", "FROBNICATE"),
-                LogEntry.success(600.0, "m"),
-            ),
-        )
-        platform = platform_for([weird, make_process(["REBOOT"])])
+        platform = platform_for([weird_process(), make_process(["REBOOT"])])
         compiled = platform.compiled()
         assert compiled.required_ge[0] is None
         assert compiled.attempt_aids[0] == (-1,)
