@@ -15,9 +15,10 @@ Three measurements:
   throughput number against diverging results would be meaningless.
   This stage also measures what materializing the prefix costs, scaled
   up to estimate the full log's in-memory footprint.
-* **write** — the buffered log writers against the historical writer
+* **write** — the library's log writers against the historical writer
   shape (one ``handle.write`` per entry; default ``json.dumps``
   separators for jsonl), both formats, best-of-N to beat timer noise.
+  The ``*_buffered_s`` keys time the library writers.
 
 Standalone by design (CI runs it outside pytest)::
 
@@ -400,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{stream['processes']:,} processes)",
     ))
     print(
-        f"buffered writers: jsonl {write['jsonl_speedup']}x, "
+        f"log writers: jsonl {write['jsonl_speedup']}x, "
         f"text {write['text_speedup']}x over the legacy per-entry shape"
     )
 

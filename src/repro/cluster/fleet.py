@@ -92,6 +92,12 @@ _KIND_SUCCESS = 2
 _KINDS = (EntryKind.SYMPTOM, EntryKind.ACTION, EntryKind.SUCCESS)
 
 
+def _string_ranks(strings: Tuple[str, ...]) -> np.ndarray:
+    """Each string's rank in Python string order; equal strings tie."""
+    rank = {s: r for r, s in enumerate(sorted(set(strings)))}
+    return np.array([rank[s] for s in strings], dtype=np.int64)
+
+
 class _Columns:
     """Append-only column store: per-wave arrays, concatenated on demand."""
 
@@ -193,25 +199,25 @@ class FleetResult:
         Ordering follows :class:`~repro.recoverylog.entry.LogEntry`'s
         total order — ``(time, machine name, kind rank, description)``
         — so the result is byte-identical to what the event backend's
-        incremental inserts produce.
+        incremental inserts produce.  Names and descriptions sort by
+        their ranks in Python string order, and entries share one
+        ``str`` per machine name and per description.
         """
-        names = np.asarray(self.machine_names)
-        descs = np.asarray(self.descriptions)
-        entry_names = names[self.log_machines]
-        entry_descs = descs[self.log_descriptions]
-        order = np.lexsort(
-            (entry_descs, self.log_kinds, entry_names, self.log_times)
-        )
-        entries = [
-            LogEntry(
-                float(self.log_times[i]),
-                str(entry_names[i]),
-                _KINDS[int(self.log_kinds[i])],
-                str(entry_descs[i]),
-            )
-            for i in order
-        ]
-        return RecoveryLog(entries)
+        names = self.machine_names
+        descs = self.descriptions
+        order = np.lexsort((
+            _string_ranks(descs)[self.log_descriptions],
+            self.log_kinds,
+            _string_ranks(names)[self.log_machines],
+            self.log_times,
+        ))
+        return RecoveryLog(map(
+            LogEntry,
+            self.log_times[order].tolist(),
+            map(names.__getitem__, self.log_machines[order].tolist()),
+            map(_KINDS.__getitem__, self.log_kinds[order].tolist()),
+            map(descs.__getitem__, self.log_descriptions[order].tolist()),
+        ))
 
     def downtime_per_machine(self) -> np.ndarray:
         """Seconds each machine spent inside recovery processes."""

@@ -35,16 +35,6 @@ def _pattern_count(pattern: Pattern, transactions: Sequence[Transaction]) -> int
     return sum(1 for t in transactions if pattern <= t)
 
 
-def _counted_pattern_count(
-    pattern: Pattern, transaction_counts: Mapping[Transaction, int]
-) -> int:
-    return sum(
-        count
-        for transaction, count in transaction_counts.items()
-        if pattern <= transaction
-    )
-
-
 def is_m_pattern(
     pattern: Iterable[str],
     transactions: Sequence[Transaction],
@@ -119,6 +109,10 @@ def mine_m_patterns_from_counts(
     incrementally (the number of distinct symptom sets is bounded by
     symptom diversity, not log length).  Results are identical to
     :func:`mine_m_patterns` over the expanded transaction sequence.
+
+    Each pattern keeps the ids of the distinct transactions containing
+    it; a candidate's transactions are one subset's ids intersected with
+    the missing item's, so no candidate rescans the transactions.
     """
     check_probability("minp", minp)
     if minp == 0:
@@ -126,16 +120,20 @@ def mine_m_patterns_from_counts(
     if min_size < 1:
         raise MiningError(f"min_size must be >= 1, got {min_size}")
 
+    weights: List[int] = []
+    item_ids: Dict[str, Set[int]] = {}
     item_counts: Counter = Counter()
-    for transaction, count in transaction_counts.items():
+    for tid, (transaction, count) in enumerate(transaction_counts.items()):
+        weights.append(count)
         for item in transaction:
+            item_ids.setdefault(item, set()).add(tid)
             item_counts[item] += count
 
     # Level 1: every occurring item is an m-pattern by itself.
-    current: Dict[Pattern, int] = {
-        frozenset([item]): count
-        for item, count in item_counts.items()
-        if count >= min_support_count
+    current: Dict[Pattern, Set[int]] = {
+        frozenset([item]): ids
+        for item, ids in item_ids.items()
+        if item_counts[item] >= min_support_count
     }
     all_patterns: List[Pattern] = []
     if min_size <= 1:
@@ -145,20 +143,22 @@ def mine_m_patterns_from_counts(
     while current and (max_size <= 0 or size < max_size):
         size += 1
         candidates = _join_candidates(set(current))
-        next_level: Dict[Pattern, int] = {}
+        next_level: Dict[Pattern, Set[int]] = {}
         for candidate in candidates:
             # Apriori prune: all (size-1)-subsets must be m-patterns.
             if any(
                 candidate - {item} not in current for item in candidate
             ):
                 continue
-            together = _counted_pattern_count(candidate, transaction_counts)
+            item = next(iter(candidate))
+            ids = current[candidate - {item}] & item_ids[item]
+            together = sum(weights[tid] for tid in ids)
             if together < min_support_count:
                 continue
             if all(
                 together / item_counts[item] >= minp for item in candidate
             ):
-                next_level[candidate] = together
+                next_level[candidate] = ids
         if min_size <= size:
             all_patterns.extend(sorted(next_level, key=lambda p: sorted(p)))
         current = next_level

@@ -11,6 +11,7 @@ Entries follow the paper's ``<time, machine name, description>`` format
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.errors import LogFormatError
@@ -58,8 +59,10 @@ class LogEntry:
     description: str
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise LogFormatError(f"entry time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:  # NaN fails every comparison
+            raise LogFormatError(
+                f"entry time must be finite and >= 0, got {self.time}"
+            )
         if not self.machine:
             raise LogFormatError("entry machine must be non-empty")
         if not self.description:

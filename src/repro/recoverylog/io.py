@@ -20,21 +20,22 @@ failures with identical ``path:line_no`` diagnostics.
 :func:`iter_log_chunks` batches either iterator into bounded lists for
 chunk-at-a-time consumers.
 
-Writers buffer entries and flush them in batches
-(:data:`DEFAULT_WRITE_BUFFER` lines per ``write`` call) and serialize
-JSON through one hoisted compact encoder — ``json.dumps`` with keyword
-arguments rebuilds a :class:`json.JSONEncoder` per call, which costs
-more than the encoding itself on multi-million-entry logs.
-``buffer_entries=1`` restores the historical one-``write``-per-entry
-flush behavior; ``benchmarks/bench_mining_throughput.py`` pins the
-combined win over the historical writers.
+The JSONL writer formats each line itself, byte for byte as the compact
+``json`` encoder would (entries whose time is not a ``float`` or whose
+text is not ``str`` go through that encoder), and the JSONL reader
+parses each line with the decoder's C scanner, calling ``json.loads``
+only to word an error.  Files are decoded with ``surrogateescape``, so a
+byte that is not UTF-8 is reported like every other defect: as a
+``LogFormatError`` that begins ``path:line_no:``.
+``benchmarks/bench_mining_throughput.py`` reports both writers' speed
+against the historical one-``write``-per-entry shapes.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Set, Union
+from typing import Iterable, Iterator, List, Optional, Set, TextIO, Union
 
 from repro.errors import ConfigurationError, LogFormatError
 from repro.recoverylog.entry import SUCCESS_DESCRIPTION, EntryKind, LogEntry
@@ -53,7 +54,6 @@ __all__ = [
     "sniff_log_format",
     "resolve_log_format",
     "DEFAULT_ACTION_NAMES",
-    "DEFAULT_WRITE_BUFFER",
     "DEFAULT_CHUNK_SIZE",
     "LOG_FORMATS",
 ]
@@ -62,96 +62,91 @@ PathLike = Union[str, Path]
 
 DEFAULT_ACTION_NAMES = frozenset({"TRYNOP", "REBOOT", "REIMAGE", "RMA"})
 
-#: Entries buffered per ``handle.write`` call in the writers.
-DEFAULT_WRITE_BUFFER = 8_192
-
 #: Entries per list yielded by :func:`iter_log_chunks`.
 DEFAULT_CHUNK_SIZE = 65_536
 
 #: Explicit on-disk formats (``auto`` additionally sniffs the content).
 LOG_FORMATS = ("auto", "text", "jsonl")
 
-#: One compact encoder, hoisted: ``json.dumps(..., separators=...)``
-#: constructs a fresh ``JSONEncoder`` on every call and loses the
-#: cached-encoder fast path, costing ~1.4x on large logs.
+#: The compact encoder and its renderings of a finite float, a str and a
+#: kind; the JSONL writer formats lines from the last three itself.
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode
+_FLOAT_JSON = float.__repr__
+_STR_JSON = json.encoder.encode_basestring_ascii
+_KIND_JSON = {kind: _STR_JSON(kind.value) for kind in EntryKind}
+
+#: Kind value -> kind; ``EntryKind(value)`` is slower, kept for its error.
+_KINDS = {kind.value: kind for kind in EntryKind}
+
+#: Exceptions that make a parsed JSONL record a bad record.
+_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError, LogFormatError)
 
 
 # ----------------------------------------------------------------------
 # Writers
 # ----------------------------------------------------------------------
-def write_log_text(
-    log: Iterable[LogEntry],
-    path: PathLike,
-    *,
-    buffer_entries: int = DEFAULT_WRITE_BUFFER,
-) -> int:
+def write_log_text(log: Iterable[LogEntry], path: PathLike) -> int:
     """Write entries as tab-separated ``time  machine  description`` lines.
 
-    Lines are accumulated and flushed every ``buffer_entries`` entries.
     Returns the number of entries written.
     """
-    if buffer_entries < 1:
-        raise ConfigurationError(
-            f"buffer_entries must be >= 1, got {buffer_entries}"
-        )
     count = 0
-    lines: List[str] = []
     with open(path, "w", encoding="utf-8") as handle:
+        write = handle.write
         for entry in log:
             # repr() keeps full float precision so parsing round-trips.
-            lines.append(
-                f"{entry.time!r}\t{entry.machine}\t{entry.description}\n"
-            )
+            write(f"{entry.time!r}\t{entry.machine}\t{entry.description}\n")
             count += 1
-            if len(lines) >= buffer_entries:
-                handle.write("".join(lines))
-                lines.clear()
-        if lines:
-            handle.write("".join(lines))
     return count
 
 
-def write_log_jsonl(
-    log: Iterable[LogEntry],
-    path: PathLike,
-    *,
-    buffer_entries: int = DEFAULT_WRITE_BUFFER,
-) -> int:
+def write_log_jsonl(log: Iterable[LogEntry], path: PathLike) -> int:
     """Write entries as JSON lines with explicit kinds.
 
-    Records are rendered compactly (no separator whitespace) and flushed
-    every ``buffer_entries`` entries.  Returns the number of entries
-    written.
+    Records are rendered compactly (no separator whitespace).  Returns
+    the number of entries written.
     """
-    if buffer_entries < 1:
-        raise ConfigurationError(
-            f"buffer_entries must be >= 1, got {buffer_entries}"
-        )
     count = 0
-    dumps = _COMPACT_JSON
-    lines: List[str] = []
     with open(path, "w", encoding="utf-8") as handle:
+        write = handle.write
         for entry in log:
-            record = {
-                "time": entry.time,
-                "machine": entry.machine,
-                "kind": entry.kind.value,
-                "description": entry.description,
-            }
-            lines.append(dumps(record) + "\n")
+            time, machine, text = entry.time, entry.machine, entry.description
+            if (
+                isinstance(time, float)
+                and isinstance(machine, str)
+                and isinstance(text, str)
+            ):
+                write(
+                    f'{{"time":{_FLOAT_JSON(time)},'
+                    f'"machine":{_STR_JSON(machine)},'
+                    f'"kind":{_KIND_JSON[entry.kind]},'
+                    f'"description":{_STR_JSON(text)}}}\n'
+                )
+            else:
+                write(_COMPACT_JSON({
+                    "time": time, "machine": machine,
+                    "kind": entry.kind.value, "description": text,
+                }) + "\n")
             count += 1
-            if len(lines) >= buffer_entries:
-                handle.write("".join(lines))
-                lines.clear()
-        if lines:
-            handle.write("".join(lines))
     return count
 
 
 # ----------------------------------------------------------------------
 # Streaming readers
 # ----------------------------------------------------------------------
+def _open_log(path: PathLike) -> TextIO:
+    """Open a log for reading; undecodable bytes become lone surrogates."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(path: PathLike, line_no: int, line: str) -> None:
+    """Raise ``LogFormatError`` if ``line`` carries bytes that are not UTF-8."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"{path}:{line_no}: not valid UTF-8: {exc}") from None
+
+
 def iter_log_text(
     path: PathLike,
     *,
@@ -168,8 +163,10 @@ def iter_log_text(
         paper's four actions.
     """
     names = DEFAULT_ACTION_NAMES if action_names is None else set(action_names)
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_log(path) as handle:
         for line_no, line in enumerate(handle, start=1):
+            if not line.isascii():
+                _check_utf8(path, line_no, line)
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -192,34 +189,50 @@ def iter_log_text(
                 kind = EntryKind.ACTION
             else:
                 kind = EntryKind.SYMPTOM
-            yield LogEntry(time, machine, kind, description)
+            try:
+                entry = LogEntry(time, machine, kind, description)
+            except LogFormatError as exc:
+                raise LogFormatError(f"{path}:{line_no}: {exc}") from None
+            yield entry
 
 
 def iter_log_jsonl(path: PathLike) -> Iterator[LogEntry]:
     """Yield entries of a JSONL-format log one at a time."""
-    loads = json.loads
-    with open(path, "r", encoding="utf-8") as handle:
+    scan = json.JSONDecoder().scan_once
+    with _open_log(path) as handle:
         for line_no, line in enumerate(handle, start=1):
+            if not line.isascii():
+                _check_utf8(path, line_no, line)
             line = line.strip()
             if not line:
                 continue
+            # On a stripped line ``json.loads`` is this scan plus an
+            # end-of-line check; it runs only to word the error.
             try:
-                record = loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(
-                    f"{path}:{line_no}: bad JSON: {exc}"
-                ) from None
+                record, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise LogFormatError(
+                        f"{path}:{line_no}: bad JSON: {exc}"
+                    ) from None
             try:
-                yield LogEntry(
-                    time=float(record["time"]),
-                    machine=str(record["machine"]),
-                    kind=EntryKind(record["kind"]),
-                    description=str(record["description"]),
-                )
-            except (KeyError, ValueError) as exc:
+                time = float(record["time"])
+                machine = str(record["machine"])
+                kind = record["kind"]
+                try:
+                    kind = _KINDS[kind]
+                except (KeyError, TypeError):
+                    kind = EntryKind(kind)
+                entry = LogEntry(time, machine, kind, str(record["description"]))
+            except _BAD_RECORD as exc:
                 raise LogFormatError(
                     f"{path}:{line_no}: bad record {record!r}: {exc}"
                 ) from None
+            yield entry
 
 
 def sniff_log_format(path: PathLike) -> str:
@@ -228,7 +241,7 @@ def sniff_log_format(path: PathLike) -> str:
     A JSONL log's every record is an object, so a leading ``{`` decides;
     an empty file defaults to ``"text"`` (both parsers accept it).
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_log(path) as handle:
         for line in handle:
             stripped = line.strip()
             if stripped:

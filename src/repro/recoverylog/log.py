@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import LogFormatError
@@ -9,6 +10,9 @@ from repro.recoverylog.entry import LogEntry
 from repro.recoverylog.process import RecoveryProcess, SegmentationResult, segment_log
 
 __all__ = ["RecoveryLog"]
+
+#: Sorting by key builds one order key per entry, not two per comparison.
+_SORT_KEY = attrgetter("sort_key")
 
 
 class RecoveryLog:
@@ -20,7 +24,7 @@ class RecoveryLog:
     """
 
     def __init__(self, entries: Iterable[LogEntry] = ()) -> None:
-        self._entries: List[LogEntry] = sorted(entries)
+        self._entries: List[LogEntry] = sorted(entries, key=_SORT_KEY)
         self._segmentation: Optional[SegmentationResult] = None
 
     # ------------------------------------------------------------------
@@ -71,7 +75,7 @@ class RecoveryLog:
                     f"expected LogEntry, got {type(entry).__name__}"
                 )
         self._entries.extend(new)
-        self._entries.sort()
+        self._entries.sort(key=_SORT_KEY)
         self._segmentation = None
 
     # ------------------------------------------------------------------

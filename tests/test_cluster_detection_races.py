@@ -20,6 +20,9 @@ Two classes of edge case pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.actions import default_catalog
@@ -161,6 +164,71 @@ class TestSameInstantOrdering:
             assert [ranks[e.kind] for e in group] == sorted(
                 ranks[e.kind] for e in group
             )
+
+
+class TestFleetToLog:
+    """``FleetResult.to_log`` against per-row entries sorted by ``<``.
+
+    With ``m{}`` names over 12 machines, string order ("m10" < "m2")
+    differs from machine-index order, and zero delays put a symptom, its
+    action and the success report at one instant.
+    """
+
+    def result(self, seed):
+        return FleetEngine(
+            make_config(
+                backend="fleet",
+                machine_count=12,
+                machine_name_format="m{}",
+                detection_delay_mean=0.0,
+                decision_delay_mean=0.0,
+            ),
+            simple_faults(),
+            UserDefinedPolicy(CATALOG),
+            CATALOG,
+            RngStreams(seed),
+        ).run()
+
+    @staticmethod
+    def rows_sorted_by_lt(result):
+        kinds = (EntryKind.SYMPTOM, EntryKind.ACTION, EntryKind.SUCCESS)
+        return sorted(
+            LogEntry(
+                float(time),
+                result.machine_names[machine],
+                kinds[kind],
+                result.descriptions[desc],
+            )
+            for time, machine, kind, desc in zip(
+                result.log_times,
+                result.log_machines,
+                result.log_kinds,
+                result.log_descriptions,
+            )
+        )
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_log_equals_rows_sorted_by_lt(self, seed):
+        result = self.result(seed)
+        entries = result.to_log().entries
+        assert list(entries) == self.rows_sorted_by_lt(result)
+        assert any(
+            a.time == b.time and a.machine == b.machine
+            for a, b in zip(entries, entries[1:])
+        )
+
+    def test_cross_machine_ties_sort_by_name_string(self):
+        # Week-rounded times tie entries of different machines, so the
+        # machine-name key decides between "m10" and "m2".
+        result = self.result(3)
+        weeks = np.floor(result.log_times / (7 * DAY)) * (7 * DAY)
+        tied = dataclasses.replace(result, log_times=weeks)
+        entries = tied.to_log().entries
+        assert list(entries) == self.rows_sorted_by_lt(tied)
+        machines_at = {}
+        for entry in entries:
+            machines_at.setdefault(entry.time, set()).add(entry.machine)
+        assert any({"m10", "m2"} <= names for names in machines_at.values())
 
 
 # ---------------------------------------------------------------------------

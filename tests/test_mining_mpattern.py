@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_mining import (
+    mine_m_patterns_from_counts as scan_mine_m_patterns_from_counts,
+)
 from repro.errors import MiningError
 from repro.mining.mpattern import (
     is_m_pattern,
@@ -189,3 +192,44 @@ class TestCountedMiner:
         assert not mine_m_patterns_from_counts(
             counts, 0.5, min_support_count=4
         )
+
+
+# Weighted multisets of transactions: empty, singletons, repeated
+# (multiplicity > 1) and wide transactions over a small alphabet, so
+# patterns of every size actually occur.
+_ITEMS = st.sampled_from([f"s{i}" for i in range(8)])
+_WEIGHTED = st.dictionaries(
+    st.one_of(
+        st.frozensets(_ITEMS, max_size=3),
+        st.frozensets(_ITEMS, min_size=5, max_size=8),
+    ),
+    st.integers(1, 6),
+    max_size=10,
+)
+
+
+class TestTransactionIdCounting:
+    """The id-set miner against the frozen scan-based reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=_WEIGHTED,
+        minp=st.one_of(
+            st.sampled_from([1.0, 0.5]),
+            st.floats(0.0, 1.0, exclude_min=True),
+        ),
+        min_size=st.integers(1, 3),
+        max_size=st.integers(0, 3),
+        min_support_count=st.integers(0, 5),
+    )
+    def test_equals_scan_reference(
+        self, counts, minp, min_size, max_size, min_support_count
+    ):
+        options = dict(
+            min_size=min_size,
+            max_size=max_size,
+            min_support_count=min_support_count,
+        )
+        assert mine_m_patterns_from_counts(
+            counts, minp, **options
+        ) == scan_mine_m_patterns_from_counts(counts, minp, **options)
