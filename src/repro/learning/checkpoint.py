@@ -228,7 +228,9 @@ class CheckpointStore:
                 ),
                 wall_clock=float(payload.get("wall_clock", 0.0)),
             )
-        except (KeyError, TypeError, ValueError, LogFormatError):
+        except (
+            KeyError, TypeError, ValueError, OverflowError, LogFormatError
+        ):
             # Torn or hand-edited checkpoint: retrain rather than crash.
             return None
 

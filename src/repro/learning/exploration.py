@@ -13,7 +13,7 @@ exploration-strategy ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -76,12 +76,6 @@ class BoltzmannExplorer:
         self._cached_sweep = -1
         self._cached_temperature = 0.0
 
-    def _temperature(self, sweep: int) -> float:
-        if sweep != self._cached_sweep:
-            self._cached_temperature = self.schedule.temperature(sweep)
-            self._cached_sweep = sweep
-        return self._cached_temperature
-
     def probabilities(
         self, q_values: Mapping[str, float], sweep: int
     ) -> Mapping[str, float]:
@@ -105,7 +99,7 @@ class BoltzmannExplorer:
         p = np.array([probabilities[n] for n in names])
         return names[int(self._rng.choice(len(names), p=p))]
 
-    def select_index(self, q_row: np.ndarray, sweep: int) -> int:
+    def select_index(self, q_row: Sequence[float], sweep: int) -> int:
         """Draw one action id from a Q row (the trainer's per-step draw).
 
         Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
@@ -116,40 +110,49 @@ class BoltzmannExplorer:
         ``searchsorted(normalized cumsum(p), u, side="right")`` — while
         skipping its input validation and per-call dict round-trips.
         """
-        if q_row.size == 0:
+        size = len(q_row)
+        if size == 0:
             raise ConfigurationError("q_row must be non-empty")
-        temperature = self._temperature(sweep)
-        # ``(m - q) / T`` equals ``-(q - m) / T`` bit for bit (IEEE-754
-        # rounding is sign-symmetric), saving one array operation over
-        # the literal transcription of :meth:`probabilities`.
-        logits = (min(q_row.tolist()) - q_row) / temperature
-        weights = np.exp(logits)
-        if weights.size < 8:
-            # Scalar inverse-CDF: numpy's add-reduce and cumsum are
-            # plain left folds below the 8-element pairwise-summation
-            # block, so these scalar ops reproduce the array ops (and
-            # the ``choice`` draw) bit for bit at a fraction of the
-            # per-call overhead.  Catalogs are action-strength ladders,
-            # so this branch is the norm.
-            scalars = weights.tolist()
-            total = 0.0
-            for weight in scalars:
-                total += weight
-            cumulative = 0.0
-            tail = 0.0
-            for weight in scalars:
-                tail += weight / total
-            uniform = self._rng.random()
-            last = len(scalars) - 1
-            for position in range(last):
-                cumulative += scalars[position] / total
-                if cumulative / tail > uniform:
-                    return position
-            return last
-        p = weights / weights.sum()
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(self._rng.random(), side="right"))
+        if sweep != self._cached_sweep:
+            self._cached_temperature = self.schedule.temperature(sweep)
+            self._cached_sweep = sweep
+        temperature = self._cached_temperature
+        # The logits ``(m - q) / T`` equal :meth:`probabilities`'
+        # ``-(q - m) / T`` bit for bit (IEEE-754 rounding is
+        # sign-symmetric).
+        lowest = min(q_row)
+        if size >= 8:
+            # numpy's add-reduce turns pairwise at 8 elements, so wide
+            # catalogs take the array form itself.
+            logits = (lowest - np.asarray(q_row, dtype=float)) / temperature
+            weights = np.exp(logits)
+            p = weights / weights.sum()
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            return int(cdf.searchsorted(self._rng.random(), side="right"))
+        # Scalar inverse-CDF: below 8 elements numpy's add-reduce and
+        # cumsum are plain left folds, so these scalar ops reproduce the
+        # array ops (and the ``choice`` draw) bit for bit at a fraction
+        # of the per-call overhead.  Catalogs are action-strength
+        # ladders, so this branch is the norm.  Each weight is numpy's
+        # ``exp`` of a Python float, which equals the array ufunc's
+        # element; ``math.exp`` does not always (DESIGN.md §5b).
+        exp = np.exp
+        weights = [float(exp((lowest - q) / temperature)) for q in q_row]
+        total = 0.0
+        for weight in weights:
+            total += weight
+        cumulative = 0.0
+        tail = 0.0
+        for weight in weights:
+            tail += weight / total
+        uniform = self._rng.random()
+        last = size - 1
+        for position in range(last):
+            cumulative += weights[position] / total
+            if cumulative / tail > uniform:
+                return position
+        return last
 
 
 class EpsilonGreedyExplorer:
@@ -189,15 +192,15 @@ class EpsilonGreedyExplorer:
             return names[int(self._rng.integers(0, len(names)))]
         return min(names, key=lambda n: q_values[n])
 
-    def select_index(self, q_row: np.ndarray, sweep: int) -> int:
+    def select_index(self, q_row: Sequence[float], sweep: int) -> int:
         """Draw one action id from a Q row (the trainer's per-step draw).
 
         Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
-        same RNG consumption, and ``argmin`` matches ``min``'s
-        first-minimum tie break in catalog order.
+        same RNG consumption, and the first minimum wins, matching
+        ``min``'s tie break in catalog order.
         """
-        if q_row.size == 0:
+        if len(q_row) == 0:
             raise ConfigurationError("q_row must be non-empty")
         if self._rng.random() < self.epsilon(sweep):
             return int(self._rng.integers(0, len(q_row)))
-        return int(q_row.argmin())
+        return q_row.index(min(q_row))

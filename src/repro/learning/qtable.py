@@ -9,22 +9,23 @@ recovery time when beginning with that action.  Updates follow
 which makes ``Q_n`` exactly the running average of the sampled targets —
 the contraction the paper cites for convergence with probability 1.
 
-Q values and visit counts live in growable ``(n_states, n_actions)``
-numpy arrays, with states interned to dense row ids by a
-:class:`~repro.mdp.state.StateIndex`.  The training inner loop reads and
-writes by id (:meth:`QTable.q_row`, :meth:`QTable.underexplored_by_id`,
-:meth:`QTable.bootstrap_by_id`, :meth:`QTable.update_by_id`), skipping
-per-step state hashing; rule extraction and persistence read by state.
-The greedy policy is maintained incrementally, so the per-sweep
+States are interned to dense row ids by a
+:class:`~repro.mdp.state.StateIndex`, and each state owns one Python
+``list`` of Q values and one of visit counts: catalogs are a handful of
+actions wide, so the training loop reads and writes native floats by
+list indexing, with no numpy scalar boxing.  The loop reads by id
+(:meth:`QTable.q_row`, :meth:`QTable.underexplored_by_id`) and writes a
+whole episode at a time (:meth:`QTable.apply_episode`, the one place
+equation (6) is written); rule extraction and persistence read by
+state.  The greedy policy is maintained incrementally, so the per-sweep
 convergence check (:meth:`QTable.greedy_policy_changed`) touches only
 the states whose argmin actually moved.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError, TrainingError
 from repro.mdp.state import RecoveryState, StateIndex
@@ -41,9 +42,9 @@ class QTable:
         The actions available in every (non-terminal) state; action ids
         are positions in this sequence.
     initial_value:
-        Q value reported for never-visited pairs.  The default of 0 is
-        optimistic for cost minimization, which drives exploration toward
-        untried actions.
+        Q value reported for never-visited pairs; must be finite.  The
+        default of 0 is optimistic for cost minimization, which drives
+        exploration toward untried actions.
     alpha_floor:
         Lower bound on the learning rate.  The paper's pure
         ``1/(1+visits)`` schedule (``alpha_floor=0``) weights every
@@ -68,29 +69,31 @@ class QTable:
             raise ConfigurationError(
                 f"alpha_floor must be in [0, 1], got {alpha_floor}"
             )
+        initial = float(initial_value)
+        if not math.isfinite(initial):
+            raise ConfigurationError(
+                f"initial_value must be finite, got {initial_value}"
+            )
         self._actions: Tuple[str, ...] = tuple(action_names)
         self._action_ids: Dict[str, int] = {
             name: i for i, name in enumerate(self._actions)
         }
         self._n_actions = len(self._actions)
-        self._initial = float(initial_value)
+        self._initial = initial
         self._alpha_floor = alpha_floor
         self._index = StateIndex(self._actions)
-        self._capacity = 0
-        self._values = np.empty((0, self._n_actions), dtype=np.float64)
-        self._visits = np.zeros((0, self._n_actions), dtype=np.int64)
-        # Greedy policy, maintained inside update()/restore(): the
-        # visited action of minimum Q per state (-1: none visited), a
-        # snapshot of it at the last greedy_policy_changed() call, and
-        # the set of states whose entry moved since then.  Plain lists:
-        # these are read and written one scalar at a time on the hot
-        # path, where list indexing beats numpy scalar boxing.
+        # Per interned state id (rows added by _grow): Q values and
+        # visit counts by action id, the greedy entry (the first visited
+        # action of minimum Q; -1: none visited), its snapshot at the
+        # last greedy_policy_changed() call, and the states whose entry
+        # moved since then.
+        self._values: List[List[float]] = []
+        self._visits: List[List[int]] = []
         self._greedy: List[int] = []
         self._greedy_mark: List[int] = []
         self._dirty: Set[int] = set()
         self._checked_once = False
         # States with at least one visited action, in first-visit order.
-        self._known: Set[int] = set()
         self._known_order: List[int] = []
 
     # ------------------------------------------------------------------
@@ -104,7 +107,7 @@ class QTable:
 
     @property
     def index(self) -> StateIndex:
-        """The state interner mapping states to array rows."""
+        """The state interner mapping states to row ids."""
         return self._index
 
     def __len__(self) -> int:
@@ -116,23 +119,16 @@ class QTable:
         return (self._index.state(sid) for sid in self._known_order)
 
     # ------------------------------------------------------------------
-    # Array plumbing
+    # Row plumbing
     # ------------------------------------------------------------------
-    def _ensure_capacity(self, sid: int) -> None:
-        if sid < self._capacity:
-            return
-        new_cap = max(16, 2 * self._capacity, sid + 1)
-        values = np.full(
-            (new_cap, self._n_actions), self._initial, dtype=np.float64
-        )
-        values[: self._capacity] = self._values
-        visits = np.zeros((new_cap, self._n_actions), dtype=np.int64)
-        visits[: self._capacity] = self._visits
-        grow = new_cap - self._capacity
-        self._greedy.extend([-1] * grow)
-        self._greedy_mark.extend([-1] * grow)
-        self._values, self._visits = values, visits
-        self._capacity = new_cap
+    def _grow(self) -> None:
+        """Give every state interned since the last call its rows."""
+        n = self._n_actions
+        for _ in range(len(self._values), len(self._index)):
+            self._values.append([self._initial] * n)
+            self._visits.append([0] * n)
+            self._greedy.append(-1)
+            self._greedy_mark.append(-1)
 
     def _check_action(self, action_name: str) -> int:
         aid = self._action_ids.get(action_name)
@@ -142,17 +138,22 @@ class QTable:
             )
         return aid
 
+    def _known_sid(self, state: RecoveryState) -> Optional[int]:
+        """The state's id if it has a visited action, else ``None``."""
+        sid = self._index.lookup(state)
+        if sid is None or sid >= len(self._greedy) or self._greedy[sid] < 0:
+            return None
+        return sid
+
     def _refresh_greedy(self, sid: int) -> None:
         """Recompute the state's greedy entry after a write to its row.
 
         A tiny loop over the catalog (first minimum among visited
-        actions, so ties break by catalog order) beats vectorized argmin
-        at this width and keeps the dirty set exact.  ``tolist``
-        converts the rows to Python scalars in one pass — the values
-        are the same IEEE doubles, just cheaper to compare.
+        actions, so ties break by catalog order) keeps the dirty set
+        exact.
         """
-        values = self._values[sid].tolist()
-        visits = self._visits[sid].tolist()
+        values = self._values[sid]
+        visits = self._visits[sid]
         best = -1
         best_value = 0.0
         for aid in range(self._n_actions):
@@ -165,31 +166,24 @@ class QTable:
             self._greedy[sid] = best
             self._dirty.add(sid)
 
-    def _touch(self, sid: int) -> None:
-        if sid not in self._known:
-            self._known.add(sid)
-            self._known_order.append(sid)
-
     # ------------------------------------------------------------------
     # State-keyed reads and writes (extraction, persistence)
     # ------------------------------------------------------------------
     def value(self, state: RecoveryState, action_name: str) -> float:
         """Current Q(s, a); the initial value when never visited."""
         aid = self._check_action(action_name)
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_sid(state)
+        if sid is None:
             return self._initial
-        if self._visits[sid, aid] == 0:
-            return self._initial
-        return float(self._values[sid, aid])
+        return self._values[sid][aid]
 
     def visit_count(self, state: RecoveryState, action_name: str) -> int:
         """How many updates (s, a) has received."""
         aid = self._check_action(action_name)
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_sid(state)
+        if sid is None:
             return 0
-        return int(self._visits[sid, aid])
+        return self._visits[sid][aid]
 
     def greedy_action(
         self, state: RecoveryState
@@ -200,25 +194,23 @@ class QTable:
         carry the optimistic initial value and must not be exploited.
         Ties break by catalog order (the order of ``action_names``).
         """
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_sid(state)
+        if sid is None:
             return None
-        aid = int(self._greedy[sid])
-        if aid < 0:
-            return None
-        return self._actions[aid], float(self._values[sid, aid])
+        aid = self._greedy[sid]
+        return self._actions[aid], self._values[sid][aid]
 
     def ranked_actions(
         self, state: RecoveryState
     ) -> Tuple[Tuple[str, float], ...]:
         """Visited actions ranked by ascending Q (ties by catalog order)."""
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_sid(state)
+        if sid is None:
             return ()
         values = self._values[sid]
         visits = self._visits[sid]
         ranked = [
-            (self._actions[aid], float(values[aid]))
+            (self._actions[aid], values[aid])
             for aid in range(self._n_actions)
             if visits[aid] > 0
         ]
@@ -233,12 +225,15 @@ class QTable:
     ) -> float:
         """Apply one equation-(6) update toward ``target``.
 
+        A one-step :meth:`apply_episode` whose cost is the whole target.
         Returns the absolute change in Q(s, a).
         """
         aid = self._check_action(action_name)
         if state.is_terminal:
             raise TrainingError(f"cannot update a terminal state {state}")
-        return self.update_by_id(self._index.intern(state), aid, target)
+        return self.apply_episode(
+            (self._index.intern(state),), (aid,), (target,), None
+        )
 
     def restore(
         self,
@@ -250,21 +245,25 @@ class QTable:
         """Set a (state, action) entry directly, bypassing equation (6).
 
         Used by deserialization to reinstate a persisted table; the
-        visit count must be positive so the learning-rate schedule
-        resumes correctly.
+        value must be finite and the visit count positive, so the
+        greedy policy and the learning-rate schedule resume correctly.
         """
         aid = self._check_action(action_name)
         if state.is_terminal:
             raise TrainingError(f"cannot restore a terminal state {state}")
+        value = float(value)
+        if not math.isfinite(value):
+            raise TrainingError(f"restored value must be finite, got {value}")
         if visits < 1:
             raise TrainingError(
                 f"restored visits must be >= 1, got {visits}"
             )
         sid = self._index.intern(state)
-        self._ensure_capacity(sid)
-        self._values[sid, aid] = float(value)
-        self._visits[sid, aid] = int(visits)
-        self._touch(sid)
+        self._grow()
+        self._values[sid][aid] = value
+        self._visits[sid][aid] = int(visits)
+        if self._greedy[sid] < 0:
+            self._known_order.append(sid)
         self._refresh_greedy(sid)
 
     def greedy_policy_changed(self) -> bool:
@@ -290,15 +289,16 @@ class QTable:
         return changed
 
     # ------------------------------------------------------------------
-    # Id-keyed reads and writes (the training inner loop)
+    # Id-keyed reads and the episode write (the training inner loop)
     # ------------------------------------------------------------------
-    def q_row(self, sid: int) -> np.ndarray:
+    def q_row(self, sid: int) -> Sequence[float]:
         """The state's Q row over all actions, in catalog order.
 
-        Never-visited entries hold the initial value; the returned array
-        is a live view — callers must not mutate it.
+        Never-visited entries hold the initial value; the returned list
+        is the live row — callers must not mutate it.
         """
-        self._ensure_capacity(sid)
+        if sid >= len(self._values):
+            self._grow()
         return self._values[sid]
 
     def underexplored_by_id(self, sid: int, min_visits: int) -> int:
@@ -312,12 +312,11 @@ class QTable:
         """
         if min_visits <= 0:
             return -1
-        self._ensure_capacity(sid)
-        visits = self._visits[sid].tolist()
+        if sid >= len(self._visits):
+            self._grow()
         best = -1
         best_count = min_visits
-        for aid in range(self._n_actions):
-            count = visits[aid]
+        for aid, count in enumerate(self._visits[sid]):
             if count < best_count:
                 best = aid
                 best_count = count
@@ -328,66 +327,92 @@ class QTable:
 
         The TD target's second term.  Terminal states contribute 0;
         unvisited states the initial value; otherwise the minimum over
-        *visited* actions: with the optimistic 0 default, including
-        never-tried actions would make continuations look free and bias
-        upstream Q values low.
+        *visited* actions — the greedy entry's value: with the
+        optimistic 0 default, including never-tried actions would make
+        continuations look free and bias upstream Q values low.
         """
         if self._index.is_terminal(sid):
             return 0.0
-        if sid not in self._known:
+        if sid >= len(self._greedy) or self._greedy[sid] < 0:
             return self._initial
-        values = self._values[sid].tolist()
-        visits = self._visits[sid].tolist()
-        best = self._initial
-        found = False
-        for aid in range(self._n_actions):
-            if visits[aid] > 0:
-                value = values[aid]
-                if not found or value < best:
-                    best = value
-                    found = True
-        return best
+        return self._values[sid][self._greedy[sid]]
 
-    def update_by_id(self, sid: int, aid: int, target: float) -> float:
-        """Equation-(6) update addressed by interned ids.
+    def apply_episode(
+        self,
+        sids: Sequence[int],
+        aids: Sequence[int],
+        costs: Sequence[float],
+        tail: Optional[int],
+    ) -> float:
+        """Apply one episode's equation-(6) updates, deepest step first.
 
-        Returns the absolute change in Q(s, a), like ``update``.
+        Step ``i`` took action ``aids[i]`` in state ``sids[i]`` at cost
+        ``costs[i]`` and led to ``sids[i + 1]``; the last step led to
+        ``tail``.  Each target is the step's cost plus its successor's
+        :meth:`bootstrap_by_id` value — or the cost alone for the last
+        step when ``tail`` is ``None`` (:meth:`update`).  Reverse order
+        means every bootstrap reads a successor value that the same
+        episode just refreshed, which propagates terminal costs up the
+        chain within a single episode.  Returns the largest absolute Q
+        change the episode caused.
         """
-        if self._index.is_terminal(sid):
-            raise TrainingError(
-                f"cannot update a terminal state {self._index.state(sid)}"
-            )
-        self._ensure_capacity(sid)
-        # ``item`` yields Python scalars, so the arithmetic below runs on
-        # native IEEE-754 doubles without numpy's scalar-object overhead.
-        visits = self._visits.item(sid, aid)
-        old = self._values.item(sid, aid)
-        alpha = 1.0 / (1.0 + visits)
-        if alpha < self._alpha_floor:
-            alpha = self._alpha_floor
-        new = (1.0 - alpha) * old + alpha * target
-        self._values[sid, aid] = new
-        self._visits[sid, aid] = visits + 1
-        if sid not in self._known:
-            self._known.add(sid)
-            self._known_order.append(sid)
-        # Incremental greedy maintenance.  Only one entry moved, so the
-        # first-minimum-over-visited argmin can shift in exactly three
-        # ways: the state had no greedy yet (aid takes over); a
-        # non-greedy entry dropped to or below the greedy value (aid
-        # takes over iff strictly below, or ties with an earlier catalog
-        # position); or the greedy entry itself *increased* — the one
-        # case that needs a row rescan.
-        greedy = self._greedy[sid]
-        if greedy < 0:
-            self._greedy[sid] = aid
-            self._dirty.add(sid)
-        elif greedy == aid:
-            if new > old:
-                self._refresh_greedy(sid)
-        else:
-            greedy_value = self._values.item(sid, greedy)
-            if new < greedy_value or (new == greedy_value and aid < greedy):
-                self._greedy[sid] = aid
-                self._dirty.add(sid)
-        return abs(new - old)
+        i = len(sids) - 1
+        if i < 0:
+            return 0.0
+        values = self._values
+        if len(values) < len(self._index):
+            self._grow()
+        visits = self._visits
+        greedy = self._greedy
+        dirty = self._dirty
+        is_terminal = self._index.is_terminal
+        alpha_floor = self._alpha_floor
+        target = costs[i]
+        if tail is not None:
+            target += self.bootstrap_by_id(tail)
+        max_delta = 0.0
+        while True:
+            sid = sids[i]
+            aid = aids[i]
+            if is_terminal(sid):
+                raise TrainingError(
+                    f"cannot update a terminal state {self._index.state(sid)}"
+                )
+            row = values[sid]
+            counts = visits[sid]
+            count = counts[aid]
+            old = row[aid]
+            alpha = 1.0 / (1.0 + count)
+            if alpha < alpha_floor:
+                alpha = alpha_floor
+            new = (1.0 - alpha) * old + alpha * target
+            row[aid] = new
+            counts[aid] = count + 1
+            # Incremental greedy maintenance.  Only one entry moved, so
+            # the first-minimum-over-visited argmin can shift in exactly
+            # three ways: the state had no greedy yet (its first visit:
+            # aid takes over); a non-greedy entry dropped to or below
+            # the greedy value (aid takes over iff strictly below, or
+            # ties with an earlier catalog position); or the greedy
+            # entry itself *increased* — the one case that needs a row
+            # rescan.
+            best = greedy[sid]
+            if best < 0:
+                greedy[sid] = aid
+                dirty.add(sid)
+                self._known_order.append(sid)
+            elif best == aid:
+                if new > old:
+                    self._refresh_greedy(sid)
+            elif new < row[best] or (new == row[best] and aid < best):
+                greedy[sid] = aid
+                dirty.add(sid)
+            delta = abs(new - old)
+            if delta > max_delta:
+                max_delta = delta
+            if i == 0:
+                return max_delta
+            i -= 1
+            # The next step's successor is ``sid``, visited just now:
+            # its bootstrap value is its greedy entry.
+            target = costs[i] + row[greedy[sid]]

@@ -46,6 +46,8 @@ PathLike = Union[str, Path]
 
 _POLICY_FORMAT = "repro/trained-policy@1"
 _QTABLE_FORMAT = "repro/qtable@1"
+#: Largest visit count a Q-table entry may carry (the int64 range).
+_MAX_VISITS = 2**63 - 1
 
 
 def state_to_record(state: RecoveryState) -> Dict[str, object]:
@@ -64,7 +66,7 @@ def state_from_record(record: Dict[str, object]) -> RecoveryState:
             healthy=False,
             tried=tuple(str(a) for a in record["tried"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigurationError) as exc:
         raise LogFormatError(f"bad state record {record!r}: {exc}") from None
 
 
@@ -180,9 +182,10 @@ def qtable_from_payload(
 
     ``alpha_floor`` is a training-time knob, not part of the payload,
     and is supplied by the caller.  Every way a payload can be malformed
-    — not an object, a missing field, an entry the table refuses (zero
-    visits, an action outside ``actions``) — raises
-    :class:`LogFormatError`.
+    — not an object, a missing field, a non-finite ``initial_value``, a
+    ``visits`` that is not a JSON integer in ``[1, 2**63 - 1]``, an entry
+    the table refuses (a non-finite value, an action outside
+    ``actions``) — raises :class:`LogFormatError`.
     """
     if not isinstance(payload, dict):
         raise LogFormatError(
@@ -202,21 +205,31 @@ def qtable_from_payload(
             initial_value=float(payload.get("initial_value", 0.0)),
             alpha_floor=alpha_floor,
         )
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+    except (
+        KeyError, TypeError, ValueError, OverflowError, ConfigurationError
+    ) as exc:
         raise LogFormatError(f"bad Q-table header: {exc}") from None
     for record in entries:
         state = state_from_record(record)
         try:
+            # ``restore`` refuses counts below 1.
+            visits = record["visits"]
+            if (
+                isinstance(visits, bool)
+                or not isinstance(visits, int)
+                or visits > _MAX_VISITS
+            ):
+                raise ValueError(
+                    f"visits must be a JSON integer <= {_MAX_VISITS}"
+                )
             qtable.restore(
-                state,
-                str(record["action"]),
-                float(record["value"]),
-                int(record["visits"]),
+                state, str(record["action"]), float(record["value"]), visits
             )
         except (
             KeyError,
             TypeError,
             ValueError,
+            OverflowError,
             ConfigurationError,
             TrainingError,
         ) as exc:

@@ -1,7 +1,8 @@
 """Shared test helpers.
 
-Compact construction of processes and logs, and :func:`snapshot_digest`
-for pinning results to frozen SHA-256 digests.
+Compact construction of processes and logs, :func:`snapshot_digest`
+for pinning results to frozen SHA-256 digests, and the out-of-range
+Q-table fields every Q-table loader must refuse.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import hashlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import pytest
 
 from repro.recoverylog.entry import LogEntry
 from repro.recoverylog.log import RecoveryLog
@@ -151,3 +153,27 @@ def snapshot_digest(obj: object) -> str:
     states and ordering of every list.
     """
     return hashlib.sha256(repr(_canonical(obj)).encode("utf-8")).hexdigest()
+
+
+#: Q-table payload fields every loader must refuse, as
+#: ``(where, field, value)``: ``where`` is ``"header"`` or ``"entry"``
+#: (the first entry).  ``json.dumps`` writes NaN and infinities as the
+#: non-standard ``NaN``/``Infinity`` tokens Python's parser accepts.
+BAD_QTABLE_FIELDS = [
+    pytest.param("entry", "visits", 10**30, id="visits-1e30"),
+    pytest.param("entry", "visits", 2**63, id="visits-2^63"),
+    pytest.param("entry", "visits", 3.9, id="visits-float"),
+    pytest.param("entry", "visits", True, id="visits-bool"),
+    pytest.param("entry", "visits", "7", id="visits-string"),
+    pytest.param("entry", "value", float("nan"), id="value-nan"),
+    pytest.param("entry", "value", float("inf"), id="value-infinity"),
+    pytest.param("header", "initial_value", float("inf"), id="initial-inf"),
+    pytest.param("header", "initial_value", float("nan"), id="initial-nan"),
+    pytest.param("entry", "error_type", "", id="empty-error-type"),
+]
+
+
+def set_qtable_field(payload: dict, where: str, field: str, value) -> None:
+    """Set one field of a Q-table payload in place (see above)."""
+    target = payload if where == "header" else payload["entries"][0]
+    target[field] = value

@@ -7,9 +7,9 @@ convergence sweeps.  The dict backend now lives only in the test tree
 (:mod:`reference_qtable`), and the contract is kept at three levels:
 
 * hypothesis property tests drive the table and the reference through
-  random update/restore/query sequences and compare every observable
-  after every operation, answering each of the reference's state-keyed
-  reads with the table's id-keyed ones;
+  random update/restore/episode/query sequences and compare every
+  observable after every operation, answering each of the reference's
+  state-keyed reads with the table's id-keyed ones;
 * end-to-end ``train_type`` courses (both exploration strategies), the
   parallel engine and checkpoint/resume must reproduce SHA-256 digests
   recorded when both backends still trained, which matched, and a
@@ -97,10 +97,52 @@ _ops = st.lists(
             st.integers(1, 50),
         ),
         st.tuples(st.just("check_policy")),
+        # One episode: (state, action, cost) steps, each leading to the
+        # next step's state, the last to TERMINAL (-1) or an open state.
+        st.tuples(
+            st.just("episode"),
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(STATES) - 1),
+                    st.integers(0, len(ACTIONS) - 1),
+                    _targets,
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            st.integers(-1, len(STATES) - 1),
+        ),
     ),
     min_size=1,
     max_size=60,
 )
+
+
+def apply_episode(reference, table, op):
+    """One episode through both tables; returns both largest |dQ|.
+
+    The reference runs the trainer's old per-step reverse loop (a
+    bootstrap read, then an update, per step); the table runs
+    :meth:`QTable.apply_episode`.
+    """
+    _, steps, end = op
+    states = [STATES[si] for si, _, _ in steps]
+    states.append(TERMINAL if end < 0 else STATES[end])
+    reference_delta = 0.0
+    for i in range(len(steps) - 1, -1, -1):
+        _, ai, cost = steps[i]
+        target = cost + reference.bootstrap_value(states[i + 1])
+        delta = reference.update(states[i], ACTIONS[ai], target)
+        if delta > reference_delta:
+            reference_delta = delta
+    sids = [table.index.intern(state) for state in states]
+    table_delta = table.apply_episode(
+        sids[:-1],
+        [ai for _, ai, _ in steps],
+        [cost for _, _, cost in steps],
+        sids[-1],
+    )
+    return reference_delta, table_delta
 
 
 def shared_observables(table):
@@ -155,7 +197,7 @@ def table_observables(table: QTable):
     observed = shared_observables(table)
     observed.update(
         rows={
-            state: dict(zip(ACTIONS, table.q_row(sid[state]).tolist()))
+            state: dict(zip(ACTIONS, table.q_row(sid[state])))
             for state in STATES
         },
         totals={
@@ -170,7 +212,7 @@ def table_observables(table: QTable):
             state: (
                 0.0
                 if state.is_terminal
-                else min(table.q_row(sid[state]).tolist())
+                else min(table.q_row(sid[state]))
             )
             for state in STATES + [TERMINAL]
         },
@@ -200,6 +242,9 @@ class TestPropertyEquivalence:
                 _, si, ai, value, visits = op
                 reference.restore(STATES[si], ACTIONS[ai], value, visits)
                 table.restore(STATES[si], ACTIONS[ai], value, visits)
+            elif op[0] == "episode":
+                delta_ref, delta = apply_episode(reference, table, op)
+                assert delta_ref == delta
             else:
                 assert (
                     reference.greedy_policy_changed()
@@ -228,6 +273,8 @@ class TestPropertyEquivalence:
                 _, si, ai, value, visits = op
                 reference.restore(STATES[si], ACTIONS[ai], value, visits)
                 table.restore(STATES[si], ACTIONS[ai], value, visits)
+            elif op[0] == "episode":
+                apply_episode(reference, table, op)
         assert (
             reference.greedy_policy_changed() == table.greedy_policy_changed()
         )

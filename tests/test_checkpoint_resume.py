@@ -9,10 +9,16 @@ run — exercising JSON round-trip exactness, fingerprint invalidation
 and torn-file tolerance along the way.
 """
 
+import functools
 import json
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import BAD_QTABLE_FIELDS, set_qtable_field
 from repro.actions import default_catalog
 from repro.core import PipelineConfig, RecoveryPolicyLearner
 from repro.errors import ConfigurationError, TrainingError
@@ -138,6 +144,31 @@ class TestCheckpointStore:
 
         assert self._corrupt(tmp_path, edit).load("error:Hard") is None
 
+    @pytest.mark.parametrize("where, field, value", BAD_QTABLE_FIELDS)
+    def test_out_of_range_qtable_field_retrains(
+        self, tmp_path, where, field, value
+    ):
+        def edit(payload):
+            set_qtable_field(payload["qtable"], where, field, value)
+            return payload
+
+        assert self._corrupt(tmp_path, edit).load("error:Hard") is None
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload["training"].update(episodes=float("inf")),
+            lambda payload: payload.update(expected_cost=10**400),
+        ],
+        ids=["infinite-episodes", "huge-expected-cost"],
+    )
+    def test_out_of_range_training_field_retrains(self, tmp_path, edit):
+        def corrupt(payload):
+            edit(payload)
+            return payload
+
+        assert self._corrupt(tmp_path, corrupt).load("error:Hard") is None
+
     def test_tampered_error_type_raises(self, tmp_path):
         groups = ladder_groups()
         store = store_at(tmp_path)
@@ -174,6 +205,40 @@ class TestCheckpointStore:
         )
         assert path == store.path_for("error:Hard")
         assert path.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_checkpoint() -> bytes:
+    """error:Hard's checkpoint file from one trained run."""
+    with TemporaryDirectory() as tmp:
+        groups = ladder_groups()
+        store = store_at(Path(tmp))
+        engine_for(groups, store).train(groups)
+        return store.path_for("error:Hard").read_bytes()
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(flip=st.booleans(), data=st.data())
+    def test_loads_retrains_or_names_the_foreign_type(self, flip, data):
+        """Truncate or flip one byte: a checkpoint, ``None`` (retrain)
+        or the documented foreign-type ``TrainingError``."""
+        raw = bytearray(_saved_checkpoint())
+        offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if flip:
+            raw[offset] ^= data.draw(st.integers(1, 255), label="xor")
+        else:
+            del raw[offset:]
+        with TemporaryDirectory() as tmp:
+            store = store_at(Path(tmp))
+            store.directory.mkdir()
+            store.path_for("error:Hard").write_bytes(bytes(raw))
+            try:
+                loaded = store.load("error:Hard")
+            except TrainingError as exc:
+                assert "belongs to error type" in str(exc)
+            else:
+                assert loaded is None or isinstance(loaded, TypeCheckpoint)
 
 
 class TestInterruptAndResume:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.learning.exploration import (
@@ -9,6 +11,9 @@ from repro.learning.exploration import (
     EpsilonGreedyExplorer,
     TemperatureSchedule,
 )
+from repro.learning.qtable import QTable
+from repro.mdp.state import RecoveryState
+from repro.util.rng import make_rng
 
 
 class TestTemperatureSchedule:
@@ -131,3 +136,93 @@ class TestEpsilonGreedyExplorer:
             EpsilonGreedyExplorer(epsilon_initial=2.0)
         with pytest.raises(ConfigurationError):
             EpsilonGreedyExplorer(decay=0.0)
+
+
+# ----------------------------------------------------------------------
+# The trainer's per-step draw against the mapping form
+# ----------------------------------------------------------------------
+_q_values = st.one_of(
+    # A small pool, so rows hold ties.
+    st.sampled_from([0.0, 60.0, 600.0, 7_200.0]),
+    st.floats(
+        min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False
+    ),
+)
+
+
+def _explorer(kind, rng):
+    if kind == "boltzmann":
+        return BoltzmannExplorer(TemperatureSchedule(), rng=rng)
+    return EpsilonGreedyExplorer(rng=rng)
+
+
+class _FixedUniform:
+    """A stand-in generator whose ``random()`` always returns ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+class TestSelectIndexDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["boltzmann", "epsilon"]),
+        # Uniform row lengths: 8 and up take numpy's array branch.
+        values=st.integers(1, 12).flatmap(
+            lambda n: st.lists(_q_values, min_size=n, max_size=n)
+        ),
+        sweeps=st.lists(st.integers(0, 400), min_size=1, max_size=4),
+        draws=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_select_index_matches_select(
+        self, kind, values, sweeps, draws, seed
+    ):
+        """Twin generators: same action on every draw, same final state.
+
+        The row is the one the trainer draws from, a Q table's
+        ``q_row``; rows of 8 or more actions take the array branch.
+        Boltzmann draws are also probed at every step of the CDF that
+        ``Generator.choice`` searches (and one ulp either side), so a
+        weight off by one ulp fails even where a random draw would not
+        notice it.
+        """
+        names = [f"A{i}" for i in range(len(values))]
+        table = QTable(names)
+        state = RecoveryState.initial("error:X")
+        for name, value in zip(names, values):
+            table.restore(state, name, value, 1)
+        row = table.q_row(table.index.intern(state))
+        q_values = dict(zip(names, values))
+        fast_rng, slow_rng = make_rng(seed), make_rng(seed)
+        fast, slow = _explorer(kind, fast_rng), _explorer(kind, slow_rng)
+        for sweep in sweeps:
+            for _ in range(draws):
+                picked = names[fast.select_index(row, sweep)]
+                assert picked == slow.select(q_values, sweep)
+            if kind == "boltzmann":
+                # ``choice(n, p=p)``'s inverse CDF, as ``select`` draws.
+                p = np.array(list(slow.probabilities(q_values, sweep).values()))
+                cdf = p.cumsum()
+                cdf /= cdf[-1]
+                edges = {
+                    float(uniform)
+                    for edge in cdf[:-1].tolist()
+                    for uniform in (
+                        np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)
+                    )
+                    if uniform < 1.0  # ``random()`` draws from [0, 1)
+                }
+                for uniform in sorted(edges):
+                    probe = BoltzmannExplorer(
+                        TemperatureSchedule(), rng=_FixedUniform(uniform)
+                    )
+                    assert probe.select_index(row, sweep) == int(
+                        cdf.searchsorted(uniform, side="right")
+                    )
+        assert (
+            fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        )

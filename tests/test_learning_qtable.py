@@ -4,6 +4,8 @@ The training loop reads by interned state id; :func:`sid` interns a
 state so the id-keyed reads can be checked against named states.
 """
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, TrainingError
@@ -33,6 +35,18 @@ class TestConstruction:
     def test_bad_alpha_floor_rejected(self):
         with pytest.raises(ConfigurationError):
             QTable(ACTIONS, alpha_floor=1.5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_initial_value_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            QTable(ACTIONS, initial_value=value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_restore_rejects_non_finite_value(self, value):
+        table = QTable(ACTIONS)
+        with pytest.raises(TrainingError, match="finite"):
+            table.restore(S0, "REBOOT", value, 1)
+        assert table.greedy_action(S0) is None
 
 
 class TestUpdates:
@@ -78,6 +92,33 @@ class TestUpdates:
         with pytest.raises(ConfigurationError):
             table.update(S0, "FSCK", 1.0)
 
+    def test_episode_updates_deepest_step_first(self):
+        table = QTable(ACTIONS)
+        cured = S1.after("REBOOT", True)
+        largest = table.apply_episode(
+            [sid(table, S0), sid(table, S1)],
+            [0, 1],  # TRYNOP fails, then REBOOT cures
+            [100.0, 500.0],
+            sid(table, cured),
+        )
+        # S1 is updated first, so S0's target bootstraps from it.
+        assert table.value(S1, "REBOOT") == 500.0
+        assert table.value(S0, "TRYNOP") == 600.0
+        assert largest == 600.0
+        assert list(table.states()) == [S1, S0]
+
+    def test_empty_episode_changes_nothing(self):
+        table = QTable(ACTIONS)
+        assert table.apply_episode([], [], [], sid(table, S0)) == 0.0
+        assert len(table) == 0
+
+    def test_episode_through_terminal_state_rejected(self):
+        table = QTable(ACTIONS)
+        with pytest.raises(TrainingError):
+            table.apply_episode(
+                [sid(table, TERMINAL)], [0], [1.0], sid(table, S0)
+            )
+
 
 class TestQueries:
     def test_unvisited_value_is_initial(self):
@@ -94,14 +135,14 @@ class TestQueries:
     def test_values_for_covers_all_actions(self):
         table = QTable(ACTIONS)
         table.update(S0, "REBOOT", 5.0)
-        row = table.q_row(sid(table, S0)).tolist()
+        row = list(table.q_row(sid(table, S0)))
         assert row == [0.0, 5.0, 0.0, 0.0]  # catalog order
 
     def test_min_value_over_all_actions(self):
         table = QTable(ACTIONS)
         table.update(S0, "REBOOT", 5.0)
         # Unvisited entries keep the optimistic default in the row.
-        assert min(table.q_row(sid(table, S0)).tolist()) == 0.0
+        assert min(table.q_row(sid(table, S0))) == 0.0
 
     def test_min_value_terminal_is_zero(self):
         table = QTable(ACTIONS, initial_value=9.0)

@@ -1,10 +1,16 @@
 """Tests for policy and Q-table persistence."""
 
 import json
+import math
 import re
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import BAD_QTABLE_FIELDS, set_qtable_field
 from repro.errors import LogFormatError
 from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
@@ -196,12 +202,74 @@ class TestQTableRoundTrip:
         with pytest.raises(LogFormatError, match=pattern):
             load_qtable(path)
 
+    @pytest.mark.parametrize("where, field, value", BAD_QTABLE_FIELDS)
+    def test_out_of_range_field_rejected_with_path(
+        self, tmp_path, where, field, value
+    ):
+        path = tmp_path / "qtable.json"
+        save_qtable(self._table(), path)
+        payload = json.loads(path.read_text())
+        set_qtable_field(payload, where, field, value)
+        path.write_text(json.dumps(payload))
+        pattern = f"^{re.escape(str(path))}: bad "
+        with pytest.raises(LogFormatError, match=pattern):
+            load_qtable(path)
+
+    def test_largest_visit_count_loads(self, tmp_path):
+        path = tmp_path / "qtable.json"
+        save_qtable(self._table(), path)
+        payload = json.loads(path.read_text())
+        set_qtable_field(payload, "entry", "visits", 2**63 - 1)
+        path.write_text(json.dumps(payload))
+        entry = payload["entries"][0]
+        state = RecoveryState.initial(entry["error_type"])
+        assert load_qtable(path).visit_count(state, entry["action"]) == (
+            2**63 - 1
+        )
+
     def test_restore_rejects_zero_visits(self):
         from repro.errors import TrainingError
 
         table = QTable(ACTIONS)
         with pytest.raises(TrainingError):
             table.restore(S0, "TRYNOP", 1.0, visits=0)
+
+
+def _fuzz_table():
+    """A small trained-looking table with full-precision values."""
+    table = QTable(ACTIONS)
+    for target in (612.3456789, 845.0101):
+        table.update(S0, "TRYNOP", target)
+    table.update(S0, "REIMAGE", 7_213.77)
+    table.update(S1, "RMA", 172_801.25)
+    return table
+
+
+class TestQTableFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(flip=st.booleans(), data=st.data())
+    def test_loads_or_raises_path_prefixed_error(self, flip, data):
+        """Truncate or flip one byte: a sane table or a named error."""
+        with TemporaryDirectory() as tmp:
+            path = Path(tmp) / "qtable.json"
+            save_qtable(_fuzz_table(), path)
+            raw = bytearray(path.read_bytes())
+            offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            if flip:
+                raw[offset] ^= data.draw(st.integers(1, 255), label="xor")
+            else:
+                del raw[offset:]
+            path.write_bytes(bytes(raw))
+            try:
+                loaded = load_qtable(path)
+            except LogFormatError as exc:
+                assert str(exc).startswith(f"{path}:")
+                return
+        assert math.isfinite(loaded.initial_value)
+        for state in loaded.states():
+            for action in loaded.action_names:
+                assert math.isfinite(loaded.value(state, action))
+                assert 0 <= loaded.visit_count(state, action) < 2**63
 
 
 class TestEndToEndDeployment:

@@ -7,7 +7,6 @@ entirely by one generation.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -280,15 +279,76 @@ class TestForwardingWrapper:
         assert server.batch_count == 3
 
 
+class _InFlightPolicy(TrainedPolicy):
+    """A primary whose every batch stays open until the next publish."""
+
+    def __init__(self, rules, label, handshake):
+        super().__init__(rules, label=label)
+        self._handshake = handshake
+
+    def decide_batch(self, states):
+        self._handshake.hold()
+        return super().decide_batch(states)
+
+
+class _PublishHandshake:
+    """Lands every publish while some reader's batch is in flight.
+
+    A batch on an alternate primary registers as waiting and blocks
+    until the next publish; the writer publishes only once a batch is
+    waiting for that publish.  The interleaving is fixed by the
+    handshake, not by timing: ``TIMEOUT`` only turns a hang into a
+    failure.
+    """
+
+    TIMEOUT = 30.0
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._publishes = 0
+        self._waiting = 0  # batches blocked until the next publish
+        self._done = False
+
+    def hold(self):
+        """Reader side: wait, mid-batch, for the next publish."""
+        with self._cond:
+            seen = self._publishes
+            self._waiting += 1
+            self._cond.notify_all()
+            assert self._cond.wait_for(
+                lambda: self._done or self._publishes > seen, self.TIMEOUT
+            ), "no publish arrived for an in-flight batch"
+
+    def await_batch(self):
+        """Writer side: wait until a batch is held open."""
+        with self._cond:
+            assert self._cond.wait_for(
+                lambda: self._waiting > 0, self.TIMEOUT
+            ), "no batch went in flight"
+
+    def published(self):
+        """Writer side: release every batch held before this publish."""
+        with self._cond:
+            self._publishes += 1
+            self._waiting = 0
+            self._cond.notify_all()
+
+    def finish(self):
+        with self._cond:
+            self._done = True
+            self._cond.notify_all()
+
+
 class TestHotReloadRace:
     def test_no_torn_batches_under_concurrent_publish(self, trained):
         """Readers must never see two generations inside one batch."""
         server = DecisionServer(
             trained, UserDefinedPolicy(default_catalog())
         )
+        handshake = _PublishHandshake()
         alternates = [
-            TrainedPolicy({S0: ("REIMAGE", 7200.0)}, label="a"),
-            TrainedPolicy({S0: ("REBOOT", 60.0)}, label="b"),
+            _InFlightPolicy({S0: ("REIMAGE", 7200.0)}, "a", handshake),
+            _InFlightPolicy({S0: ("REBOOT", 60.0)}, "b", handshake),
         ]
         states = [S0, UNKNOWN, S1] * 20
         stop = threading.Event()
@@ -305,24 +365,28 @@ class TestHotReloadRace:
                     return
 
         def writer():
-            # Yield between publish bursts: 300 uncontended publishes
-            # fit inside one interpreter time slice, and a writer that
-            # finishes before any reader starts its second batch never
-            # overlaps a generation change with an in-flight batch.
-            for i in range(300):
-                server.publish(alternates[i % 2])
-                if i % 10 == 0:
-                    time.sleep(0.002)
+            # The first publish replaces the fixture's primary; every
+            # later one waits until a reader holds a batch of an
+            # alternate generation open, so it lands mid-batch.
+            try:
+                for i in range(300):
+                    if i > 0:
+                        handshake.await_batch()
+                    server.publish(alternates[i % 2])
+                    handshake.published()
+            finally:
+                handshake.finish()
 
         readers = [threading.Thread(target=reader) for _ in range(4)]
         for thread in readers:
             thread.start()
         publisher = threading.Thread(target=writer)
         publisher.start()
-        publisher.join()
+        publisher.join(handshake.TIMEOUT)
         stop.set()
         for thread in readers:
-            thread.join()
+            thread.join(handshake.TIMEOUT)
+        assert not any(t.is_alive() for t in readers + [publisher])
 
         assert torn == []
         assert len(versions_seen) > 1, (

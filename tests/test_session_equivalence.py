@@ -358,6 +358,7 @@ class TestTrainingEquivalence:
         course = trainer._course(table, "error:Hard", training)
         reference_explorer = trainer._make_explorer(make_rng(5))
         explorer = trainer._make_explorer(make_rng(5))
+        run = trainer._episode_runner(table, course, explorer)
 
         for sweep in range(30):
             for process, row in zip(training, course.rows):
@@ -370,7 +371,7 @@ class TestTrainingEquivalence:
                     config,
                 )
                 reference_updates(reference_table, expected)
-                trainer._explore_episode(table, explorer, course, row, sweep)
+                run(row, sweep)
                 steps = recorder.traces[-1].steps
                 assert [(s.action, s.cost) for s in steps] == [
                     (action, cost) for _s, action, cost, _n in expected
