@@ -2,11 +2,11 @@
 
 Two measurements, mirroring ``bench_training_throughput``'s shape:
 
-* **comparison** — the same cluster scenario on both backends under the
-  machine RNG discipline.  The backends are bit-identical by contract
-  (the differential fuzz suite pins it), so the benchmark first asserts
-  exact log equality and only then reports the speedup — a speedup
-  against diverging results would be meaningless.
+* **comparison** — the same cluster scenario on both backends, which
+  draw from the same per-machine streams.  They are bit-identical by
+  contract (the differential fuzz suite pins it), so the benchmark first
+  asserts exact log equality and only then reports the speedup — a
+  speedup against diverging results would be meaningless.
 * **scale** — the fleet engine alone on a fleet the event backend
   cannot reasonably hold (10^5+ machines in the full profile),
   reporting machines simulated per wall-clock second.
@@ -120,7 +120,7 @@ def _comparison(machines: int, days: float) -> Dict[str, object]:
 
     started = time.perf_counter()
     simulator = ClusterSimulator(
-        ClusterConfig(rng_discipline="machine", **params),
+        ClusterConfig(**params),
         bench_faults(),
         UserDefinedPolicy(catalog),
         catalog,

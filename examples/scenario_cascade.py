@@ -17,8 +17,8 @@ shows what cascades change — and what they don't:
 * but each individual process still looks the same, so the mining and
   training pipeline runs unchanged and the trained policy holds up.
 
-Cascades run on the event backend; the vectorized fleet backend
-refuses them by design (wave-based resolution cannot honor
+Cascades run on the sequential event engine; the vectorized fleet
+engine refuses them by design (wave-based resolution cannot honor
 onset-to-onset coupling), and ``simulate_cluster`` transparently falls
 back.
 
@@ -64,7 +64,6 @@ def run(coupled: bool):
             duration=40 * DAY,
             mean_time_between_failures=4 * DAY,
             noise_probability=0.0,
-            rng_discipline="machine",
         ),
         faults,
         UserDefinedPolicy(actions),
@@ -105,8 +104,8 @@ def main() -> None:
         f"{result.user_cost:.4f})."
     )
     print(
-        "Note: requesting backend='fleet' with a cascading scenario "
-        "falls back to the event backend automatically."
+        "Note: simulate_cluster runs a cascading scenario on the "
+        "event engine automatically."
     )
 
 

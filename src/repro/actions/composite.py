@@ -29,7 +29,11 @@ __all__ = ["SumCost", "compose_actions"]
 
 @dataclass(frozen=True)
 class SumCost(CostModel):
-    """The sum of several component cost models."""
+    """The sum of several component cost models.
+
+    Each component reads its own ``uniform_count`` rows of the uniforms,
+    in component order, and the durations are summed in that order.
+    """
 
     components: Tuple[CostModel, ...]
 
@@ -37,8 +41,19 @@ class SumCost(CostModel):
         if not self.components:
             raise ConfigurationError("SumCost needs at least one component")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(sum(c.sample(rng) for c in self.components))
+    @property
+    def uniform_count(self) -> int:  # type: ignore[override]
+        return sum(c.uniform_count for c in self.components)
+
+    def from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
+        uniforms = np.asarray(uniforms)
+        total = np.zeros(uniforms.shape[-1], dtype=np.float64)
+        row = 0
+        for component in self.components:
+            count = component.uniform_count
+            total = total + component.from_uniforms(uniforms[row:row + count])
+            row += count
+        return total
 
     @property
     def mean(self) -> float:

@@ -24,21 +24,15 @@ __all__ = ["CostModel", "DeterministicCost", "LognormalCost"]
 class CostModel:
     """Interface for sampling action durations, in seconds.
 
-    Two sampling surfaces are provided.  :meth:`sample` draws from a
-    :class:`numpy.random.Generator` — the classic stream discipline.
-    :meth:`from_uniforms` instead transforms ``uniform_count`` uniforms
-    in ``[0, 1)`` into durations with fixed numpy ufunc formulas, so a
+    :meth:`from_uniforms` transforms ``uniform_count`` uniforms in
+    ``[0, 1)`` into durations with fixed numpy ufunc formulas, so a
     scalar caller and a vectorized caller fed the same uniforms obtain
-    bit-identical IEEE-754 results — the property the fleet backend's
+    bit-identical IEEE-754 results — the property the cluster engines'
     differential tests pin.
     """
 
     #: How many uniforms :meth:`from_uniforms` consumes per duration.
     uniform_count: int = 0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one duration."""
-        raise NotImplementedError
 
     def from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         """Durations from uniforms of shape ``(uniform_count, n)``.
@@ -65,9 +59,6 @@ class DeterministicCost(CostModel):
 
     def __post_init__(self) -> None:
         check_positive("value", self.value)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
 
     def from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         count = np.asarray(uniforms).shape[-1]
@@ -107,9 +98,6 @@ class LognormalCost(CostModel):
     @property
     def _mu(self) -> float:
         return math.log(self.mean_seconds) - 0.5 * self._sigma**2
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(mean=self._mu, sigma=self._sigma))
 
     def from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         # Box–Muller on two uniforms; log1p(-u) keeps u=0 finite and the

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.actions.action import default_catalog
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RecoveryPolicyLearner
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.evaluation.split import time_ordered_split
 from repro.mining.clustering import coverage_curve
 from repro.mining.noise import filter_noise
@@ -81,14 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("jsonl", "text"), default="jsonl"
     )
     generate.add_argument(
-        "--cluster-backend",
-        choices=("event", "fleet"),
-        default="event",
-        help="simulation engine: the event-driven reference (default, "
-        "byte-identical to historical traces) or the vectorized fleet "
-        "engine under the per-machine RNG discipline",
-    )
-    generate.add_argument(
         "--drift",
         type=int,
         default=1,
@@ -119,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="STRENGTH",
         help="cascading faults: expected induced neighbour onsets per "
-        "onset, in [0, 1) (default 0 = independent; forces the event "
-        "backend)",
+        "onset, in [0, 1) (default 0 = independent; runs on the "
+        "sequential event engine)",
     )
 
     inspect = commands.add_parser(
@@ -158,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fraction",
         type=float,
         default=1.0,
-        help="chronological fraction of the log to train on (1.0 = all)",
+        help="chronological fraction of the log to train on, in (0, 1] "
+        "(1.0 = all)",
     )
     train.add_argument("--top-k", type=int, default=40)
     train.add_argument(
@@ -349,13 +342,6 @@ def _read_log(args: argparse.Namespace):
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _SCALES[args.scale](seed=args.seed)
-    if args.cluster_backend != config.cluster.backend:
-        config = dataclasses.replace(
-            config,
-            cluster=dataclasses.replace(
-                config.cluster, backend=args.cluster_backend
-            ),
-        )
     spec = ScenarioSpec(
         drift_epochs=args.drift,
         drift_strength=args.drift_strength,
@@ -436,9 +422,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.learning.telemetry import TelemetryRecorder
 
+    if not 0.0 < args.fraction <= 1.0:
+        raise ConfigurationError(
+            f"--fraction must be in (0, 1], got {args.fraction}"
+        )
     log = _read_log(args)
     processes = log.to_processes()
-    if 0.0 < args.fraction < 1.0:
+    if args.fraction < 1.0:
         train_set, _test = time_ordered_split(processes, args.fraction)
     else:
         train_set = processes
@@ -551,7 +541,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif args.figure == "summary":
         from repro.experiments.summary import reproduction_summary
 
-        print(reproduction_summary(scenario).render())
+        summary = reproduction_summary(scenario)
+        print(summary.render())
+        # A diverging audit fails the command, so CI can gate on it.
+        return 0 if summary.all_shapes_hold else 1
     return 0
 
 
@@ -708,7 +701,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         run_lint,
     )
     from repro.analysis.engine import BudgetExceededError
-    from repro.errors import ConfigurationError
 
     if args.explain:
         try:

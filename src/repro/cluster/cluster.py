@@ -8,6 +8,13 @@ recovery manager consults the active :class:`~repro.policies.base.Policy`
 and applies repair actions until the machine reports healthy.  The run's
 output is the recovery log — the only artifact the offline learning
 pipeline is allowed to see.
+
+This is the sequential event engine.  :func:`repro.cluster.simulate_cluster`
+runs the vectorized :class:`~repro.cluster.fleet.FleetEngine` by default
+and falls back to this simulator only for what waves cannot run —
+cascading scenarios and ``batch_safe=False`` policies.  Both engines draw
+from the same per-machine counter streams, so wherever both can run they
+produce the same log bit for bit (``tests/test_fleet_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -21,11 +28,7 @@ from repro.cluster.engine import SimulationEngine
 from repro.cluster.faults import FaultType
 from repro.cluster.machine import Machine, MachineState
 from repro.cluster.monitor import EventMonitor
-from repro.cluster.randomness import (
-    MachineRandomSource,
-    RandomSource,
-    StreamRandomSource,
-)
+from repro.cluster.randomness import MachineRandomSource
 from repro.errors import ConfigurationError
 from repro.policies.base import Policy
 from repro.recoverylog.log import RecoveryLog
@@ -43,13 +46,6 @@ from repro.util.validation import (
 __all__ = ["ClusterConfig", "ClusterSimulator"]
 
 SECONDS_PER_DAY = 86_400.0
-
-#: Selectable simulation backends (see :func:`repro.cluster.simulate_cluster`).
-BACKENDS = ("event", "fleet")
-#: RNG disciplines: ``"auto"`` resolves to ``"stream"`` for the event
-#: backend (preserving historical traces) and ``"machine"`` for the
-#: fleet backend (the only discipline a vectorized engine can honor).
-RNG_DISCIPLINES = ("auto", "stream", "machine")
 
 
 @dataclass(frozen=True)
@@ -85,16 +81,10 @@ class ClusterConfig:
     machine_name_format:
         ``str.format`` pattern for machine names.
     backend:
-        Which execution engine :func:`repro.cluster.simulate_cluster`
-        dispatches to: ``"event"`` (the reference event-driven
-        simulator) or ``"fleet"`` (vectorized lockstep waves).
-    rng_discipline:
-        How randomness is addressed: ``"stream"`` (five shared named
-        streams, drawn in global event order — the historical default),
-        ``"machine"`` (counter-based per-machine channels, required for
-        the fleet backend and available on the event backend so the two
-        can be compared bit for bit), or ``"auto"`` to pick the
-        backend's native discipline.
+        Always ``"fleet"``; nothing reads it.
+        :func:`repro.cluster.simulate_cluster` picks the engine from the
+        policy and the fault model, and :class:`ClusterSimulator` is
+        constructed directly when the event engine is wanted.
     """
 
     machine_count: int = 200
@@ -107,8 +97,7 @@ class ClusterConfig:
     noise_probability: float = 0.042
     max_actions: int = 20
     machine_name_format: str = "m-{:05d}"
-    backend: str = "event"
-    rng_discipline: str = "auto"
+    backend: str = "fleet"
 
     def __post_init__(self) -> None:
         check_positive("machine_count", self.machine_count)
@@ -127,28 +116,14 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"max_actions must be >= 2, got {self.max_actions}"
             )
-        if self.backend not in BACKENDS:
+        if self.backend != "fleet":
             raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+                f"backend must be 'fleet', got {self.backend!r}: "
+                "simulate_cluster() falls back to ClusterSimulator by "
+                "itself for cascading scenarios and batch_safe=False "
+                "policies; construct ClusterSimulator directly to run "
+                "the event engine"
             )
-        if self.rng_discipline not in RNG_DISCIPLINES:
-            raise ConfigurationError(
-                f"rng_discipline must be one of {RNG_DISCIPLINES}, "
-                f"got {self.rng_discipline!r}"
-            )
-        if self.backend == "fleet" and self.rng_discipline == "stream":
-            raise ConfigurationError(
-                "the fleet backend cannot honor the stream RNG discipline: "
-                "shared streams are consumed in global event order, which "
-                "a wave-vectorized engine does not reproduce; use "
-                "rng_discipline='machine' (or 'auto')"
-            )
-
-    def resolved_rng_discipline(self) -> str:
-        """The concrete discipline ``"auto"`` resolves to for ``backend``."""
-        if self.rng_discipline != "auto":
-            return self.rng_discipline
-        return "stream" if self.backend == "event" else "machine"
 
 
 class ClusterSimulator:
@@ -201,17 +176,12 @@ class ClusterSimulator:
         self._compiled = compile_scenario(self.scenario, self.actions)
         self._fault_ids = self._compiled.fault_ids()
         self._action_ids = self._compiled.action_ids()
-        self._streams = streams if streams is not None else RngStreams()
-        # The RNG seam: the same event loop can draw from the historical
-        # shared streams (default) or from counter-based per-machine
-        # channels — the discipline under which the vectorized fleet
-        # backend reproduces this simulator bit for bit.
-        if config.resolved_rng_discipline() == "machine":
-            self._rand: RandomSource = MachineRandomSource(
-                self._streams.root_entropy, config.machine_count
-            )
-        else:
-            self._rand = StreamRandomSource(self._streams)
+        streams = streams if streams is not None else RngStreams()
+        # Per-machine counter streams: each machine draws the values the
+        # fleet engine's waves draw for it, so the two agree bit for bit.
+        self._rand = MachineRandomSource(
+            streams.root_entropy, config.machine_count
+        )
 
         self.engine = SimulationEngine()
         self.monitor = EventMonitor()
@@ -250,8 +220,8 @@ class ClusterSimulator:
         self._episode_telemetry = episode_telemetry
 
     @property
-    def random_source(self) -> RandomSource:
-        """The RNG seam in use (exposes draw counters in machine mode)."""
+    def random_source(self) -> MachineRandomSource:
+        """The per-machine random source (exposes the draw counters)."""
         return self._rand
 
     # ------------------------------------------------------------------
@@ -368,9 +338,9 @@ class ClusterSimulator:
 
         Coins and delays draw from the *source* machine's channels, in
         the deterministic (distance, side, target) order, so a cascade
-        run is reproducible under both RNG disciplines.  Induced onsets
-        re-enter :meth:`_on_fault` and may cascade further — a
-        subcritical branching process by model validation.
+        run is reproducible.  Induced onsets re-enter :meth:`_on_fault`
+        and may cascade further — a subcritical branching process by
+        model validation.
         """
         cascade = self._cascade
         targets = cascade.targets[fault_id]

@@ -108,7 +108,8 @@ class FaultType:
 
 
 class FaultCatalog:
-    """The collection of ground-truth fault types, with weighted sampling."""
+    """The collection of ground-truth fault types, with weighted sampling
+    from uniforms (:meth:`index_from_uniform`)."""
 
     def __init__(self, fault_types: Sequence[FaultType]) -> None:
         if not fault_types:
@@ -168,17 +169,12 @@ class FaultCatalog:
         """
         return self._cumulative.copy()
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        """Draw one fault-type index according to the occurrence weights."""
-        return int(rng.choice(len(self._faults), p=self._probabilities))
-
     def index_from_uniform(self, u: "float | np.ndarray") -> "int | np.ndarray":
         """Map uniforms in ``[0, 1)`` to weighted fault-type indices.
 
         Inverse-CDF via ``searchsorted`` on the cumulative weights — the
         same fixed formula for a scalar and for a whole wave, which is
-        what lets the event and fleet backends agree bit for bit under
-        the counter RNG discipline.
+        what lets the event and fleet engines agree bit for bit.
         """
         index = np.minimum(
             np.searchsorted(self._cumulative, u, side="right"),
@@ -187,10 +183,6 @@ class FaultCatalog:
         if np.ndim(u) == 0:
             return int(index)
         return index.astype(np.intp)
-
-    def sample(self, rng: np.random.Generator) -> FaultType:
-        """Draw one fault type according to the occurrence weights."""
-        return self._faults[self.sample_index(rng)]
 
 
 def effective_cure_probabilities(

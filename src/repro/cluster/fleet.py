@@ -1,11 +1,12 @@
-"""The vectorized fleet-scale cluster backend.
+"""The vectorized fleet-scale cluster engine — the default simulator.
 
 :class:`FleetEngine` simulates the same cluster model as the event-driven
 :class:`~repro.cluster.cluster.ClusterSimulator`, but holds every
 machine's state in flat numpy arrays and advances all machines in
 batched lockstep *waves* — the tianshou-``Collector``-over-vectorized-
-envs shape.  One pass of the wave loop moves every active machine
-through its next lifecycle phase:
+envs shape.  :func:`simulate_cluster` (and so every generated trace)
+runs it whenever the inputs allow.  One pass of the wave loop moves
+every active machine through its next lifecycle phase:
 
 * **onset** — the pending fault fires: sample the fault (and possible
   overlapping noise fault), record the primary symptom, queue secondary-
@@ -22,10 +23,10 @@ through its next lifecycle phase:
 Machines are mutually independent in the cluster model — no draw on one
 machine ever depends on another machine's trajectory — which is the
 property that makes wave execution *exactly* equivalent to event
-execution under the counter-based
-:class:`~repro.cluster.randomness.MachineRandomSource` discipline: each
-machine consumes the same per-channel uniform sequence no matter how
-the global schedule interleaves.  ``tests/test_fleet_equivalence.py``
+execution over the counter-based
+:class:`~repro.cluster.randomness.MachineRandomSource`: each machine
+consumes the same per-channel uniform sequence no matter how the global
+schedule interleaves.  ``tests/test_fleet_equivalence.py``
 pins this bit for bit across fuzzed configurations.
 
 The one cross-time construct, *straggler* symptom candidates (secondary
@@ -38,10 +39,9 @@ by the time the sweep runs.
 
 Policies with ``batch_safe = False`` draw internal RNG state per
 decision, so their behaviour depends on global decision order; they
-cannot run on waves.  :func:`simulate_cluster` routes them to the
-sequential reference backend instead (under the same machine RNG
-discipline, so the produced log is the one the fleet would have
-produced had it been able to run).
+cannot run on waves.  Cascading scenarios couple machines.
+:func:`simulate_cluster` routes both to the sequential event engine,
+which draws from the same per-machine streams.
 """
 
 from __future__ import annotations
@@ -291,14 +291,13 @@ class FleetEngine:
 
     Accepts the same model inputs as
     :class:`~repro.cluster.cluster.ClusterSimulator` and produces the
-    same simulation — bit for bit, under the machine RNG discipline —
-    while supporting fleets of 10^5+ machines.
+    same simulation, bit for bit, while supporting fleets of 10^5+
+    machines.
 
     Parameters
     ----------
     config:
-        Cluster parameters; ``config.resolved_rng_discipline()`` must be
-        ``"machine"`` (the default when ``backend="fleet"``).
+        Cluster parameters.
     faults / policy / actions / streams:
         As for the reference simulator.
     episode_telemetry:
@@ -316,19 +315,12 @@ class FleetEngine:
         *,
         episode_telemetry: Optional[EpisodeTelemetry] = None,
     ) -> None:
-        if config.resolved_rng_discipline() != "machine":
-            raise ConfigurationError(
-                "FleetEngine requires the machine RNG discipline: waves "
-                "draw per machine, not in global event order; construct "
-                "the config with backend='fleet' or "
-                "rng_discipline='machine'"
-            )
         if not policy.batch_safe:
             raise ConfigurationError(
                 f"policy {policy.name!r} declares batch_safe=False (its "
                 "decisions consume internal RNG state, so they depend on "
                 "global decision order); use simulate_cluster(), which "
-                "falls back to the sequential reference backend"
+                "falls back to the sequential ClusterSimulator"
             )
         self.scenario = as_scenario_model(faults)
         if not self.scenario.fleet_compatible:
@@ -336,8 +328,8 @@ class FleetEngine:
                 "FleetEngine cannot run cascading scenarios: induced "
                 "onsets couple machines, breaking the independence "
                 "property wave execution relies on; use "
-                "simulate_cluster(), which falls back to the event "
-                "backend under the machine RNG discipline"
+                "simulate_cluster(), which falls back to the sequential "
+                "ClusterSimulator"
             )
         self.config = config
         #: The epoch-0 catalog — the full fault roster (legacy surface).
@@ -349,9 +341,9 @@ class FleetEngine:
         self.compiled: CompiledScenario = compile_scenario(
             self.scenario, self.actions
         )
-        self._streams = streams if streams is not None else RngStreams()
+        streams = streams if streams is not None else RngStreams()
         self._rand = MachineRandomSource(
-            self._streams.root_entropy, config.machine_count
+            streams.root_entropy, config.machine_count
         )
         self._telemetry = episode_telemetry
         self._index = StateIndex(self.compiled.action_names)
@@ -773,18 +765,12 @@ class FleetEngine:
         durations = np.empty(J.size, dtype=np.float64)
         for aid in np.unique(aids).tolist():
             in_group = aids == aid
-            sub = J[in_group]
             model = self._models[aid]
-            if model.uniform_count:
-                uniforms = np.stack(
-                    [
-                        rand.uniform_wave(sub, COSTS_CHANNEL)
-                        for _ in range(model.uniform_count)
-                    ]
+            durations[in_group] = model.from_uniforms(
+                rand.uniform_block(
+                    J[in_group], COSTS_CHANNEL, model.uniform_count
                 )
-            else:
-                uniforms = np.empty((0, sub.size))
-            durations[in_group] = model.from_uniforms(uniforms)
+            )
         durations = durations * self.compiled.cost[
             cur_epoch[J], self._class_ids[J], fault_id[J]
         ]
@@ -965,23 +951,18 @@ def simulate_cluster(
     *,
     episode_telemetry: Optional[EpisodeTelemetry] = None,
 ) -> RecoveryLog:
-    """Run a cluster simulation on the backend ``config`` selects.
+    """Run a cluster simulation on the engine its inputs allow.
 
-    ``backend="event"`` runs the reference event-driven simulator;
-    ``backend="fleet"`` runs the vectorized wave engine.  Policies with
-    ``batch_safe = False`` cannot be decided in waves, so a fleet
-    request with such a policy falls back to the *sequential reference
-    backend under the machine RNG discipline* — producing exactly the
-    trace the fleet backend defines, just without the vectorized
-    speed.  Cascading scenarios couple machines (an onset can induce a
-    neighbour's onset), so they likewise fall back to the event
-    backend; drifting and heterogeneous scenarios run on waves.
+    The vectorized :class:`FleetEngine` runs by default, drifting and
+    heterogeneous scenarios included.  Policies with
+    ``batch_safe = False`` cannot be decided in waves, and cascading
+    scenarios couple machines (an onset can induce a neighbour's
+    onset), so those fall back to the sequential
+    :class:`~repro.cluster.cluster.ClusterSimulator`.  Both engines draw
+    from the same per-machine streams and agree bit for bit wherever
+    both can run, so the engine decides only the speed, never the log.
     """
-    if (
-        config.backend == "fleet"
-        and policy.batch_safe
-        and as_scenario_model(faults).fleet_compatible
-    ):
+    if policy.batch_safe and as_scenario_model(faults).fleet_compatible:
         engine = FleetEngine(
             config, faults, policy, actions, streams,
             episode_telemetry=episode_telemetry,

@@ -1,24 +1,14 @@
-"""Random-source disciplines shared by the cluster backends.
+"""The cluster simulator's random source: per-machine counter streams.
 
-The event-driven :class:`~repro.cluster.cluster.ClusterSimulator` and the
-vectorized :class:`~repro.cluster.fleet.FleetEngine` must be able to
-produce bit-identical runs, yet they consume randomness in completely
-different orders: the event backend draws in global event-time order,
-the fleet backend draws for whole *waves* of machines at once.  The
-resolution is a seam with two disciplines:
-
-* :class:`StreamRandomSource` — the historical behaviour: five shared
-  named :class:`numpy.random.Generator` streams, drawn in global event
-  order.  This is the default for the event backend, so every
-  previously generated trace is preserved byte for byte.  It cannot be
-  vectorized (the draw order is the event order).
-* :class:`MachineRandomSource` — a counter-based discipline: every
-  ``(machine, channel)`` pair owns an independent splitmix64-keyed
-  counter stream, so a machine's draws depend only on its *own* logical
-  trajectory.  Whether machines advance one event at a time or a wave
-  at a time, each machine consumes the same uniforms — which is what
-  makes the fleet backend's output bit-identical to the event backend's
-  under this discipline (pinned by ``tests/test_fleet_equivalence.py``).
+Every ``(machine, channel)`` pair owns an independent splitmix64-keyed
+counter stream, so a machine's draws depend only on its *own* logical
+trajectory, never on how the global schedule interleaves machines.
+That is what lets the vectorized :class:`~repro.cluster.fleet.FleetEngine`
+(drawing for whole *waves* of machines at once) and the event-driven
+:class:`~repro.cluster.cluster.ClusterSimulator` (drawing one machine at
+a time, in event order) produce bit-identical runs — pinned by
+``tests/test_fleet_equivalence.py`` — and what lets the fleet engine hold
+10^5+ machines.
 
 All distribution transforms are fixed numpy ufunc formulas (``log1p``,
 ``searchsorted``, Box–Muller) applied to the raw uniforms, never
@@ -28,7 +18,7 @@ last bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,7 +27,6 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.actions.costs import CostModel
     from repro.cluster.faults import FaultCatalog
-    from repro.util.rng import RngStreams
 
 __all__ = [
     "ARRIVALS",
@@ -51,13 +40,10 @@ __all__ = [
     "uniform_from_bits",
     "exponential_from_uniform",
     "range_from_uniform",
-    "RandomSource",
-    "StreamRandomSource",
     "MachineRandomSource",
 ]
 
-# Per-machine channel ids.  Each channel mirrors one of the historical
-# named streams, so the draw-count bookkeeping lines up one-to-one.
+# Per-machine channel ids, one per kind of draw site.
 ARRIVALS = 0
 SYMPTOMS = 1
 CURES = 2
@@ -104,106 +90,7 @@ def range_from_uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * np.asarray(u)
 
 
-class RandomSource:
-    """Semantic random draws for a cluster run, addressed per machine.
-
-    Methods take the drawing machine's dense index; the stream
-    discipline ignores it (all machines share five global streams), the
-    machine discipline routes each draw to that machine's own counter
-    streams.  The method set mirrors the simulator's draw sites exactly,
-    one method per distribution, so both disciplines — and both
-    backends — consume randomness through one vocabulary.
-    """
-
-    #: Whether per-machine draws are independent of global event order —
-    #: the property the vectorized fleet backend requires.
-    machine_addressable: bool = False
-
-    def arrival_gap(self, machine: int, mean: float) -> float:
-        """Exponential inter-arrival gap (arrivals channel)."""
-        raise NotImplementedError
-
-    def fault_index(self, machine: int, catalog: "FaultCatalog") -> int:
-        """Weighted fault-type index (arrivals channel)."""
-        raise NotImplementedError
-
-    def noise_uniform(self, machine: int) -> float:
-        """Raw uniform for the noise-injection coin (arrivals channel)."""
-        raise NotImplementedError
-
-    def symptom_uniform(self, machine: int) -> float:
-        """Raw uniform for emission coins (symptoms channel)."""
-        raise NotImplementedError
-
-    def symptom_offset(self, machine: int, low: float, high: float) -> float:
-        """Uniform offset in ``[low, high)`` (symptoms channel)."""
-        raise NotImplementedError
-
-    def cure_uniform(self, machine: int) -> float:
-        """Raw uniform for one cure check (cures channel)."""
-        raise NotImplementedError
-
-    def action_duration(self, machine: int, cost_model: "CostModel") -> float:
-        """One action duration from ``cost_model`` (costs channel)."""
-        raise NotImplementedError
-
-    def delay(self, machine: int, mean: float) -> float:
-        """Exponential latency delay; callers guard ``mean > 0``
-        (delays channel)."""
-        raise NotImplementedError
-
-    def draw_counts(self) -> Optional[np.ndarray]:
-        """Per-``(machine, channel)`` draw counters, when tracked.
-
-        The machine discipline returns a ``(machine_count, 5)`` uint64
-        array — the differential fuzz harness asserts it matches
-        between backends.  The stream discipline returns ``None``.
-        """
-        return None
-
-
-class StreamRandomSource(RandomSource):
-    """The historical five-named-streams discipline.
-
-    Draws are delegated verbatim to the shared generators in global
-    call order, preserving every existing seeded trace byte for byte.
-    """
-
-    machine_addressable = False
-
-    def __init__(self, streams: "RngStreams") -> None:
-        self._arrival = streams.get("cluster.arrivals")
-        self._symptom = streams.get("cluster.symptoms")
-        self._cure = streams.get("cluster.cures")
-        self._cost = streams.get("cluster.costs")
-        self._delay = streams.get("cluster.delays")
-
-    def arrival_gap(self, machine: int, mean: float) -> float:
-        return float(self._arrival.exponential(mean))
-
-    def fault_index(self, machine: int, catalog: "FaultCatalog") -> int:
-        return catalog.sample_index(self._arrival)
-
-    def noise_uniform(self, machine: int) -> float:
-        return float(self._arrival.random())
-
-    def symptom_uniform(self, machine: int) -> float:
-        return float(self._symptom.random())
-
-    def symptom_offset(self, machine: int, low: float, high: float) -> float:
-        return float(self._symptom.uniform(low, high))
-
-    def cure_uniform(self, machine: int) -> float:
-        return float(self._cure.random())
-
-    def action_duration(self, machine: int, cost_model: "CostModel") -> float:
-        return float(cost_model.sample(self._cost))
-
-    def delay(self, machine: int, mean: float) -> float:
-        return float(self._delay.exponential(mean))
-
-
-class MachineRandomSource(RandomSource):
+class MachineRandomSource:
     """Counter-based per-``(machine, channel)`` uniform streams.
 
     Each pair owns the sequence ``mix64(key + n * golden)`` for draw
@@ -217,8 +104,6 @@ class MachineRandomSource(RandomSource):
     full counter matrix across backends is one of the differential fuzz
     harness's pinned invariants.
     """
-
-    machine_addressable = True
 
     def __init__(self, entropy: int, machine_count: int) -> None:
         if machine_count <= 0:
@@ -254,46 +139,67 @@ class MachineRandomSource(RandomSource):
         self._counters[machines, channel] = counters + np.uint64(1)
         return uniform_from_bits(bits)
 
+    def uniform_block(
+        self, machines: np.ndarray, channel: int, count: int
+    ) -> np.ndarray:
+        """``count`` uniforms per machine, shape ``(count, len(machines))``.
+
+        Row ``k`` is each machine's ``k``-th draw, so a block is the
+        same values as ``count`` consecutive one-row waves.
+        """
+        machines = np.asarray(machines, dtype=np.intp)
+        if not count:
+            return np.empty((0, machines.size))
+        return np.stack(
+            [self.uniform_wave(machines, channel) for _ in range(count)]
+        )
+
     def _uniform(self, machine: int, channel: int) -> float:
         return float(self.uniform_wave(np.array([machine]), channel)[0])
 
-    # -- scalar RandomSource surface ------------------------------------
+    # -- scalar draws, one per simulator draw site ----------------------
     def arrival_gap(self, machine: int, mean: float) -> float:
+        """Exponential inter-arrival gap (arrivals channel)."""
         return float(
             exponential_from_uniform(self._uniform(machine, ARRIVALS), mean)
         )
 
     def fault_index(self, machine: int, catalog: "FaultCatalog") -> int:
+        """Weighted fault-type index (arrivals channel)."""
         return catalog.index_from_uniform(self._uniform(machine, ARRIVALS))
 
     def noise_uniform(self, machine: int) -> float:
+        """Raw uniform for the noise and cascade coins (arrivals channel)."""
         return self._uniform(machine, ARRIVALS)
 
     def symptom_uniform(self, machine: int) -> float:
+        """Raw uniform for emission coins (symptoms channel)."""
         return self._uniform(machine, SYMPTOMS)
 
     def symptom_offset(self, machine: int, low: float, high: float) -> float:
+        """Uniform offset in ``[low, high)`` (symptoms channel)."""
         return float(
             range_from_uniform(self._uniform(machine, SYMPTOMS), low, high)
         )
 
     def cure_uniform(self, machine: int) -> float:
+        """Raw uniform for one cure check (cures channel)."""
         return self._uniform(machine, CURES)
 
     def action_duration(self, machine: int, cost_model: "CostModel") -> float:
-        index = np.array([machine])
-        uniforms = np.stack(
-            [
-                self.uniform_wave(index, COSTS)
-                for _ in range(cost_model.uniform_count)
-            ]
-        ) if cost_model.uniform_count else np.empty((0, 1))
+        """One action duration from ``cost_model`` (costs channel)."""
+        uniforms = self.uniform_block(
+            np.array([machine]), COSTS, cost_model.uniform_count
+        )
         return float(cost_model.from_uniforms(uniforms)[0])
 
     def delay(self, machine: int, mean: float) -> float:
+        """Exponential latency delay; callers guard ``mean > 0``
+        (delays channel)."""
         return float(
             exponential_from_uniform(self._uniform(machine, DELAYS), mean)
         )
 
-    def draw_counts(self) -> Optional[np.ndarray]:
+    def draw_counts(self) -> np.ndarray:
+        """A copy of the ``(machine_count, 5)`` uint64 draw counters."""
         return self._counters.copy()

@@ -266,7 +266,6 @@ def fleet_storm(
     by_version_before = server.decisions_by_version()
     engine = FleetEngine(
         ClusterConfig(
-            backend="fleet",
             machine_count=machines,
             duration=days * _DAY,
             mean_time_between_failures=mean_time_between_failures_days

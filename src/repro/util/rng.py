@@ -14,19 +14,40 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = ["make_rng", "derive_seed", "derive_rng", "RngStreams"]
 
 SeedLike = Union[int, np.random.Generator, None]
 
 
+def _check_seed(seed: Optional[int]) -> None:
+    """Reject what :class:`numpy.random.SeedSequence` cannot take.
+
+    A negative (or non-integer) seed otherwise surfaces as numpy's bare
+    ``ValueError`` deep inside a run; this names the seed instead.
+    """
+    if seed is None:
+        return
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, (int, np.integer))
+        or seed < 0
+    ):
+        raise ConfigurationError(
+            f"seed must be a non-negative integer, got {seed!r}"
+        )
+
+
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
 
-    ``seed`` may be an integer, an existing generator (returned unchanged),
-    or ``None`` for OS entropy.
+    ``seed`` may be a non-negative integer, an existing generator
+    (returned unchanged), or ``None`` for OS entropy.
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -67,6 +88,7 @@ class RngStreams:
     """
 
     def __init__(self, seed: Optional[int] = None) -> None:
+        _check_seed(seed)
         self._seed = seed
         self._root = np.random.SeedSequence(seed)
         self._cache: Dict[str, np.random.Generator] = {}

@@ -6,7 +6,7 @@ import pytest
 from repro.actions import REBOOT, RMA, TRYNOP
 from repro.actions.action import ActionCatalog, RepairAction
 from repro.actions.composite import SumCost, compose_actions
-from repro.actions.costs import DeterministicCost
+from repro.actions.costs import DeterministicCost, LognormalCost
 from repro.errors import ConfigurationError
 
 
@@ -17,7 +17,26 @@ class TestSumCost:
 
     def test_sample_is_sum(self):
         cost = SumCost((DeterministicCost(10.0), DeterministicCost(5.0)))
-        assert cost.sample(np.random.default_rng(0)) == 15.0
+        uniforms = np.random.default_rng(0).random((cost.uniform_count, 1))
+        assert cost.from_uniforms(uniforms)[0] == 15.0
+
+    def test_components_read_their_own_uniform_rows(self):
+        first, second = LognormalCost(100.0), LognormalCost(50.0, cv=1.0)
+        cost = SumCost((first, DeterministicCost(5.0), second))
+        assert cost.uniform_count == 4
+        uniforms = np.random.default_rng(1).random((4, 6))
+        expected = (
+            first.from_uniforms(uniforms[:2])
+            + 5.0
+            + second.from_uniforms(uniforms[2:])
+        )
+        assert np.array_equal(cost.from_uniforms(uniforms), expected)
+
+    def test_nested_sum_counts_every_component(self):
+        inner = SumCost((LognormalCost(10.0), DeterministicCost(1.0)))
+        outer = SumCost((inner, LognormalCost(20.0)))
+        assert outer.uniform_count == 4
+        assert outer.from_uniforms(np.full((4, 3), 0.5)).shape == (3,)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):

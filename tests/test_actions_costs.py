@@ -7,11 +7,17 @@ from repro.actions.costs import DeterministicCost, LognormalCost
 from repro.errors import ConfigurationError
 
 
+def draw(cost, rng, count=1):
+    """``count`` durations from ``rng``'s uniforms, the way the cluster
+    engines sample them."""
+    return cost.from_uniforms(rng.random((cost.uniform_count, count)))
+
+
 class TestDeterministicCost:
     def test_sample_is_constant(self):
         cost = DeterministicCost(42.0)
         rng = np.random.default_rng(0)
-        assert cost.sample(rng) == 42.0
+        assert draw(cost, rng)[0] == 42.0
         assert cost.mean == 42.0
 
     def test_rejects_non_positive(self):
@@ -26,20 +32,20 @@ class TestLognormalCost:
     def test_sample_mean_matches_target(self):
         cost = LognormalCost(1000.0, cv=0.3)
         rng = np.random.default_rng(1)
-        samples = [cost.sample(rng) for _ in range(20_000)]
+        samples = draw(cost, rng, 20_000)
         assert abs(np.mean(samples) - 1000.0) / 1000.0 < 0.02
 
     def test_sample_cv_matches_target(self):
         cost = LognormalCost(1000.0, cv=0.5)
         rng = np.random.default_rng(2)
-        samples = np.array([cost.sample(rng) for _ in range(20_000)])
+        samples = draw(cost, rng, 20_000)
         cv = samples.std() / samples.mean()
         assert abs(cv - 0.5) < 0.05
 
     def test_samples_positive(self):
         cost = LognormalCost(10.0, cv=1.5)
         rng = np.random.default_rng(3)
-        assert all(cost.sample(rng) > 0 for _ in range(100))
+        assert all(draw(cost, rng, 100) > 0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -59,8 +59,11 @@ TRAIN_DIGESTS = {
 ENGINE_DIGEST = (
     "4fefc68cb0ea0a32758830a0c92ea66998698003d3140ab831663a2cf1558bfd"
 )
+#: Trains on the ``small_trace`` fixture.  Re-recorded when default
+#: traces moved to the fleet engine: the training code from before that
+#: move, fed a fleet-generated fixture, gives this same digest.
 RESUME_DIGEST = (
-    "6e880c72b43e83160c86e64df68e58316d1165267b7600779fea6fd4fd1942b6"
+    "a92164b60bc7639a555b86d2cfb229b6a56986d78dfdd14acec627aace386617"
 )
 #: The checkpoint fingerprint of ``PipelineConfig()``.
 DEFAULT_FINGERPRINT = "8c71938807134914"

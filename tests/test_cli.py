@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import scenario as scenario_module
+from repro.experiments import summary as summary_module
+from repro.mdp.state import RecoveryState
+from repro.policies.serialization import save_policy
+from repro.policies.trained import TrainedPolicy
 from repro.recoverylog.io import write_log_jsonl
 
 
@@ -181,6 +186,71 @@ class TestExperiment:
         )
         assert code == 0
         assert capsys.readouterr().out.strip()
+
+
+class TestSummaryGate:
+    """``experiment --figure summary`` fails when an audited shape
+    diverges, so CI can gate on the paper audit."""
+
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_exit_status_follows_the_verdict(
+        self, monkeypatch, capsys, holds
+    ):
+        row = summary_module.SummaryRow("Fig 9", "q", "p", "m", holds)
+        monkeypatch.setattr(
+            scenario_module, "build_scenario", lambda config: None
+        )
+        monkeypatch.setattr(
+            summary_module,
+            "reproduction_summary",
+            lambda scenario: summary_module.ReproductionSummary((row,)),
+        )
+        code = main(["experiment", "--figure", "summary", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert code == (0 if holds else 1)
+        assert ("SOME SHAPES DIVERGE" in out) is not holds
+
+
+class TestMalformedInput:
+    """Bad values end in one ``error:`` line and exit status 1, never
+    in a traceback or a silent default."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "{tmp}/x.jsonl", "--scale", "small"],
+            ["experiment", "--figure", "fig3", "--scale", "small"],
+            ["serve", "--policy", "{tmp}/p.json", "--fleet-machines", "10"],
+        ],
+        ids=["generate", "experiment", "serve"],
+    )
+    def test_negative_seed_is_error(self, argv, tmp_path, capsys):
+        save_policy(
+            TrainedPolicy(
+                {RecoveryState.initial("error:X"): ("REBOOT", 10.0)}
+            ),
+            tmp_path / "p.json",
+        )
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().endswith(
+            "error: seed must be a non-negative integer, got -1"
+        )
+
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.5", "nan"])
+    def test_train_fraction_outside_unit_interval_is_error(
+        self, log_path, tmp_path, capsys, fraction
+    ):
+        out = tmp_path / "p.json"
+        code = main(
+            ["train", "--log", log_path, "--out", str(out),
+             "--fraction", fraction, "--top-k", "1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --fraction must be in (0, 1]"
+        )
+        assert not out.exists()
 
 
 class TestLogFormatFlag:

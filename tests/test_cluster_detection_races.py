@@ -72,9 +72,8 @@ def make_config(**overrides):
 
 
 def run_event(seed=5, **overrides):
-    # The machine discipline, so runs are comparable to the fleet's.
     simulator = ClusterSimulator(
-        make_config(rng_discipline="machine", **overrides),
+        make_config(**overrides),
         simple_faults(),
         UserDefinedPolicy(CATALOG),
         CATALOG,

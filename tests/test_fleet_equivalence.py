@@ -1,10 +1,10 @@
 """Differential fuzzing: fleet backend vs the event-driven reference.
 
 The fleet engine's contract is *bit identity* with
-:class:`~repro.cluster.cluster.ClusterSimulator` under the machine RNG
-discipline — same log entries (exact float times), same per-machine
-downtime, same action sequences, same telemetry traces and same RNG
-draw counters.  These tests pin that contract the way
+:class:`~repro.cluster.cluster.ClusterSimulator` — both draw from the
+per-machine counter streams — same log entries (exact float times),
+same per-machine downtime, same action sequences, same telemetry traces
+and same RNG draw counters.  These tests pin that contract the way
 ``test_backend_equivalence`` pins the dict/array Q-table pair: generate
 random cluster scenarios with hypothesis (machine counts, horizons,
 fault catalogs, delay regimes, policy families) and compare every
@@ -23,7 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.actions import default_catalog
+from repro.actions import REBOOT, RMA, TRYNOP, default_catalog
+from repro.actions.action import ActionCatalog
+from repro.actions.composite import compose_actions
 from repro.cluster.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine, simulate_cluster
@@ -216,25 +218,24 @@ def policies(draw, faults: FaultCatalog, max_actions: int) -> Policy:
 # ---------------------------------------------------------------------------
 # The differential core
 # ---------------------------------------------------------------------------
-def run_both(params, faults, policy_builder, seed):
-    """Run event (machine discipline) and fleet on one scenario."""
-    event_cfg = ClusterConfig(rng_discipline="machine", **params)
-    fleet_cfg = ClusterConfig(backend="fleet", **params)
+def run_both(params, faults, policy_builder, seed, actions=CATALOG):
+    """Run the event engine and the fleet engine on one scenario."""
+    config = ClusterConfig(**params)
     event_rec, fleet_rec = _TraceRecorder(), _TraceRecorder()
     simulator = ClusterSimulator(
-        event_cfg,
+        config,
         faults,
         policy_builder(),
-        CATALOG,
+        actions,
         RngStreams(seed),
         episode_telemetry=event_rec,
     )
     event_log = simulator.run()
     engine = FleetEngine(
-        fleet_cfg,
+        config,
         faults,
         policy_builder(),
-        CATALOG,
+        actions,
         RngStreams(seed),
         episode_telemetry=fleet_rec,
     )
@@ -476,6 +477,48 @@ class TestDirectedEquivalence:
         )
         assert_equivalent(*outputs)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_composite_action_catalog(self, seed):
+        """A composite's summed cost draws one uniform pair per
+        component; both engines must draw them identically."""
+        actions = ActionCatalog(
+            [
+                TRYNOP,
+                REBOOT,
+                compose_actions("REBOOT+FSCK", [TRYNOP, REBOOT], strength=2),
+                RMA,
+            ]
+        )
+        faults = FaultCatalog(
+            [
+                FaultType(
+                    name="fsck-needing",
+                    primary_symptom="error:Fs",
+                    secondary_symptoms=("warn:Fs",),
+                    cure_probabilities={"REBOOT": 0.1, "REBOOT+FSCK": 0.9},
+                    weight=3.0,
+                ),
+                FaultType(
+                    name="transient",
+                    primary_symptom="error:Transient",
+                    cure_probabilities={"TRYNOP": 0.6, "REBOOT": 0.9},
+                ),
+            ]
+        )
+        outputs = run_both(
+            small_params(machine_count=30),
+            faults,
+            lambda: UserDefinedPolicy(actions),
+            seed,
+            actions=actions,
+        )
+        assert_equivalent(*outputs)
+        composite_attempts = sum(
+            entry.description == "REBOOT+FSCK"
+            for entry in outputs[1].entries
+        )
+        assert composite_attempts > 100
+
     def test_machine_names_formatted_on_first_use(self):
         """Only the log needs machine names; a run formats none."""
         config = ClusterConfig(backend="fleet", **small_params())
@@ -500,7 +543,7 @@ class TestDirectedEquivalence:
         params = small_params(noise_probability=0.0)
         with pytest.raises(UnhandledStateError):
             ClusterSimulator(
-                ClusterConfig(rng_discipline="machine", **params),
+                ClusterConfig(**params),
                 simple_faults(),
                 empty,
                 CATALOG,
@@ -518,39 +561,39 @@ class TestDirectedEquivalence:
 
 class TestBackendSelection:
     def test_fleet_rejects_stream_discipline(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(backend="fleet", rng_discipline="stream")
+        """One RNG discipline: the knob that chose another is gone."""
+        with pytest.raises(TypeError):
+            ClusterConfig(rng_discipline="stream")
 
     def test_fleet_engine_rejects_stream_config(self):
-        config = ClusterConfig(
-            **small_params(), rng_discipline="stream"
-        )
-        with pytest.raises(ConfigurationError):
-            FleetEngine(
-                config, simple_faults(), UserDefinedPolicy(CATALOG), CATALOG
-            )
+        """The fleet is the only configurable engine; the event engine
+        is constructed directly or reached by simulate_cluster's
+        fallback, and the error says so."""
+        assert ClusterConfig().backend == "fleet"
+        with pytest.raises(ConfigurationError, match="ClusterSimulator"):
+            ClusterConfig(**small_params(), backend="event")
 
     def test_factory_dispatches_identically(self):
         params = small_params()
-        via_event = simulate_cluster(
-            ClusterConfig(rng_discipline="machine", **params),
+        via_event = ClusterSimulator(
+            ClusterConfig(**params),
+            simple_faults(),
+            UserDefinedPolicy(CATALOG),
+            CATALOG,
+            RngStreams(17),
+        ).run()
+        via_factory = simulate_cluster(
+            ClusterConfig(**params),
             simple_faults(),
             UserDefinedPolicy(CATALOG),
             CATALOG,
             RngStreams(17),
         )
-        via_fleet = simulate_cluster(
-            ClusterConfig(backend="fleet", **params),
-            simple_faults(),
-            UserDefinedPolicy(CATALOG),
-            CATALOG,
-            RngStreams(17),
-        )
-        assert via_event == via_fleet
+        assert via_event == via_factory
 
     def test_factory_falls_back_for_batch_unsafe_policy(self):
-        """batch_safe=False policies run sequentially, under the machine
-        discipline, and produce the trace the fleet defines."""
+        """batch_safe=False policies run sequentially on the event
+        engine and produce the trace the fleet defines."""
 
         class StatefulPolicy(UserDefinedPolicy):
             batch_safe = False
@@ -564,7 +607,7 @@ class TestBackendSelection:
             RngStreams(23),
         )
         reference = simulate_cluster(
-            ClusterConfig(rng_discipline="machine", **params),
+            ClusterConfig(**params),
             simple_faults(),
             UserDefinedPolicy(CATALOG),
             CATALOG,

@@ -4,9 +4,8 @@ Two contracts pin the scenario-model refactor:
 
 * **Frozen references** — sha256 digests of (rendered log entries +
   per-channel draw-count matrices) captured on the pre-refactor
-  backends.  The refactored backends must reproduce them exactly, for
-  the historical stream discipline and for the machine discipline on
-  both backends.  Any change to these digests is a break of the
+  backends.  The refactored backends must reproduce them exactly, on
+  both engines.  Any change to these digests is a break of the
   bit-compatibility contract, not a test to update.
 * **Wrapper identity** — a stationary single-class
   :class:`~repro.scenario.model.ScenarioModel` must be bit-identical to
@@ -99,9 +98,8 @@ def digest_log(log, draw_counts=None) -> str:
 
 
 #: Captured on the pre-refactor backends (commit af02af8); see the
-#: module docstring.  The machine-discipline digest is shared by the
-#: event backend and the fleet backend — that equality *is* the
-#: differential contract.
+#: module docstring.  Each digest is shared by the event backend and the
+#: fleet backend — that equality *is* the differential contract.
 FROZEN_CASES = {
     "base": {
         "params": dict(
@@ -112,9 +110,6 @@ FROZEN_CASES = {
         ),
         "policy": UserDefinedPolicy,
         "seed": 11,
-        "event_stream": (
-            "5bc01c0b1fe48ad8b0e3f32aa5180a5fff0f0ff38a8a530035459d39a3a06677"
-        ),
         "machine": (
             "0969a01abc1175819b5a5b0c76846bdfb7c06689d7c6d2697f9e1dfe702e4644"
         ),
@@ -130,9 +125,6 @@ FROZEN_CASES = {
         ),
         "policy": UserDefinedPolicy,
         "seed": 29,
-        "event_stream": (
-            "dcfbd43bde66b0628c131f7d2fcd6f367f5ad5d3a542c6ead2e6fdfcca4dd8cb"
-        ),
         "machine": (
             "ce088c689e875b08499408d0191ac8b5b2709a6ec2a8544164749ba1f0ee2886"
         ),
@@ -147,9 +139,6 @@ FROZEN_CASES = {
         ),
         "policy": AlwaysStrongestPolicy,
         "seed": 47,
-        "event_stream": (
-            "47811fd1ac06040478ddba64d387d110ed5bb798889bb423c0fd09d221db0de5"
-        ),
         "machine": (
             "84cf1277df3a96f7e97406e03831190c64496995d88a4d9e9e6e14dd92616468"
         ),
@@ -171,26 +160,11 @@ def _faults_variants():
 
 class TestFrozenReferences:
     @pytest.mark.parametrize("case", sorted(FROZEN_CASES))
-    def test_event_stream_discipline(self, case):
-        """The historical default discipline, byte-for-byte."""
-        spec = FROZEN_CASES[case]
-        for label, faults in _faults_variants().items():
-            sim = ClusterSimulator(
-                ClusterConfig(**spec["params"]),
-                faults,
-                spec["policy"](CATALOG),
-                CATALOG,
-                RngStreams(spec["seed"]),
-            )
-            digest = digest_log(sim.run())
-            assert digest == spec["event_stream"], label
-
-    @pytest.mark.parametrize("case", sorted(FROZEN_CASES))
     def test_event_machine_discipline(self, case):
         spec = FROZEN_CASES[case]
         for label, faults in _faults_variants().items():
             sim = ClusterSimulator(
-                ClusterConfig(rng_discipline="machine", **spec["params"]),
+                ClusterConfig(**spec["params"]),
                 faults,
                 spec["policy"](CATALOG),
                 CATALOG,
@@ -326,12 +300,9 @@ class TestEpochBoundary:
             mean_time_between_failures=2 * DAY,
             noise_probability=0.0,
         )
-        if backend == "fleet":
-            config = ClusterConfig(backend="fleet", **params)
-        else:
-            config = ClusterConfig(rng_discipline="machine", **params)
+        config = ClusterConfig(**params)
         engine = FleetEngine(
-            ClusterConfig(backend="fleet", **params),
+            config,
             scenario,
             UserDefinedPolicy(CATALOG),
             CATALOG,
@@ -446,8 +417,8 @@ class TestCascadeRouting:
             )
 
     def test_simulate_cluster_falls_back_to_event(self):
-        """A fleet request with a cascading scenario runs on the event
-        backend under the machine discipline — same log either way."""
+        """A cascading scenario runs on the event backend — the same
+        log as constructing the simulator directly."""
         params = dict(
             machine_count=8,
             duration=10 * DAY,
@@ -463,7 +434,7 @@ class TestCascadeRouting:
             RngStreams(19),
         )
         reference = ClusterSimulator(
-            ClusterConfig(rng_discipline="machine", **params),
+            ClusterConfig(**params),
             _cascading_scenario(),
             UserDefinedPolicy(CATALOG),
             CATALOG,
@@ -479,7 +450,6 @@ class TestCascadeRouting:
             duration=30 * DAY,
             mean_time_between_failures=2 * DAY,
             noise_probability=0.0,
-            rng_discipline="machine",
         )
 
         def run(faults):
@@ -500,7 +470,6 @@ class TestCascadeRouting:
             machine_count=10,
             duration=15 * DAY,
             mean_time_between_failures=2 * DAY,
-            rng_discipline="machine",
         )
 
         def run():

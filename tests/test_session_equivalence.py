@@ -537,7 +537,7 @@ class TestFleetClusterEquivalence(TestClusterEquivalence):
     engine: same log bytes, same decision-state chains, same telemetry.
     Inheriting the reference tests re-runs them on the event backend
     (the fixtures are shared); the additions compare the two backends
-    head to head under the machine RNG discipline.
+    head to head.
     """
 
     def run_fleet(self, seed=5, telemetry=None, policy=None, **overrides):
@@ -556,9 +556,7 @@ class TestFleetClusterEquivalence(TestClusterEquivalence):
     @pytest.mark.parametrize("seed", [5, 9, 4])
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_fleet_log_matches_event_backend(self, seed, noise):
-        _sim, event_log = self.run(
-            seed=seed, rng_discipline="machine", noise_probability=noise
-        )
+        _sim, event_log = self.run(seed=seed, noise_probability=noise)
         _eng, fleet_log = self.run_fleet(seed=seed, noise_probability=noise)
         assert fleet_log == event_log
 
@@ -586,9 +584,7 @@ class TestFleetClusterEquivalence(TestClusterEquivalence):
     def test_fleet_traces_match_event_traces(self):
         event_recorder = EpisodeRecorder()
         fleet_recorder = EpisodeRecorder()
-        _sim, event_log = self.run(
-            seed=4, rng_discipline="machine", telemetry=event_recorder
-        )
+        _sim, event_log = self.run(seed=4, telemetry=event_recorder)
         _eng, fleet_log = self.run_fleet(seed=4, telemetry=fleet_recorder)
         assert fleet_log == event_log
         assert fleet_recorder.traces == event_recorder.traces

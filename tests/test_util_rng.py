@@ -1,7 +1,9 @@
 """Tests for repro.util.rng."""
 
 import numpy as np
+import pytest
 
+from repro.errors import ConfigurationError
 from repro.util.rng import RngStreams, make_rng
 
 
@@ -20,6 +22,18 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
+
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_is_configuration_error(self, seed):
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            make_rng(seed)
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            RngStreams(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert make_rng(np.int64(3)).random() == make_rng(3).random()
+        assert RngStreams(np.uint32(3)).root_entropy == 3
 
 
 class TestRngStreams:
