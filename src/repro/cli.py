@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.actions.action import default_catalog
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RecoveryPolicyLearner
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, LogFormatError, ReproError
 from repro.evaluation.split import time_ordered_split
 from repro.mining.clustering import coverage_curve
 from repro.mining.noise import filter_noise
@@ -594,9 +594,6 @@ def _serving_policy(path: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.policies.serialization import state_from_record
     from repro.serving import (
         DecisionServer,
         fleet_storm,
@@ -604,6 +601,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         storm_states,
     )
 
+    if args.batch_size < 1:
+        raise ConfigurationError(
+            f"--batch-size must be >= 1, got {args.batch_size}"
+        )
     policy = _serving_policy(args.policy)
     server = DecisionServer(policy, UserDefinedPolicy(default_catalog()))
     print(
@@ -620,18 +621,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else sys.stdout
         )
         try:
-            with open(args.queries, "r", encoding="utf-8") as queries:
-                batch = []
-                for line in queries:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    batch.append(state_from_record(json_module.loads(line)))
-                    if len(batch) >= args.batch_size:
-                        answered += _serve_batch(server, batch, out_handle)
-                        batch = []
-                if batch:
+            batch = []
+            for state in _query_states(args.queries):
+                batch.append(state)
+                if len(batch) >= args.batch_size:
                     answered += _serve_batch(server, batch, out_handle)
+                    batch = []
+            if batch:
+                answered += _serve_batch(server, batch, out_handle)
         finally:
             if args.out:
                 out_handle.close()
@@ -670,6 +667,39 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"decisions by policy generation: {versions}")
     return 0
+
+
+def _query_states(path: str):
+    """The states of a JSONL query file, one per non-blank line.
+
+    A line that is not UTF-8, not JSON or not a state record raises
+    :class:`LogFormatError` naming ``path:line``.
+    """
+    import json as json_module
+
+    from repro.policies.serialization import state_from_record
+
+    with open(path, "rb") as queries:
+        for line_no, raw in enumerate(queries, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise LogFormatError(
+                    f"{path}:{line_no}: not valid UTF-8: {exc}"
+                ) from None
+            if not line:
+                continue
+            try:
+                record = json_module.loads(line)
+            except ValueError as exc:
+                raise LogFormatError(
+                    f"{path}:{line_no}: bad JSON: {exc}"
+                ) from None
+            try:
+                state = state_from_record(record)
+            except LogFormatError as exc:
+                raise LogFormatError(f"{path}:{line_no}: {exc}") from None
+            yield state
 
 
 def _serve_batch(server, batch, out_handle) -> int:

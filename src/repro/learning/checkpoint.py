@@ -33,7 +33,7 @@ from repro.mdp.state import RecoveryState
 from repro.policies.serialization import (
     qtable_from_payload,
     qtable_to_payload,
-    state_from_record,
+    rule_from_record,
     state_to_record,
 )
 
@@ -203,11 +203,8 @@ class CheckpointStore:
             )
             rules: RuleTable = {}
             for record in payload["rules"]:
-                state = state_from_record(record)
-                rules[state] = (
-                    str(record["action"]),
-                    float(record["expected_cost"]),
-                )
+                state, rule = rule_from_record(record)
+                rules[state] = rule
             expected = payload.get("expected_cost")
             return TypeCheckpoint(
                 error_type=error_type,

@@ -267,38 +267,49 @@ class DecisionBatch(ColumnRows[Outcome]):
 
         The hybrid rule (Section 3.4) over columns, shared by
         :class:`~repro.policies.hybrid.HybridPolicy` and the decision
-        server: hit rows keep their columns; each miss, in row order,
-        is answered by ``fallback.decide`` on its state.  Misses are the
-        rare rows, and deciding them one by one keeps the fallback's
-        calls exactly those of the per-state path.  Every row of the
-        result is a hit; ``~self.hit`` says which rows fell back.
+        server: hit rows keep their columns, and the missed states, in
+        row order, go to ``fallback.decide_batch`` in one call whose
+        columns are merged in.  Every row of the result is a hit;
+        ``~self.hit`` says which rows fell back.  A fallback that misses
+        too raises the :class:`~repro.errors.UnhandledStateError` of the
+        first such row, as per-state ``fallback.decide`` calls would.
         """
         missed = np.flatnonzero(~self.hit)
         if not missed.size:
             return self
-        return self._filled(
-            missed, [fallback.decide(states[row]) for row in missed.tolist()]
+        answer = fallback.decide_batch(
+            [states[row] for row in missed.tolist()]
         )
+        if not answer.hit.all():
+            raise answer[int(np.argmin(answer.hit))]
+        return self._filled(missed, answer)
 
     def _filled(
-        self, rows: np.ndarray, decisions: Sequence[PolicyDecision]
+        self, rows: np.ndarray, answer: "DecisionBatch"
     ) -> "DecisionBatch":
-        """A copy with ``decisions`` written into ``rows`` as hits."""
+        """A copy with ``answer``'s rows (all hits) written into ``rows``.
+
+        ``answer``'s vocabulary entries join this batch's by name, once
+        each, and its id columns are remapped by one gather.
+        """
         actions, intern_action = _interner(self.actions)
         sources, intern_source = _interner(self.sources)
+        action_map = np.array(
+            [intern_action(name) for name in answer.actions], dtype=np.intp
+        )
+        source_map = np.array(
+            [intern_source(name) for name in answer.sources], dtype=np.intp
+        )
         hit = self.hit.copy()
         hit[rows] = True
         action_ids = self.action_ids.copy()
-        action_ids[rows] = [intern_action(d.action) for d in decisions]
+        action_ids[rows] = action_map[answer.action_ids]
         source_ids = self.source_ids.copy()
-        source_ids[rows] = [intern_source(d.source) for d in decisions]
+        source_ids[rows] = source_map[answer.source_ids]
         costs = self.costs.copy()
-        costs[rows] = [
-            0.0 if d.expected_cost is None else d.expected_cost
-            for d in decisions
-        ]
+        costs[rows] = answer.costs
         estimated = self.estimated.copy()
-        estimated[rows] = [d.expected_cost is not None for d in decisions]
+        estimated[rows] = answer.estimated
         return DecisionBatch(
             hit=hit,
             action_ids=action_ids,

@@ -80,8 +80,10 @@ class HybridPolicy(Policy):
         )
 
     def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
-        """Batch the trained pass, then fall back per miss.
+        """Batch the trained pass, then the fallback's pass over its misses.
 
+        The fallback decides every missed state in one ``decide_batch``
+        call (:meth:`~repro.policies.base.DecisionBatch.with_fallback`).
         The fallback counters advance exactly as they would under
         per-state :meth:`decide` calls over the same states.
         """

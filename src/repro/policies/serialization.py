@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.errors import ConfigurationError, LogFormatError, TrainingError
 from repro.learning.qtable import QTable
@@ -38,6 +38,7 @@ __all__ = [
     "load_qtable",
     "state_to_record",
     "state_from_record",
+    "rule_from_record",
     "qtable_to_payload",
     "qtable_from_payload",
 ]
@@ -58,16 +59,58 @@ def state_to_record(state: RecoveryState) -> Dict[str, object]:
     }
 
 
+def _text(record: Dict[str, object], field: str) -> str:
+    """``record[field]``, which must be a JSON string."""
+    value = record[field]
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _texts(record: Dict[str, object], field: str) -> List[str]:
+    """``record[field]``, which must be a JSON list of strings."""
+    value = record[field]
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise TypeError(f"{field} must be a list of strings, got {value!r}")
+    return value
+
+
 def state_from_record(record: Dict[str, object]) -> RecoveryState:
-    """Invert :func:`state_to_record`."""
+    """Invert :func:`state_to_record`.
+
+    ``error_type`` must be a string and ``tried`` a list of strings:
+    values of any other JSON type are refused, not converted, so a
+    malformed record never loads as a different state.  Raises
+    :class:`LogFormatError`.
+    """
     try:
         return RecoveryState(
-            error_type=str(record["error_type"]),
+            error_type=_text(record, "error_type"),
             healthy=False,
-            tried=tuple(str(a) for a in record["tried"]),
+            tried=tuple(_texts(record, "tried")),
         )
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise LogFormatError(f"bad state record {record!r}: {exc}") from None
+
+
+def rule_from_record(
+    record: Dict[str, object],
+) -> Tuple[RecoveryState, Tuple[str, float]]:
+    """A rule record of :func:`save_policy` as ``(state, (action, cost))``.
+
+    The state as :func:`state_from_record` reads it; ``action`` must be
+    a string.  Raises :class:`LogFormatError`.
+    """
+    state = state_from_record(record)
+    try:
+        return state, (
+            _text(record, "action"),
+            float(record["expected_cost"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LogFormatError(f"bad rule record {record!r}: {exc}") from None
 
 
 def save_policy(policy: TrainedPolicy, path: PathLike) -> int:
@@ -119,14 +162,8 @@ def _policy_from_payload(payload: object) -> TrainedPolicy:
         )
     rules: Dict[RecoveryState, Tuple[str, float]] = {}
     for record in records:
-        state = state_from_record(record)
-        try:
-            rules[state] = (
-                str(record["action"]),
-                float(record["expected_cost"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogFormatError(f"bad rule record {record!r}: {exc}") from None
+        state, rule = rule_from_record(record)
+        rules[state] = rule
     return TrainedPolicy(rules, label=str(payload.get("label", "trained")))
 
 
@@ -183,9 +220,11 @@ def qtable_from_payload(
     ``alpha_floor`` is a training-time knob, not part of the payload,
     and is supplied by the caller.  Every way a payload can be malformed
     — not an object, a missing field, a non-finite ``initial_value``, a
-    ``visits`` that is not a JSON integer in ``[1, 2**63 - 1]``, an entry
-    the table refuses (a non-finite value, an action outside
-    ``actions``) — raises :class:`LogFormatError`.
+    ``visits`` that is not a JSON integer in ``[1, 2**63 - 1]``, an
+    action name or state field of the wrong JSON type (names are never
+    converted to strings), an entry the table refuses (a non-finite
+    value, an action outside ``actions``) — raises
+    :class:`LogFormatError`.
     """
     if not isinstance(payload, dict):
         raise LogFormatError(
@@ -201,7 +240,7 @@ def qtable_from_payload(
         if not isinstance(entries, list):
             raise TypeError(f"entries must be a list, got {entries!r}")
         qtable = QTable(
-            [str(a) for a in payload["actions"]],
+            _texts(payload, "actions"),
             initial_value=float(payload.get("initial_value", 0.0)),
             alpha_floor=alpha_floor,
         )
@@ -223,7 +262,7 @@ def qtable_from_payload(
                     f"visits must be a JSON integer <= {_MAX_VISITS}"
                 )
             qtable.restore(
-                state, str(record["action"]), float(record["value"]), visits
+                state, _text(record, "action"), float(record["value"]), visits
             )
         except (
             KeyError,

@@ -12,12 +12,19 @@ systems.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.actions.action import ActionCatalog, default_catalog
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision, terminal_state_error
+from repro.policies.base import (
+    DecisionBatch,
+    Policy,
+    PolicyDecision,
+    terminal_state_error,
+)
 
 __all__ = ["UserDefinedPolicy", "DEFAULT_RETRY_BUDGETS"]
 
@@ -71,6 +78,12 @@ class UserDefinedPolicy(Policy):
                     f"retry budget for {action_name!r} must be >= 0, got {budget}"
                 )
         self._budgets = budgets
+        # The ladder's rungs, weakest first: (action name, budget).
+        self._ladder = tuple(
+            (action.name, self.budget_for(action.name))
+            for action in self._catalog.by_strength()
+        )
+        self._names = tuple(name for name, _ in self._ladder)
 
     @property
     def name(self) -> str:
@@ -88,15 +101,42 @@ class UserDefinedPolicy(Policy):
             return 10**9
         return self._budgets.get(action_name, 1)
 
-    def decide(self, state: RecoveryState) -> PolicyDecision:
+    def _rung(self, state: RecoveryState) -> int:
+        """The ladder position of the action ``state`` gets.
+
+        The weakest rung whose budget ``state``'s history has not spent;
+        once every budget is spent, including (impossibly) the manual
+        action's, the strongest rung regardless.
+        """
         if state.is_terminal:
             raise terminal_state_error(state)
-        counts = state.tried_counts()
-        for action in self._catalog.by_strength():
-            if counts.get(action.name, 0) < self.budget_for(action.name):
-                return PolicyDecision(action=action.name, source=self.name)
-        # All budgets exhausted, including (impossibly) the manual action's:
-        # escalate to manual repair regardless.
+        tried = state.tried
+        for rung, (name, budget) in enumerate(self._ladder):
+            if tried.count(name) < budget:
+                return rung
+        return len(self._ladder) - 1
+
+    def decide(self, state: RecoveryState) -> PolicyDecision:
         return PolicyDecision(
-            action=self._catalog.strongest.name, source=self.name
+            action=self._names[self._rung(state)], source=self.name
+        )
+
+    def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
+        """Decide every state by the ladder rule, as columns.
+
+        The action vocabulary is the ladder, weakest first; no row has
+        an estimate and every row is a hit.  A terminal state raises
+        the :class:`~repro.errors.ConfigurationError` ``decide`` raises.
+        """
+        count = len(states)
+        return DecisionBatch(
+            hit=np.ones(count, dtype=bool),
+            action_ids=np.fromiter(
+                map(self._rung, states), dtype=np.intp, count=count
+            ),
+            actions=self._names,
+            costs=np.zeros(count, dtype=np.float64),
+            estimated=np.zeros(count, dtype=bool),
+            source_ids=np.zeros(count, dtype=np.intp),
+            sources=(self.name,),
         )

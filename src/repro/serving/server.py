@@ -22,8 +22,8 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence
+from itertools import compress, repeat
+from typing import Dict, FrozenSet, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +75,7 @@ class PolicyVersion:
     known_types: Optional[FrozenSet[str]] = None
 
 
-@dataclass(frozen=True)
-class ServedDecision:
+class ServedDecision(NamedTuple):
     """A server answer: the chosen action plus serving provenance.
 
     ``source`` follows the hybrid convention
@@ -84,6 +83,10 @@ class ServedDecision:
     primary policy missed and the fallback decided; ``version`` is the
     policy generation that answered, so a client can detect mid-stream
     hot reloads.
+
+    A named tuple, so :class:`ServedBatch` builds its rows in C.  It is
+    immutable; a changed copy comes from ``_replace``, not from
+    ``dataclasses.replace``.
     """
 
     action: str
@@ -101,7 +104,9 @@ class ServedBatch(ColumnRows[ServedDecision]):
     hit, its sources already ``"serving:"``-prefixed; ``fell_back``
     (bool, one per row) marks the rows the fallback answered; and
     ``version`` is the one generation that answered them all.  Indexing
-    or iterating materializes :class:`ServedDecision` rows.
+    or iterating builds :class:`ServedDecision` rows straight from the
+    columns: iterating builds them all in C, with no Python frame and no
+    :class:`~repro.policies.base.PolicyDecision` per row.
     """
 
     __slots__ = ("decisions", "fell_back", "version")
@@ -118,36 +123,32 @@ class ServedBatch(ColumnRows[ServedDecision]):
         return len(self.decisions)
 
     def _row(self, row: int) -> ServedDecision:
-        decision = self.decisions[row]
+        decisions = self.decisions
         return ServedDecision(
-            decision.action,
-            decision.source,
-            decision.expected_cost,
+            decisions.actions[decisions.action_ids[row]],
+            decisions.sources[decisions.source_ids[row]],
+            float(decisions.costs[row]) if decisions.estimated[row] else None,
             self.version,
             bool(self.fell_back[row]),
         )
 
     def __iter__(self) -> Iterator[ServedDecision]:
         decisions = self.decisions
-        actions, sources, version = (
-            decisions.actions,
-            decisions.sources,
-            self.version,
-        )
-        for action_id, source_id, cost, estimated, fell_back in zip(
-            decisions.action_ids.tolist(),
-            decisions.source_ids.tolist(),
-            decisions.costs.tolist(),
-            decisions.estimated.tolist(),
+        # Object-array gathers and ``tolist`` yield the Python str,
+        # float and None of every column; ``tuple.__new__`` then builds
+        # each row without running Python code.
+        columns = zip(
+            np.array(decisions.actions, dtype=object)[
+                decisions.action_ids
+            ].tolist(),
+            np.array(decisions.sources, dtype=object)[
+                decisions.source_ids
+            ].tolist(),
+            np.where(decisions.estimated, decisions.costs, None).tolist(),
+            repeat(self.version, len(self)),
             self.fell_back.tolist(),
-        ):
-            yield ServedDecision(
-                actions[action_id],
-                sources[source_id],
-                cost if estimated else None,
-                version,
-                fell_back,
-            )
+        )
+        return map(tuple.__new__, repeat(ServedDecision), columns)
 
 
 class DecisionServer:
@@ -299,8 +300,9 @@ class DecisionServer:
         row of the answer carries the same ``version`` (and was answered
         by that generation's fallback) even when a publish lands
         mid-batch.  The primary answers the batch in one
-        ``decide_batch`` call; its misses go to the fallback one state
-        at a time (:meth:`~repro.policies.base.DecisionBatch.with_fallback`).
+        ``decide_batch`` call, and the fallback answers all of its
+        misses in one more
+        (:meth:`~repro.policies.base.DecisionBatch.with_fallback`).
         An empty batch answers nothing and counts nothing.
         """
         current = self._current

@@ -173,6 +173,18 @@ BAD_QTABLE_FIELDS = [
 ]
 
 
+#: Record fields of the wrong JSON type, as ``(field, value)``.  Every
+#: loader of state, rule and Q-table entry records must refuse each one;
+#: converting it with ``str`` would load a different state or action.
+MISTYPED_RECORD_FIELDS = [
+    pytest.param("tried", "TRYNOP", id="tried-string"),
+    pytest.param("tried", ["TRYNOP", 3], id="number-in-tried"),
+    pytest.param("error_type", 7, id="numeric-error-type"),
+    pytest.param("action", None, id="null-action"),
+    pytest.param("action", 3, id="numeric-action"),
+]
+
+
 def set_qtable_field(payload: dict, where: str, field: str, value) -> None:
     """Set one field of a Q-table payload in place (see above)."""
     target = payload if where == "header" else payload["entries"][0]

@@ -18,7 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BAD_QTABLE_FIELDS, set_qtable_field
+from helpers import (
+    BAD_QTABLE_FIELDS,
+    MISTYPED_RECORD_FIELDS,
+    set_qtable_field,
+)
 from repro.actions import default_catalog
 from repro.core import PipelineConfig, RecoveryPolicyLearner
 from repro.errors import ConfigurationError, TrainingError
@@ -150,6 +154,14 @@ class TestCheckpointStore:
     ):
         def edit(payload):
             set_qtable_field(payload["qtable"], where, field, value)
+            return payload
+
+        assert self._corrupt(tmp_path, edit).load("error:Hard") is None
+
+    @pytest.mark.parametrize("field, value", MISTYPED_RECORD_FIELDS)
+    def test_mistyped_rule_field_retrains(self, tmp_path, field, value):
+        def edit(payload):
+            payload["rules"][0][field] = value
             return payload
 
         assert self._corrupt(tmp_path, edit).load("error:Hard") is None

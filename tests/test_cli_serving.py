@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import MISTYPED_RECORD_FIELDS
 from repro.cli import build_parser, main
 from repro.mdp.state import RecoveryState
 from repro.policies.serialization import save_policy
@@ -163,6 +164,81 @@ class TestServe:
         out = capsys.readouterr().out
         assert "fleet storm" in out
         assert "decisions by policy generation" in out
+
+    def _serve_bad_line(self, policy_path, tmp_path, capsys, bad_line):
+        """Serve two good queries and then ``bad_line``; the stderr."""
+        queries = tmp_path / "queries.jsonl"
+        good = json.dumps({"error_type": "error:X", "tried": []})
+        queries.write_bytes(f"{good}\n\n{good}\n".encode() + bad_line)
+        code = main(
+            [
+                "serve",
+                "--policy", policy_path,
+                "--queries", str(queries),
+                "--out", str(tmp_path / "answers.jsonl"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: {queries}:4: ")
+        return err
+
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [
+            (b'{"error_type": "error:X", "tried": [\n', "bad JSON"),
+            (b"not json\n", "bad JSON"),
+            (b'{"error_type": "\xff", "tried": []}\n', "not valid UTF-8"),
+            (b"[]\n", "bad state record"),
+            (b'{"tried": []}\n', "bad state record"),
+        ],
+        ids=["truncated", "not-json", "not-utf8", "not-object", "no-type"],
+    )
+    def test_malformed_query_line_is_an_error(
+        self, policy_path, tmp_path, capsys, bad_line, reason
+    ):
+        err = self._serve_bad_line(policy_path, tmp_path, capsys, bad_line)
+        assert reason in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [p for p in MISTYPED_RECORD_FIELDS if p.values[0] != "action"],
+    )
+    def test_mistyped_query_field_is_an_error(
+        self, policy_path, tmp_path, capsys, field, value
+    ):
+        record = {"error_type": "error:X", "tried": ["REBOOT"], field: value}
+        err = self._serve_bad_line(
+            policy_path, tmp_path, capsys, json.dumps(record).encode()
+        )
+        assert f"{field} must be a " in err
+
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--queries", "QUERIES"],
+            ["--storm", "10"],
+            ["--fleet-machines", "5"],
+        ],
+        ids=["queries", "storm", "fleet"],
+    )
+    def test_batch_size_below_one_is_an_error(
+        self, policy_path, tmp_path, capsys, mode, batch_size
+    ):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(
+            json.dumps({"error_type": "error:X", "tried": []}) + "\n"
+        )
+        mode = [str(queries) if arg == "QUERIES" else arg for arg in mode]
+        code = main(
+            ["serve", "--policy", policy_path, "--batch-size", batch_size]
+            + mode
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: --batch-size must be >= 1, got {batch_size}"
+        )
 
     def test_requires_exactly_one_mode(self, policy_path):
         with pytest.raises(SystemExit):

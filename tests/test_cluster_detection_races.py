@@ -30,7 +30,7 @@ from repro.cluster.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.detector import FaultDetector
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine
-from repro.policies import AlwaysStrongestPolicy, UserDefinedPolicy
+from repro.policies import UserDefinedPolicy
 from repro.recoverylog.entry import EntryKind, LogEntry
 from repro.recoverylog.log import RecoveryLog
 from repro.util.rng import RngStreams

@@ -31,7 +31,7 @@ from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine, simulate_cluster
 from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import Policy
 from repro.scenario.model import ScenarioModel
 from repro.scenario.presets import ScenarioSpec, build_scenario_model
 from repro.policies.hybrid import HybridPolicy

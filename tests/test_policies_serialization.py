@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BAD_QTABLE_FIELDS, set_qtable_field
+from helpers import (
+    BAD_QTABLE_FIELDS,
+    MISTYPED_RECORD_FIELDS,
+    set_qtable_field,
+)
 from repro.errors import LogFormatError
 from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
@@ -122,6 +126,17 @@ class TestPolicyRoundTrip:
         )
         self._rejects(path, reason)
 
+    @pytest.mark.parametrize("field, value", MISTYPED_RECORD_FIELDS)
+    def test_mistyped_rule_field_rejected_with_path(
+        self, tmp_path, policy, field, value
+    ):
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        payload = json.loads(path.read_text())
+        payload["rules"][0][field] = value
+        path.write_text(json.dumps(payload))
+        self._rejects(path, f"{field} must be a ")
+
 
 class TestQTableRoundTrip:
     def _table(self):
@@ -199,6 +214,33 @@ class TestQTableRoundTrip:
         payload["entries"][0].update(edit)
         path.write_text(json.dumps(payload))
         pattern = f"^{re.escape(str(path))}: bad entry.*{reason}"
+        with pytest.raises(LogFormatError, match=pattern):
+            load_qtable(path)
+
+    @pytest.mark.parametrize("field, value", MISTYPED_RECORD_FIELDS)
+    def test_mistyped_entry_field_rejected_with_path(
+        self, tmp_path, field, value
+    ):
+        # The header names the actions a null and a number would become
+        # under ``str``, so only a type check can refuse them.
+        table = QTable(ACTIONS + ["None", "3"])
+        table.update(S0, "TRYNOP", 600.0)
+        path = tmp_path / "qtable.json"
+        save_qtable(table, path)
+        payload = json.loads(path.read_text())
+        payload["entries"][0][field] = value
+        path.write_text(json.dumps(payload))
+        pattern = f"^{re.escape(str(path))}: bad .*{field} must be a "
+        with pytest.raises(LogFormatError, match=pattern):
+            load_qtable(path)
+
+    def test_mistyped_header_actions_rejected_with_path(self, tmp_path):
+        path = tmp_path / "qtable.json"
+        save_qtable(self._table(), path)
+        payload = json.loads(path.read_text())
+        payload["actions"] = "TRYNOP"
+        path.write_text(json.dumps(payload))
+        pattern = f"^{re.escape(str(path))}: bad Q-table header: actions"
         with pytest.raises(LogFormatError, match=pattern):
             load_qtable(path)
 

@@ -1,8 +1,11 @@
 """Tests for the user-defined cheapest-first ladder policy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.actions import default_catalog
+from repro.actions.action import ActionCatalog, RepairAction
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
 from repro.policies.user_defined import DEFAULT_RETRY_BUDGETS, UserDefinedPolicy
@@ -91,3 +94,59 @@ class TestLadder:
     def test_statelessness_across_types(self):
         policy = UserDefinedPolicy(CATALOG)
         assert walk(policy, "error:A", 2) == walk(policy, "error:B", 2)
+
+
+NAMES = ["A", "B", "C", "D", "E", "F"]
+
+
+@st.composite
+def ladders(draw):
+    """A random catalog (strongest manual), budgets and state batch."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    catalog = ActionCatalog(
+        [
+            RepairAction(
+                name,
+                strength,
+                manual=strength == len(names) - 1 or draw(st.booleans()),
+            )
+            for strength, name in enumerate(names)
+        ]
+    )
+    budgets = draw(
+        st.none()
+        | st.dictionaries(st.sampled_from(names), st.integers(0, 3))
+    )
+    # Histories may name actions outside the catalog.
+    history = st.lists(st.sampled_from(NAMES + ["FSCK"]), max_size=20)
+    states = draw(
+        st.lists(
+            st.builds(
+                lambda tried, healthy: RecoveryState(
+                    "error:X", healthy and bool(tried), tuple(tried)
+                ),
+                history,
+                st.integers(0, 15).map(lambda roll: roll == 0),
+            ),
+            max_size=12,
+        )
+    )
+    return UserDefinedPolicy(catalog, retry_budgets=budgets), states
+
+
+class TestDecideBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(ladders())
+    def test_batch_rows_equal_decide(self, ladder):
+        policy, states = ladder
+        terminal = [state for state in states if state.is_terminal]
+        if not terminal:
+            assert list(policy.decide_batch(states)) == [
+                policy.decide(state) for state in states
+            ]
+            return
+        with pytest.raises(ConfigurationError) as from_batch:
+            policy.decide_batch(states)
+        with pytest.raises(ConfigurationError) as from_state:
+            policy.decide(terminal[0])
+        assert str(from_batch.value) == str(from_state.value)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.actions import default_catalog
 from repro.core.online import RollingRetrainer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import DecisionBatch, Policy
 from repro.policies.binary import load_policy_binary, save_policy_binary
@@ -136,6 +136,107 @@ class TestDecideBatch:
         )
         decisions = array_server.decide_batch([S0, UNKNOWN, S1])
         assert [d.action for d in decisions] == ["REIMAGE", "TRYNOP", "RMA"]
+
+
+#: A hit, a known-type miss, an unknown type, a second hit, a known-type
+#: miss with a longer history and the unknown type again.
+MIXED = [
+    S0,
+    S0.after("REBOOT", False),
+    UNKNOWN,
+    S1,
+    S1.after("REBOOT", False),
+    UNKNOWN.after("TRYNOP", False),
+]
+
+
+class TestServedRows:
+    """Iterated, indexed and per-state answers are the same rows."""
+
+    def _check(self, served, twin, states):
+        answer = served.decide_batch(states)
+        rows = list(answer)
+        assert rows == [answer[row] for row in range(len(states))]
+        assert rows == [twin.decide(state) for state in states]
+        assert {row.version for row in rows} == {served.version}
+        assert [row.fell_back for row in rows] == answer.fell_back.tolist()
+        for row in rows:
+            assert row.fell_back == (row.expected_cost is None)
+        return rows
+
+    def test_mixed_batch(self, trained):
+        served = DecisionServer(trained, UserDefinedPolicy(default_catalog()))
+        twin = DecisionServer(trained, UserDefinedPolicy(default_catalog()))
+        rows = self._check(served, twin, MIXED)
+        assert [row.fell_back for row in rows] == [
+            False, True, True, False, True, True,
+        ]
+
+    def test_mixed_batch_after_publish(self, trained):
+        served = DecisionServer(trained, UserDefinedPolicy(default_catalog()))
+        twin = DecisionServer(trained, UserDefinedPolicy(default_catalog()))
+        replacement = TrainedPolicy(
+            {S0: ("REBOOT", 60.0), UNKNOWN: ("TRYNOP", 5.0)}, label="t2"
+        )
+        for server in (served, twin):
+            server.publish(replacement)
+        rows = self._check(served, twin, MIXED)
+        assert {row.version for row in rows} == {2}
+        assert [row.source for row in rows[:3]] == [
+            "serving:t2", "serving:user-defined", "serving:t2",
+        ]
+
+
+class _CountingFallback(UserDefinedPolicy):
+    """The ladder, recording the states of every ``decide_batch`` call."""
+
+    def __init__(self):
+        super().__init__(default_catalog())
+        self.batches = []
+
+    def decide_batch(self, states):
+        self.batches.append(list(states))
+        return super().decide_batch(states)
+
+
+class TestWithFallback:
+    def test_one_fallback_call_per_batch_with_misses(self, trained):
+        fallback = _CountingFallback()
+        server = DecisionServer(trained, fallback)
+        server.decide_batch(MIXED)
+        server.decide_batch([S0, S1, S0])
+        server.decide_batch([UNKNOWN, S0])
+        assert fallback.batches == [
+            [MIXED[1], MIXED[2], MIXED[4], MIXED[5]],
+            [UNKNOWN],
+        ]
+
+    def test_hybrid_sends_its_misses_in_one_call(self, trained):
+        fallback = _CountingFallback()
+        answer = trained.decide_batch(MIXED).with_fallback(MIXED, fallback)
+        assert fallback.batches == [[MIXED[1], MIXED[2], MIXED[4], MIXED[5]]]
+        assert answer.hit.all()
+        assert list(answer) == [
+            trained.decide(state) if hit else fallback.decide(state)
+            for state, hit in zip(MIXED, [1, 0, 0, 1, 0, 0])
+        ]
+
+    def test_fallback_miss_raises_first_missed_row(self, trained):
+        class Partial(Policy):
+            """Answers only error:X, so the first unknown row misses."""
+
+            name = "partial"
+
+            def decide(self, state):
+                if state.error_type != "error:X":
+                    raise UnhandledStateError(f"no rule: {state}", state=state)
+                return UserDefinedPolicy(default_catalog()).decide(state)
+
+        server = DecisionServer(trained, Partial())
+        with pytest.raises(UnhandledStateError) as caught:
+            server.decide_batch(MIXED)
+        assert caught.value.state == UNKNOWN
+        assert server.decision_count == 0
 
 
 class TestPublish:
@@ -448,6 +549,19 @@ class TestServedDecision:
         assert isinstance(decision, ServedDecision)
         with pytest.raises(AttributeError):
             decision.action = "RMA"
+
+    def test_fields_repr_and_hash(self, server):
+        decision = server.decide(S0)
+        assert decision == ServedDecision(
+            "REIMAGE", "serving:t1", 7200.0, 1, False
+        )
+        assert repr(decision) == (
+            "ServedDecision(action='REIMAGE', source='serving:t1', "
+            "expected_cost=7200.0, version=1, fell_back=False)"
+        )
+        assert hash(decision) == hash(
+            ("REIMAGE", "serving:t1", 7200.0, 1, False)
+        )
 
 
 class TestErrorTypeStats:
