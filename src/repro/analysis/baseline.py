@@ -19,11 +19,10 @@ from pathlib import Path
 from typing import Counter as CounterType, List, Sequence, Tuple, Union
 
 from repro.analysis.findings import Finding
-from repro.errors import ReproError
+from repro.errors import LogFormatError, ReproError
+from repro.records import BASELINE, BASELINE_VERSION, read_json
 
 __all__ = ["Baseline", "BaselineError"]
-
-_VERSION = 1
 
 
 class BaselineError(ReproError):
@@ -64,36 +63,25 @@ class Baseline:
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Baseline":
-        """Read a baseline file; a missing file is an explicit error."""
-        path = Path(path)
+        """Read a baseline file; see :data:`~repro.records.BASELINE`.
+
+        A missing, non-JSON or malformed file is an explicit error.
+        """
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = read_json(path)
         except FileNotFoundError:
-            raise BaselineError(f"baseline file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise BaselineError(f"baseline file {path} is not JSON: {exc}")
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != _VERSION
-            or not isinstance(payload.get("findings"), list)
-        ):
-            raise BaselineError(
-                f"baseline file {path} must be "
-                '{"version": 1, "findings": [...]}'
-            )
+            raise BaselineError(f"baseline file not found: {path}") from None
+        except LogFormatError as exc:
+            raise BaselineError(f"baseline file is not JSON: {exc}") from None
         try:
-            findings = [
-                Finding.from_dict(entry) for entry in payload["findings"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BaselineError(
-                f"baseline file {path} has a malformed finding: {exc}"
-            )
-        return cls(findings)
+            fields = BASELINE.read(payload)
+        except LogFormatError as exc:
+            raise BaselineError(f"baseline file {path}: {exc}") from None
+        return cls([Finding(**finding) for finding in fields["findings"]])
 
     def save(self, path: Union[str, Path]) -> None:
         payload = {
-            "version": _VERSION,
+            "version": BASELINE_VERSION,
             "findings": [finding.to_dict() for finding in self._findings],
         }
         Path(path).write_text(

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
+from repro.records import FINDING
+
 __all__ = ["Finding"]
 
 
@@ -56,12 +58,9 @@ class Finding:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            column=int(payload.get("column", 0)),
-            rule=str(payload["rule"]),
-            message=str(payload["message"]),
-            suggestion=str(payload.get("suggestion", "")),
-        )
+    def from_dict(cls, payload: object) -> "Finding":
+        """Invert :meth:`to_dict`; see :data:`~repro.records.FINDING`.
+
+        Raises :class:`~repro.errors.LogFormatError`.
+        """
+        return cls(**FINDING.read(payload))

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.actions.action import default_catalog
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RecoveryPolicyLearner
-from repro.errors import ConfigurationError, LogFormatError, ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.evaluation.split import time_ordered_split
 from repro.mining.clustering import coverage_curve
 from repro.mining.noise import filter_noise
@@ -594,6 +594,8 @@ def _serving_policy(path: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.policies.serialization import state_from_record
+    from repro.records import read_lines
     from repro.serving import (
         DecisionServer,
         fleet_storm,
@@ -622,7 +624,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         try:
             batch = []
-            for state in _query_states(args.queries):
+            for state in read_lines(args.queries, state_from_record):
                 batch.append(state)
                 if len(batch) >= args.batch_size:
                     answered += _serve_batch(server, batch, out_handle)
@@ -667,39 +669,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"decisions by policy generation: {versions}")
     return 0
-
-
-def _query_states(path: str):
-    """The states of a JSONL query file, one per non-blank line.
-
-    A line that is not UTF-8, not JSON or not a state record raises
-    :class:`LogFormatError` naming ``path:line``.
-    """
-    import json as json_module
-
-    from repro.policies.serialization import state_from_record
-
-    with open(path, "rb") as queries:
-        for line_no, raw in enumerate(queries, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise LogFormatError(
-                    f"{path}:{line_no}: not valid UTF-8: {exc}"
-                ) from None
-            if not line:
-                continue
-            try:
-                record = json_module.loads(line)
-            except ValueError as exc:
-                raise LogFormatError(
-                    f"{path}:{line_no}: bad JSON: {exc}"
-                ) from None
-            try:
-                state = state_from_record(record)
-            except LogFormatError as exc:
-                raise LogFormatError(f"{path}:{line_no}: {exc}") from None
-            yield state
 
 
 def _serve_batch(server, batch, out_handle) -> int:
@@ -801,10 +770,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

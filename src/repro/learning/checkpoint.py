@@ -33,9 +33,11 @@ from repro.mdp.state import RecoveryState
 from repro.policies.serialization import (
     qtable_from_payload,
     qtable_to_payload,
-    rule_from_record,
-    state_to_record,
+    rule_records,
+    rules_from_records,
 )
+from repro.policies.trained import Rule
+from repro.records import CHECKPOINT, CHECKPOINT_FORMAT, read_json
 
 __all__ = [
     "TypeCheckpoint",
@@ -44,10 +46,7 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
-Rule = Tuple[str, float]
 RuleTable = Dict[RecoveryState, Rule]
-
-_CHECKPOINT_FORMAT = "repro/type-checkpoint@1"
 
 
 def training_fingerprint(payload: Mapping[str, object]) -> str:
@@ -142,18 +141,9 @@ class CheckpointStore:
         interrupt mid-write can never leave a torn checkpoint behind.
         """
         self._directory.mkdir(parents=True, exist_ok=True)
-        rules = []
-        for state, (action, cost) in sorted(
-            checkpoint.rules.items(),
-            key=lambda item: (item[0].error_type, item[0].tried),
-        ):
-            record = state_to_record(state)
-            record["action"] = action
-            record["expected_cost"] = cost
-            rules.append(record)
         training = checkpoint.training
         payload = {
-            "format": _CHECKPOINT_FORMAT,
+            "format": CHECKPOINT_FORMAT,
             "fingerprint": self._fingerprint,
             "error_type": checkpoint.error_type,
             "training": {
@@ -163,7 +153,7 @@ class CheckpointStore:
                 "episodes": training.episodes,
             },
             "qtable": qtable_to_payload(training.qtable),
-            "rules": rules,
+            "rules": rule_records(checkpoint.rules),
             "expected_cost": checkpoint.expected_cost,
             "candidates_evaluated": checkpoint.candidates_evaluated,
             "wall_clock": checkpoint.wall_clock,
@@ -180,75 +170,53 @@ class CheckpointStore:
         """The type's checkpoint, or ``None`` when absent or stale.
 
         Stale means: written under a different configuration
-        fingerprint, or unreadable (not JSON, not a checkpoint object,
-        or a field or Q-table entry that does not parse).  A checkpoint
-        for a *different* type at this path (hash collision cannot
-        happen; manual tampering can) raises :class:`TrainingError`.
+        fingerprint, or unreadable (not JSON, or a record that
+        :data:`~repro.records.CHECKPOINT` or the Q table refuses).  A
+        checkpoint for a *different* type at this path (hash collision
+        cannot happen; manual tampering can) raises
+        :class:`TrainingError`.
         """
         path = self.path_for(error_type)
-        if not path.exists():
+        fields = self._read_current(path)
+        if fields is None:
             return None
-        payload = self._read_current(path)
-        if payload is None:
-            return None
-        if payload.get("error_type") != error_type:
+        if fields["error_type"] != error_type:
             raise TrainingError(
                 f"checkpoint {path} belongs to error type "
-                f"{payload.get('error_type')!r}, not {error_type!r}"
+                f"{fields['error_type']!r}, not {error_type!r}"
             )
         try:
-            training_meta = payload["training"]
             qtable = qtable_from_payload(
-                payload["qtable"], alpha_floor=self._alpha_floor
+                fields["qtable"], alpha_floor=self._alpha_floor
             )
-            rules: RuleTable = {}
-            for record in payload["rules"]:
-                state, rule = rule_from_record(record)
-                rules[state] = rule
-            expected = payload.get("expected_cost")
-            return TypeCheckpoint(
-                error_type=error_type,
-                training=TypeTrainingResult(
-                    error_type=error_type,
-                    qtable=qtable,
-                    sweeps_run=int(training_meta["sweeps_run"]),
-                    sweeps_to_convergence=int(
-                        training_meta["sweeps_to_convergence"]
-                    ),
-                    converged=bool(training_meta["converged"]),
-                    episodes=int(training_meta["episodes"]),
-                ),
-                rules=rules,
-                expected_cost=None if expected is None else float(expected),
-                candidates_evaluated=int(
-                    payload.get("candidates_evaluated", 0)
-                ),
-                wall_clock=float(payload.get("wall_clock", 0.0)),
-            )
-        except (
-            KeyError, TypeError, ValueError, OverflowError, LogFormatError
-        ):
-            # Torn or hand-edited checkpoint: retrain rather than crash.
+        except LogFormatError:
+            # Hand-edited Q table the table refuses: retrain.
             return None
+        training = fields["training"]
+        return TypeCheckpoint(
+            error_type=error_type,
+            training=TypeTrainingResult(
+                error_type=error_type, qtable=qtable, **training
+            ),
+            rules=rules_from_records(fields["rules"]),
+            expected_cost=fields["expected_cost"],
+            candidates_evaluated=fields["candidates_evaluated"],
+            wall_clock=fields["wall_clock"],
+        )
 
     def _read_current(self, path: Path) -> Optional[Dict[str, object]]:
-        """The checkpoint object at ``path``, if this run wrote it.
+        """The checked checkpoint fields at ``path``, if this run wrote them.
 
-        ``None`` when the file is unreadable, not UTF-8 JSON, not an
-        object, or of another format or fingerprint.
+        ``None`` when the file is unreadable, torn, refused by
+        :data:`~repro.records.CHECKPOINT`, or of another fingerprint.
         """
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):  # JSON and UTF-8 decode errors
+            fields = CHECKPOINT.read(read_json(path))
+        except (OSError, LogFormatError):
             return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != _CHECKPOINT_FORMAT
-            or payload.get("fingerprint") != self._fingerprint
-        ):
+        if fields["fingerprint"] != self._fingerprint:
             return None
-        return payload
+        return fields
 
     def completed_types(self) -> Tuple[str, ...]:
         """Error types with a valid checkpoint for this fingerprint."""
@@ -256,7 +224,7 @@ class CheckpointStore:
             return ()
         names = []
         for path in sorted(self._directory.glob("*.json")):
-            payload = self._read_current(path)
-            if payload is not None:
-                names.append(str(payload.get("error_type")))
+            fields = self._read_current(path)
+            if fields is not None:
+                names.append(fields["error_type"])
         return tuple(sorted(names))

@@ -21,9 +21,11 @@ File layout (all integers little-endian)::
     padding       zeros to the next 64-byte boundary
     data          raw array blobs, each 64-byte aligned
 
-Every load checks the header without reading a data page: a JSON
-object, the three columns' exact dtypes and ``[rule_count]`` shapes,
-``max_history >= 0``, and vocabularies whose key space fits 64 bits.
+Every load checks the header without reading a data page: a length
+that fits the file, a JSON object that
+:data:`~repro.records.BINARY_HEADER` accepts, the three columns' exact
+dtypes and ``[rule_count]`` shapes, columns that end inside the file,
+and vocabularies whose key space fits 64 bits.
 ``verify=True`` reads every page: the data CRC-32 first, then the rows
 (:meth:`~repro.policies.trained.TrainedPolicy.check_columns`).
 """
@@ -40,6 +42,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, LogFormatError
 from repro.policies.trained import RuleColumns, TrainedPolicy
+from repro.records import BINARY_HEADER, BINARY_POLICY_FORMAT
 
 __all__ = [
     "BINARY_POLICY_FORMAT",
@@ -49,7 +52,6 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-BINARY_POLICY_FORMAT = "repro/policy-bin@1"
 _MAGIC = b"RPROPOLB"
 _CONTAINER_VERSION = 1
 _ALIGN = 64
@@ -121,8 +123,9 @@ def save_policy_binary(policy: TrainedPolicy, path: PathLike) -> int:
     return len(policy)
 
 
-def _read_header(path: Path) -> Tuple[Dict[str, object], int]:
-    """Parse the container prefix: (header dict, data-section origin)."""
+def _read_header(path: Path) -> Tuple[object, int, int]:
+    """Parse the container prefix: (header, data-section origin, file
+    size)."""
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 4)
         if len(prefix) < len(_MAGIC) + 4 or prefix[: len(_MAGIC)] != _MAGIC:
@@ -134,23 +137,16 @@ def _read_header(path: Path) -> Tuple[Dict[str, object], int]:
                 f"(this build reads version {_CONTAINER_VERSION})"
             )
         header_len = int.from_bytes(handle.read(8), "little")
-        header_bytes = handle.read(header_len)
-        if len(header_bytes) != header_len:
+        # A corrupt length must not ask ``read`` for gigabytes.
+        size = os.fstat(handle.fileno()).st_size
+        if header_len > size - handle.tell():
             raise LogFormatError(f"{path}: truncated header")
+        header_bytes = handle.read(header_len)
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LogFormatError(f"{path}: bad header: {exc}") from None
-    if not isinstance(header, dict):
-        raise LogFormatError(
-            f"{path}: header must be an object, got {type(header).__name__}"
-        )
-    if header.get("format") != BINARY_POLICY_FORMAT:
-        raise LogFormatError(
-            f"{path}: expected format {BINARY_POLICY_FORMAT!r}, "
-            f"got {header.get('format')!r}"
-        )
-    return header, _align(len(_MAGIC) + 12 + header_len)
+    return header, _align(len(_MAGIC) + 12 + header_len), size
 
 
 def load_policy_binary(
@@ -169,9 +165,10 @@ def load_policy_binary(
     naming ``path``.
     """
     path = Path(path)
-    header, data_origin = _read_header(path)
+    header, data_origin, size = _read_header(path)
     try:
-        rule_count = int(header["rule_count"])
+        header = BINARY_HEADER.check("header", header)
+        rule_count = header["rule_count"]
         arrays: Dict[str, np.ndarray] = {}
         for name, dtype_str in _COLUMNS.items():
             spec = header["arrays"][name]
@@ -181,7 +178,9 @@ def load_policy_binary(
                     f"[{rule_count}], got {spec['dtype']} {spec['shape']}"
                 )
             dtype = np.dtype(dtype_str)
-            offset = data_origin + int(spec["offset"])
+            offset = data_origin + spec["offset"]
+            if offset + dtype.itemsize * rule_count > size:
+                raise ValueError(f"column {name!r} runs past the end of the file")
             if mmap:
                 arrays[name] = np.memmap(
                     path, dtype=dtype, mode="r", offset=offset, shape=(rule_count,)
@@ -191,27 +190,23 @@ def load_policy_binary(
                     handle.seek(offset)
                     raw = handle.read(dtype.itemsize * rule_count)
                 arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(rule_count)
-        max_history = int(header["max_history"])
-        if max_history < 0:
-            raise ValueError(f"max_history must be >= 0, got {max_history}")
         columns = RuleColumns(
-            error_types=tuple(str(s) for s in header["error_types"]),
-            history_actions=tuple(str(s) for s in header["history_actions"]),
-            decided_actions=tuple(str(s) for s in header["decided_actions"]),
-            max_history=max_history,
+            error_types=tuple(header["error_types"]),
+            history_actions=tuple(header["history_actions"]),
+            decided_actions=tuple(header["decided_actions"]),
+            max_history=header["max_history"],
             **arrays,
         )
         policy = TrainedPolicy.from_columns(
-            columns, label=str(header["label"]), source_path=path
+            columns, label=header["label"], source_path=path
         )
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        raise LogFormatError(f"{path}: bad header field: {exc}") from None
+    except (LogFormatError, ValueError, ConfigurationError) as exc:
+        raise LogFormatError(f"{path}: {exc}") from None
     if verify:
-        size = path.stat().st_size
         with open(path, "rb") as handle:
             handle.seek(data_origin)
             actual = zlib.crc32(handle.read(size - data_origin))
-        expected = header.get("data_crc32")
+        expected = header["data_crc32"]
         if actual != expected:
             raise LogFormatError(
                 f"{path}: data checksum mismatch "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Union
 
 from repro.errors import ConfigurationError, LogFormatError, TrainingError
 from repro.learning.qtable import QTable
@@ -27,7 +27,16 @@ from repro.policies.binary import (
     load_policy_binary,
     save_policy_binary,
 )
-from repro.policies.trained import TrainedPolicy
+from repro.policies.trained import Rule, TrainedPolicy
+from repro.records import (
+    POLICY,
+    POLICY_FORMAT,
+    QTABLE,
+    QTABLE_ENTRY,
+    QTABLE_FORMAT,
+    STATE,
+    read_json,
+)
 
 __all__ = [
     "save_policy",
@@ -38,17 +47,13 @@ __all__ = [
     "load_qtable",
     "state_to_record",
     "state_from_record",
-    "rule_from_record",
+    "rule_records",
+    "rules_from_records",
     "qtable_to_payload",
     "qtable_from_payload",
 ]
 
 PathLike = Union[str, Path]
-
-_POLICY_FORMAT = "repro/trained-policy@1"
-_QTABLE_FORMAT = "repro/qtable@1"
-#: Largest visit count a Q-table entry may carry (the int64 range).
-_MAX_VISITS = 2**63 - 1
 
 
 def state_to_record(state: RecoveryState) -> Dict[str, object]:
@@ -59,73 +64,46 @@ def state_to_record(state: RecoveryState) -> Dict[str, object]:
     }
 
 
-def _text(record: Dict[str, object], field: str) -> str:
-    """``record[field]``, which must be a JSON string."""
-    value = record[field]
-    if not isinstance(value, str):
-        raise TypeError(f"{field} must be a string, got {value!r}")
-    return value
+def state_from_record(record: object) -> RecoveryState:
+    """Invert :func:`state_to_record`; see :data:`~repro.records.STATE`.
 
-
-def _texts(record: Dict[str, object], field: str) -> List[str]:
-    """``record[field]``, which must be a JSON list of strings."""
-    value = record[field]
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise TypeError(f"{field} must be a list of strings, got {value!r}")
-    return value
-
-
-def state_from_record(record: Dict[str, object]) -> RecoveryState:
-    """Invert :func:`state_to_record`.
-
-    ``error_type`` must be a string and ``tried`` a list of strings:
-    values of any other JSON type are refused, not converted, so a
+    Values of the wrong JSON type are refused, not converted, so a
     malformed record never loads as a different state.  Raises
     :class:`LogFormatError`.
     """
-    try:
-        return RecoveryState(
-            error_type=_text(record, "error_type"),
-            healthy=False,
-            tried=tuple(_texts(record, "tried")),
-        )
-    except (KeyError, TypeError, ConfigurationError) as exc:
-        raise LogFormatError(f"bad state record {record!r}: {exc}") from None
+    fields = STATE.read(record)
+    return RecoveryState(fields["error_type"], tried=tuple(fields["tried"]))
 
 
-def rule_from_record(
-    record: Dict[str, object],
-) -> Tuple[RecoveryState, Tuple[str, float]]:
-    """A rule record of :func:`save_policy` as ``(state, (action, cost))``.
-
-    The state as :func:`state_from_record` reads it; ``action`` must be
-    a string.  Raises :class:`LogFormatError`.
-    """
-    state = state_from_record(record)
-    try:
-        return state, (
-            _text(record, "action"),
-            float(record["expected_cost"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LogFormatError(f"bad rule record {record!r}: {exc}") from None
-
-
-def save_policy(policy: TrainedPolicy, path: PathLike) -> int:
-    """Write a trained policy's rules as JSON; returns the rule count."""
-    rules = []
+def rule_records(rules: Mapping[RecoveryState, Rule]) -> List[Dict[str, object]]:
+    """A rule table as the rule records policies and checkpoints hold."""
+    records = []
     for state, (action, cost) in sorted(
-        policy.rules.items(),
-        key=lambda item: (item[0].error_type, item[0].tried),
+        rules.items(), key=lambda item: (item[0].error_type, item[0].tried)
     ):
         record = state_to_record(state)
         record["action"] = action
         record["expected_cost"] = cost
-        rules.append(record)
+        records.append(record)
+    return records
+
+
+def rules_from_records(
+    records: Iterable[Mapping[str, Any]],
+) -> Dict[RecoveryState, Rule]:
+    """Invert :func:`rule_records` over checked
+    :data:`~repro.records.RULE` records."""
+    return {
+        state_from_record(record): (record["action"], record["expected_cost"])
+        for record in records
+    }
+
+
+def save_policy(policy: TrainedPolicy, path: PathLike) -> int:
+    """Write a trained policy's rules as JSON; returns the rule count."""
+    rules = rule_records(policy.rules)
     payload = {
-        "format": _POLICY_FORMAT,
+        "format": POLICY_FORMAT,
         "label": policy.name,
         "rules": rules,
     }
@@ -135,50 +113,22 @@ def save_policy(policy: TrainedPolicy, path: PathLike) -> int:
     return len(rules)
 
 
-def _read_json(path: PathLike) -> object:
-    """The JSON document at ``path``; undecodable text is a format error."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise LogFormatError(f"{path}: bad JSON: {exc}") from None
-
-
-def _policy_from_payload(payload: object) -> TrainedPolicy:
-    """Pack a parsed policy document; raises without naming a path."""
-    if not isinstance(payload, dict):
-        raise LogFormatError(
-            f"expected a policy object, got {type(payload).__name__}"
-        )
-    if payload.get("format") != _POLICY_FORMAT:
-        raise LogFormatError(
-            f"expected format {_POLICY_FORMAT!r}, "
-            f"got {payload.get('format')!r}"
-        )
-    records = payload.get("rules", [])
-    if not isinstance(records, list):
-        raise LogFormatError(
-            f"rules must be a list, got {type(records).__name__}"
-        )
-    rules: Dict[RecoveryState, Tuple[str, float]] = {}
-    for record in records:
-        state, rule = rule_from_record(record)
-        rules[state] = rule
-    return TrainedPolicy(rules, label=str(payload.get("label", "trained")))
-
-
 def load_policy(path: PathLike) -> TrainedPolicy:
     """Read a trained policy saved by :func:`save_policy`.
 
     The rules are packed into a :class:`TrainedPolicy` as they are read:
     JSON is an interchange format only.  Every way a file can be
-    malformed — not UTF-8 JSON, not an object, a bad format tag or rule
-    record, a rule the table refuses — raises :class:`LogFormatError`
-    prefixed with its path.
+    malformed — not UTF-8 JSON, a document or rule record that
+    :data:`~repro.records.POLICY` refuses, a rule the table refuses —
+    raises :class:`LogFormatError` prefixed with its path.
     """
-    payload = _read_json(path)
+    payload = read_json(path)
     try:
-        return _policy_from_payload(payload)
+        fields = POLICY.read(payload)
+        return TrainedPolicy(
+            rules_from_records(fields["rules"]),
+            label=fields["label"],
+        )
     except (LogFormatError, ConfigurationError) as exc:
         raise LogFormatError(f"{path}: {exc}") from None
 
@@ -205,7 +155,7 @@ def qtable_to_payload(qtable: QTable) -> Dict[str, object]:
             record["visits"] = visits
             entries.append(record)
     return {
-        "format": _QTABLE_FORMAT,
+        "format": QTABLE_FORMAT,
         "actions": list(qtable.action_names),
         "initial_value": qtable.initial_value,
         "entries": entries,
@@ -218,63 +168,30 @@ def qtable_from_payload(
     """Invert :func:`qtable_to_payload`.
 
     ``alpha_floor`` is a training-time knob, not part of the payload,
-    and is supplied by the caller.  Every way a payload can be malformed
-    — not an object, a missing field, a non-finite ``initial_value``, a
-    ``visits`` that is not a JSON integer in ``[1, 2**63 - 1]``, an
-    action name or state field of the wrong JSON type (names are never
-    converted to strings), an entry the table refuses (a non-finite
-    value, an action outside ``actions``) — raises
-    :class:`LogFormatError`.
+    and is supplied by the caller.  A payload that
+    :data:`~repro.records.QTABLE` refuses, or whose header or entries
+    the table refuses (repeated action names, an entry's action outside
+    ``actions``), raises :class:`LogFormatError`.
     """
-    if not isinstance(payload, dict):
-        raise LogFormatError(
-            f"expected a Q-table object, got {type(payload).__name__}"
-        )
-    if payload.get("format") != _QTABLE_FORMAT:
-        raise LogFormatError(
-            f"expected format {_QTABLE_FORMAT!r}, "
-            f"got {payload.get('format')!r}"
-        )
-    entries = payload.get("entries", [])
+    fields = QTABLE.read(payload)
     try:
-        if not isinstance(entries, list):
-            raise TypeError(f"entries must be a list, got {entries!r}")
         qtable = QTable(
-            _texts(payload, "actions"),
-            initial_value=float(payload.get("initial_value", 0.0)),
+            fields["actions"],
+            initial_value=fields["initial_value"],
             alpha_floor=alpha_floor,
         )
-    except (
-        KeyError, TypeError, ValueError, OverflowError, ConfigurationError
-    ) as exc:
-        raise LogFormatError(f"bad Q-table header: {exc}") from None
-    for record in entries:
-        state = state_from_record(record)
+    except ConfigurationError as exc:
+        raise QTABLE.error(payload, exc) from None
+    for entry in fields["entries"]:
         try:
-            # ``restore`` refuses counts below 1.
-            visits = record["visits"]
-            if (
-                isinstance(visits, bool)
-                or not isinstance(visits, int)
-                or visits > _MAX_VISITS
-            ):
-                raise ValueError(
-                    f"visits must be a JSON integer <= {_MAX_VISITS}"
-                )
             qtable.restore(
-                state, _text(record, "action"), float(record["value"]), visits
+                state_from_record(entry),
+                entry["action"],
+                entry["value"],
+                entry["visits"],
             )
-        except (
-            KeyError,
-            TypeError,
-            ValueError,
-            OverflowError,
-            ConfigurationError,
-            TrainingError,
-        ) as exc:
-            raise LogFormatError(
-                f"bad entry record {record!r}: {exc}"
-            ) from None
+        except (ConfigurationError, TrainingError) as exc:
+            raise QTABLE_ENTRY.error(entry, exc) from None
     return qtable
 
 
@@ -298,7 +215,7 @@ def load_qtable(path: PathLike, *, alpha_floor: float = 0.0) -> QTable:
     training-time knob supplied by the caller.  A malformed file raises
     :class:`LogFormatError` prefixed with its path.
     """
-    payload = _read_json(path)
+    payload = read_json(path)
     try:
         return qtable_from_payload(payload, alpha_floor=alpha_floor)
     except LogFormatError as exc:

@@ -22,11 +22,12 @@ chunk-at-a-time consumers.
 
 The JSONL writer formats each line itself, byte for byte as the compact
 ``json`` encoder would (entries whose time is not a ``float`` or whose
-text is not ``str`` go through that encoder), and the JSONL reader
-parses each line with the decoder's C scanner, calling ``json.loads``
-only to word an error.  Files are decoded with ``surrogateescape``, so a
-byte that is not UTF-8 is reported like every other defect: as a
-``LogFormatError`` that begins ``path:line_no:``.
+text is not ``str`` go through that encoder).  The JSONL reader reads
+lines through :func:`repro.records.read_lines` and checks each against
+:data:`repro.records.LOG_LINE`: values of the wrong JSON type are
+refused, not converted.  A byte that is not UTF-8 is reported like
+every other defect: as a ``LogFormatError`` that begins
+``path:line_no:``.
 ``benchmarks/bench_mining_throughput.py`` reports both writers' speed
 against the historical one-``write``-per-entry shapes.
 """
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Set, TextIO, Union
+from typing import Any, Iterable, Iterator, List, Optional, Set, Union
 
 from repro.errors import ConfigurationError, LogFormatError
 from repro.recoverylog.entry import SUCCESS_DESCRIPTION, EntryKind, LogEntry
 from repro.recoverylog.log import RecoveryLog
+from repro.records import LOG_LINE, check_utf8, open_text, read_lines
 
 __all__ = [
     "write_log_text",
@@ -75,11 +77,8 @@ _FLOAT_JSON = float.__repr__
 _STR_JSON = json.encoder.encode_basestring_ascii
 _KIND_JSON = {kind: _STR_JSON(kind.value) for kind in EntryKind}
 
-#: Kind value -> kind; ``EntryKind(value)`` is slower, kept for its error.
+#: Kind value -> kind; faster than ``EntryKind(value)``.
 _KINDS = {kind.value: kind for kind in EntryKind}
-
-#: Exceptions that make a parsed JSONL record a bad record.
-_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError, LogFormatError)
 
 
 # ----------------------------------------------------------------------
@@ -134,19 +133,6 @@ def write_log_jsonl(log: Iterable[LogEntry], path: PathLike) -> int:
 # ----------------------------------------------------------------------
 # Streaming readers
 # ----------------------------------------------------------------------
-def _open_log(path: PathLike) -> TextIO:
-    """Open a log for reading; undecodable bytes become lone surrogates."""
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
-
-
-def _check_utf8(path: PathLike, line_no: int, line: str) -> None:
-    """Raise ``LogFormatError`` if ``line`` carries bytes that are not UTF-8."""
-    try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise LogFormatError(f"{path}:{line_no}: not valid UTF-8: {exc}") from None
-
-
 def iter_log_text(
     path: PathLike,
     *,
@@ -163,10 +149,10 @@ def iter_log_text(
         paper's four actions.
     """
     names = DEFAULT_ACTION_NAMES if action_names is None else set(action_names)
-    with _open_log(path) as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.isascii():
-                _check_utf8(path, line_no, line)
+                check_utf8(path, line_no, line)
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -196,43 +182,37 @@ def iter_log_text(
             yield entry
 
 
+def _log_entry(record: Any) -> LogEntry:
+    """The entry a :data:`~repro.records.LOG_LINE` record holds.
+
+    A generic check would cost about a quarter of every log read, so the
+    declared types are tested inline first (a hypothesis differential
+    pins this to ``LOG_LINE``); a record that fails them is read through
+    ``LOG_LINE``, which refuses it or reads an integer time as a float.
+    """
+    try:
+        time = record["time"]
+        machine = record["machine"]
+        text = record["description"]
+        if type(time) is float and type(machine) is str and type(text) is str:
+            return LogEntry(time, machine, _KINDS[record["kind"]], text)
+    except (KeyError, TypeError, LogFormatError):
+        pass
+    fields = LOG_LINE.read(record)
+    try:
+        return LogEntry(
+            fields["time"],
+            fields["machine"],
+            _KINDS[fields["kind"]],
+            fields["description"],
+        )
+    except LogFormatError as exc:
+        raise LOG_LINE.error(record, exc) from None
+
+
 def iter_log_jsonl(path: PathLike) -> Iterator[LogEntry]:
     """Yield entries of a JSONL-format log one at a time."""
-    scan = json.JSONDecoder().scan_once
-    with _open_log(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _check_utf8(path, line_no, line)
-            line = line.strip()
-            if not line:
-                continue
-            # On a stripped line ``json.loads`` is this scan plus an
-            # end-of-line check; it runs only to word the error.
-            try:
-                record, end = scan(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line):
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    raise LogFormatError(
-                        f"{path}:{line_no}: bad JSON: {exc}"
-                    ) from None
-            try:
-                time = float(record["time"])
-                machine = str(record["machine"])
-                kind = record["kind"]
-                try:
-                    kind = _KINDS[kind]
-                except (KeyError, TypeError):
-                    kind = EntryKind(kind)
-                entry = LogEntry(time, machine, kind, str(record["description"]))
-            except _BAD_RECORD as exc:
-                raise LogFormatError(
-                    f"{path}:{line_no}: bad record {record!r}: {exc}"
-                ) from None
-            yield entry
+    return read_lines(path, _log_entry)
 
 
 def sniff_log_format(path: PathLike) -> str:
@@ -241,7 +221,7 @@ def sniff_log_format(path: PathLike) -> str:
     A JSONL log's every record is an object, so a leading ``{`` decides;
     an empty file defaults to ``"text"`` (both parsers accept it).
     """
-    with _open_log(path) as handle:
+    with open_text(path) as handle:
         for line in handle:
             stripped = line.strip()
             if stripped:

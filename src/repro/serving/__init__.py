@@ -12,7 +12,6 @@ a new version.  :mod:`repro.serving.loadgen` turns the fleet simulator
 into the load generator for a simulated million-machine query storm.
 """
 
-from repro.serving.frontend import ServingFrontend
 from repro.serving.loadgen import (
     FleetStormResult,
     ServerBackedPolicy,
@@ -34,7 +33,6 @@ __all__ = [
     "PolicyVersion",
     "ServedBatch",
     "ServedDecision",
-    "ServingFrontend",
     "ServerBackedPolicy",
     "StormReport",
     "FleetStormResult",

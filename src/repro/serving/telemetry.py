@@ -10,6 +10,7 @@ code.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator, List
@@ -57,11 +58,16 @@ class LatencyRecorder:
         return self._decisions / total
 
     def percentile(self, fraction: float) -> float:
-        """The latency (seconds) at ``fraction`` (0..1), nearest-rank."""
+        """The latency (seconds) at ``fraction`` (0..1), nearest-rank: the
+        smallest sample that at least ``fraction`` of the samples do not
+        exceed."""
         if not self._latencies:
             return 0.0
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         ranked = sorted(self._latencies)
-        rank = min(len(ranked) - 1, max(0, round(fraction * len(ranked)) - 1))
-        return ranked[rank]
+        n = len(ranked)
+        # The first rank k with k / n >= fraction; ``ceil(fraction * n)``
+        # would miss where the product is inexact (0.07 * 100 > 7).
+        rank = bisect_left(range(1, n + 1), fraction, key=lambda k: k / n)
+        return ranked[min(rank, n - 1)]

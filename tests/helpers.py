@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -189,3 +191,19 @@ def set_qtable_field(payload: dict, where: str, field: str, value) -> None:
     """Set one field of a Q-table payload in place (see above)."""
     target = payload if where == "header" else payload["entries"][0]
     target[field] = value
+
+
+def binary_header(path: Path) -> dict:
+    """The JSON header of an RPROPOLB container."""
+    blob = Path(path).read_bytes()
+    return json.loads(blob[20 : 20 + int.from_bytes(blob[12:20], "little")])
+
+
+def write_binary_header(path: Path, header: object) -> None:
+    """Rewrite a container's header in place, keeping its data section."""
+    blob = Path(path).read_bytes()
+    size = int.from_bytes(blob[12:20], "little")
+    data = blob[-(-(20 + size) // 64) * 64 :]
+    raw = json.dumps(header).encode("utf-8")
+    prefix = blob[:12] + len(raw).to_bytes(8, "little") + raw
+    Path(path).write_bytes(prefix + b"\x00" * (-len(prefix) % 64) + data)

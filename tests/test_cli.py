@@ -237,6 +237,40 @@ class TestMalformedInput:
             "error: seed must be a non-negative integer, got -1"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inspect", "--log", "{dir}"],
+            ["mine", "--log", "{dir}"],
+            ["train", "--log", "{dir}", "--out", "{tmp}/p.json"],
+            ["evaluate", "--log", "{log}", "--policy", "{dir}"],
+            ["export-policy", "--policy", "{dir}", "--out", "{tmp}/p.rpb"],
+            ["serve", "--policy", "{dir}", "--storm", "10"],
+            ["train", "--log", "{log}", "--out", "{dir}", "--top-k", "1"],
+            ["train", "--log", "{log}", "--out", "{tmp}/p.json",
+             "--top-k", "1", "--checkpoint-dir", "{file}"],
+        ],
+        ids=[
+            "inspect-log", "mine-log", "train-log", "evaluate-policy",
+            "export-policy", "serve-policy", "train-out",
+            "train-checkpoint-dir",
+        ],
+    )
+    def test_path_of_the_wrong_kind_is_error(
+        self, log_path, tmp_path, capsys, argv
+    ):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        places = {
+            "dir": tmp_path / "dir",
+            "file": tmp_path / "file",
+            "log": log_path,
+            "tmp": tmp_path,
+        }
+        assert main([arg.format(**places) for arg in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.5", "nan"])
     def test_train_fraction_outside_unit_interval_is_error(
         self, log_path, tmp_path, capsys, fraction

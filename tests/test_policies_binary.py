@@ -13,6 +13,8 @@ checks, corruption, alignment, mmap).
 import json
 import re
 import zlib
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
@@ -120,6 +122,26 @@ class TestContainerFormat:
         with pytest.raises(LogFormatError):
             load_policy_binary(truncated)
 
+    @settings(max_examples=200, deadline=None)
+    @given(flip=st.booleans(), data=st.data())
+    def test_corrupt_prefix_or_truncation_is_a_format_error(self, flip, data):
+        # No corrupt length may reach ``read``: 2**63 bytes is a MemoryError.
+        with TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.rpb"
+            save_policy_binary(TrainedPolicy(RULES), path)
+            blob = bytearray(path.read_bytes())
+            if flip:
+                bit = data.draw(st.integers(0, 20 * 8 - 1), label="bit")
+                blob[bit // 8] ^= 1 << (bit % 8)
+            else:
+                end = data.draw(st.integers(0, len(blob) - 1), label="end")
+                del blob[end:]
+            path.write_bytes(bytes(blob))
+            for mmap in (True, False):
+                with pytest.raises(LogFormatError) as info:
+                    load_policy_binary(path, mmap=mmap)
+                assert str(info.value).startswith(f"{path}: ")
+
     def test_corrupt_payload_fails_verification(self, tmp_path, policy):
         path = tmp_path / "policy.rpb"
         save_policy_binary(policy, path)
@@ -210,6 +232,18 @@ class TestHeaderChecks:
         _rewrite(path, header_edit=edit)
         spec = {"keys": "<u8", "actions": "<u4", "costs": "<f8"}[column]
         self._rejects(path, f"'{column}' must be {spec} of shape \\[2\\]")
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    def test_rule_count_past_the_end_rejected(self, path, mmap):
+        def edit(header):
+            header["rule_count"] = 2**62
+            for spec in header["arrays"].values():
+                spec["shape"] = [2**62]
+            return header
+
+        _rewrite(path, header_edit=edit)
+        with pytest.raises(LogFormatError, match="runs past the end"):
+            load_policy_binary(path, mmap=mmap)
 
     def test_negative_max_history_rejected(self, path):
         _rewrite(path, header_edit=lambda h: {**h, "max_history": -1})

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import make_log, make_process
 from repro.errors import ConfigurationError, LogFormatError
 from repro.recoverylog.entry import SUCCESS_DESCRIPTION, EntryKind, LogEntry
+from repro.records import LOG_LINE
 from repro.recoverylog.io import (
     iter_log_chunks,
     iter_log_jsonl,
@@ -334,12 +335,13 @@ class TestMalformedLogs:
         _raises_at(reader, path, 2, match)
 
     @pytest.mark.parametrize("reader", JSONL_READERS)
-    def test_numeric_machine_still_accepted(self, tmp_path, reader):
+    def test_numeric_machine_refused(self, tmp_path, reader):
         path = tmp_path / "log.jsonl"
         path.write_text(
-            '{"time":1.0,"machine":7,"kind":"symptom","description":"e"}\n'
+            GOOD_JSONL
+            + '{"time":1.0,"machine":7,"kind":"symptom","description":"e"}\n'
         )
-        assert [entry.machine for entry in reader(path)] == ["7"]
+        _raises_at(reader, path, 2, "machine must be a string, got 7")
 
     def test_jsonl_iterator_is_lazy_until_bad_line(self, tmp_path):
         # The JSONL twin of TestStreamingReaders' text test.
@@ -413,7 +415,8 @@ def _record(entry):
 
 
 def reference_iter_log_jsonl(path):
-    """``json.loads`` per line: what the scanner reader must reproduce."""
+    """``json.loads`` per line, then the ``LOG_LINE`` declaration: what
+    the scanner reader and its inline type tests must reproduce."""
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -426,16 +429,18 @@ def reference_iter_log_jsonl(path):
                     f"{path}:{line_no}: bad JSON: {exc}"
                 ) from None
             try:
-                entry = LogEntry(
-                    time=float(record["time"]),
-                    machine=str(record["machine"]),
-                    kind=EntryKind(record["kind"]),
-                    description=str(record["description"]),
-                )
-            except (KeyError, TypeError, ValueError, LogFormatError) as exc:
-                raise LogFormatError(
-                    f"{path}:{line_no}: bad record {record!r}: {exc}"
-                ) from None
+                fields = LOG_LINE.read(record)
+                try:
+                    entry = LogEntry(
+                        time=fields["time"],
+                        machine=fields["machine"],
+                        kind=EntryKind(fields["kind"]),
+                        description=fields["description"],
+                    )
+                except LogFormatError as exc:
+                    raise LOG_LINE.error(record, exc) from None
+            except LogFormatError as exc:
+                raise LogFormatError(f"{path}:{line_no}: {exc}") from None
             yield entry
 
 
