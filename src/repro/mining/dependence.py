@@ -9,15 +9,18 @@ every member.
 The counts live in flat arrays: symptoms are interned to dense integer
 ids on first sight, occurrence counts are one ``int64`` vector, and pair
 counts are the upper triangle of one square ``int64`` matrix, both grown
-geometrically as new symptoms appear.  That representation is what makes
-:meth:`SymptomCooccurrence.update` cheap enough to maintain from a
-streamed transaction feed — co-occurrence, pairwise dependence and
-m-pattern support stay queryable at any point without re-reading
-anything.
+geometrically as new symptoms appear.  Counting goes by distinct set:
+:meth:`SymptomCooccurrence.add` takes a multiplicity, and
+:meth:`~SymptomCooccurrence.update` counts equal sets first, so each
+distinct set is folded once.  Symptom sets repeat heavily (the ``ingest``
+benchmark's 7,802 processes show 384 distinct sets), which is why the
+streaming miner keeps only the distinct-set multiset per process and
+folds it into a fresh instance when its counts are read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
@@ -41,9 +44,9 @@ class SymptomCooccurrence:
         cooc = SymptomCooccurrence.from_transactions(sets)
         cooc.pair_dependence("error:A", "warn:B")
 
-        streamed = SymptomCooccurrence()
-        for chunk in chunks:
-            streamed.update(chunk)   # same counts, any chunking
+        folded = SymptomCooccurrence()
+        for transaction, count in Counter(sets).items():
+            folded.add(transaction, count)   # the same counts
     """
 
     def __init__(self) -> None:
@@ -89,29 +92,35 @@ class SymptomCooccurrence:
         self._item_counts = items
         self._pair_counts = pairs
 
-    def add(self, transaction: Iterable[str]) -> None:
-        """Count one transaction (a distinct-symptom set)."""
+    def add(self, transaction: Iterable[str], count: int = 1) -> None:
+        """Count one transaction (a distinct-symptom set) ``count`` times."""
+        if count < 1:
+            raise MiningError(f"a transaction's count must be >= 1, got {count}")
         # Interning in sorted order keeps id assignment deterministic
         # for a given stream regardless of the input set's hash order.
         ids = [self._intern(symptom) for symptom in sorted(set(transaction))]
-        self._transaction_count += 1
+        self._transaction_count += count
         if not ids:
             return
-        self._item_counts[ids] += 1
+        self._item_counts[ids] += count
         pairs = self._pair_counts
         for position, row in enumerate(ids):
             for col in ids[position + 1 :]:
                 if row < col:
-                    pairs[row, col] += 1
+                    pairs[row, col] += count
                 else:
-                    pairs[col, row] += 1
+                    pairs[col, row] += count
 
     def update(
         self, transactions: Iterable[Transaction]
     ) -> "SymptomCooccurrence":
-        """Count many transactions; returns ``self`` for chaining."""
-        for transaction in transactions:
-            self.add(transaction)
+        """Count many transactions; returns ``self`` for chaining.
+
+        Equal sets are counted first and each distinct set is folded
+        once, by its multiplicity, in order of first occurrence.
+        """
+        for transaction, count in Counter(map(frozenset, transactions)).items():
+            self.add(transaction, count)
         return self
 
     # ------------------------------------------------------------------

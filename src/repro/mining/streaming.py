@@ -4,16 +4,20 @@
 together: entries flow through a
 :class:`~repro.recoverylog.stream.StreamingSegmenter` (emit-on-close
 process extraction), every completed process's distinct symptom set is
-folded into an incremental
-:class:`~repro.mining.dependence.SymptomCooccurrence` and a distinct-
-transaction multiset, and from those incremental counts the miner can
-rebuild — at any point, without re-reading anything —
+counted in a distinct-transaction multiset, and from that multiset the
+miner can rebuild — at any point, without re-reading anything —
 
 * the union-find symptom clustering at any ``minp``
   (:meth:`StreamingMiner.clustering`),
 * the noise fraction / single-cluster coverage the paper's Figure 3
   plots (:meth:`noise_fraction`, :meth:`coverage`, :meth:`coverage_curve`),
 * full m-pattern mining (:meth:`m_patterns`).
+
+The :class:`~repro.mining.dependence.SymptomCooccurrence` counts behind
+the first two are folded from the multiset when first read, one
+weighted add per distinct set, and kept until the next observation:
+symptom sets repeat heavily, so this is far less work than one add per
+process.
 
 Memory is bounded by the number of *distinct* symptoms and symptom sets
 plus the open per-machine buffers — never by log length, which is what
@@ -73,8 +77,10 @@ class StreamingMiner:
         self._segmenter = StreamingSegmenter(
             max_open_entries=max_open_entries
         )
-        self._cooccurrence = SymptomCooccurrence()
         self._transaction_counts: Counter = Counter()
+        # Folded from the multiset when read; dropped by the next
+        # observation.
+        self._cooccurrence: Optional[SymptomCooccurrence] = None
         self._process_count = 0
         self._downtime_total = 0.0
 
@@ -82,18 +88,18 @@ class StreamingMiner:
     # Ingest
     # ------------------------------------------------------------------
     def observe(self, process: RecoveryProcess) -> None:
-        """Fold one completed recovery process into the counts.
+        """Count one completed recovery process: its symptom set and
+        downtime.
 
         This is the online hook: a live producer (the cluster
         simulator's monitor, a :class:`~repro.core.online.RollingRetrainer`)
         hands over processes as they complete, and the mined statistics
         stay current without ever re-reading history.
         """
-        transaction = process.symptom_set
-        self._cooccurrence.add(transaction)
-        self._transaction_counts[transaction] += 1
+        self._transaction_counts[process.symptom_set] += 1
         self._process_count += 1
         self._downtime_total += process.downtime
+        self._cooccurrence = None
 
     def feed(self, entries: Iterable[LogEntry]) -> int:
         """Consume time-ordered entries; returns entries consumed."""
@@ -126,7 +132,18 @@ class StreamingMiner:
     # ------------------------------------------------------------------
     @property
     def cooccurrence(self) -> SymptomCooccurrence:
-        """The incrementally maintained co-occurrence counts."""
+        """The co-occurrence counts of the processes observed so far.
+
+        Folded from the distinct-set multiset (one weighted add per
+        distinct set, in first-occurrence order) and kept until the next
+        observation; a reference held across observations keeps the
+        counts it was read with.
+        """
+        if self._cooccurrence is None:
+            cooccurrence = SymptomCooccurrence()
+            for transaction, count in self._transaction_counts.items():
+                cooccurrence.add(transaction, count)
+            self._cooccurrence = cooccurrence
         return self._cooccurrence
 
     @property
@@ -159,8 +176,8 @@ class StreamingMiner:
     # Rebuilt results
     # ------------------------------------------------------------------
     def clustering(self, minp: float = DEFAULT_MINP) -> SymptomClustering:
-        """Union-find clustering rebuilt from the incremental counts."""
-        return SymptomClustering(self._cooccurrence, minp)
+        """Union-find clustering rebuilt from the co-occurrence counts."""
+        return SymptomClustering(self.cooccurrence, minp)
 
     def coverage(
         self,

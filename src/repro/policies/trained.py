@@ -78,6 +78,16 @@ def no_rule_error(state: RecoveryState) -> UnhandledStateError:
     )
 
 
+def _name_ids(field: str, names: Tuple[str, ...]) -> Dict[str, int]:
+    """``{name: position}`` over a vocabulary, which may not repeat a name
+    (a repeat would map to its last position only)."""
+    ids = {name: i for i, name in enumerate(names)}
+    if len(ids) != len(names):
+        repeated = next(name for i, name in enumerate(names) if ids[name] != i)
+        raise ConfigurationError(f"{field} repeats the name {repeated!r}")
+    return ids
+
+
 class RuleColumns(NamedTuple):
     """A packed rule table: its vocabularies and three aligned columns.
 
@@ -118,7 +128,7 @@ class TrainedPolicy(Policy):
             sorted({action for action, _cost in rules.values()}),
             max((state.attempt_count for state in rules), default=0),
         )
-        action_ids = {name: i for i, name in enumerate(self._decided_actions)}
+        action_ids = self._action_ids
         keys = np.array([self._encode(state) for state in rules], dtype=np.uint64)
         actions = np.array(
             [action_ids[action] for action, _cost in rules.values()],
@@ -176,10 +186,9 @@ class TrainedPolicy(Policy):
                 f"({len(self._error_types)} error types x base {self._base} "
                 f"x history {max_history})"
             )
-        self._et_ids = {name: i for i, name in enumerate(self._error_types)}
-        self._digit_ids = {
-            name: i for i, name in enumerate(self._history_actions)
-        }
+        self._et_ids = _name_ids("error_types", self._error_types)
+        self._digit_ids = _name_ids("history_actions", self._history_actions)
+        self._action_ids = _name_ids("decided_actions", self._decided_actions)
         # Per error-type id the key offset, plus a trailing 0 for the
         # rows of states no rule can match.  With two or more error
         # types the key-space check bounds the stride by 2**63.

@@ -29,6 +29,11 @@ class EntryKind(enum.Enum):
     ACTION = "action"
     SUCCESS = "success"
 
+    # Members are singletons compared by identity, so the identity hash
+    # (in C) is consistent with ``==``; ``Enum.__hash__`` is a Python
+    # call in every sort key, kind lookup and ``LogEntry`` hash.
+    __hash__ = object.__hash__
+
 
 #: Tie-break rank when entries share (time, machine): at one instant a
 #: symptom causally precedes the action reacting to it, which precedes

@@ -35,6 +35,7 @@ against the historical one-``write``-per-entry shapes.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, List, Optional, Set, Union
 
@@ -276,15 +277,13 @@ def iter_log_chunks(
         raise ConfigurationError(
             f"chunk_size must be >= 1, got {chunk_size}"
         )
-    chunk: List[LogEntry] = []
-    for entry in iter_log_entries(
+    entries = iter_log_entries(
         path, log_format=log_format, action_names=action_names
-    ):
-        chunk.append(entry)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
+    )
+    while True:
+        chunk = list(islice(entries, chunk_size))
+        if not chunk:
+            return
         yield chunk
 
 

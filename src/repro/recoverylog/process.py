@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import SegmentationError
-from repro.recoverylog.entry import LogEntry
+from repro.recoverylog.entry import EntryKind, LogEntry
 
 __all__ = [
     "ActionAttempt",
@@ -22,6 +22,9 @@ __all__ = [
     "segment_log",
     "time_ordered_split",
 ]
+
+_SYMPTOM = EntryKind.SYMPTOM
+_SUCCESS = EntryKind.SUCCESS
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ class RecoveryProcess:
 
     Instances are built by :func:`segment_log`; constructing one directly
     validates the paper's structural invariants (starts with a symptom,
-    ends with a success report, times are non-decreasing).
+    ends with its only success report, times are non-decreasing, every
+    entry is on ``machine``).
     """
 
     machine: str
@@ -77,6 +81,13 @@ class RecoveryProcess:
             object.__setattr__(self, "_hash", cached)
         return cached
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The memoized hash is only valid in the interpreter that
+        # computed it (``str`` hashes are salted per process).
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def __post_init__(self) -> None:
         if len(self.entries) < 2:
             raise SegmentationError(
@@ -92,21 +103,23 @@ class RecoveryProcess:
                 "a recovery process must end with a success report, got "
                 f"{self.entries[-1]!r}"
             )
-        for earlier, later in zip(self.entries, self.entries[1:]):
-            if later.time < earlier.time:
-                raise SegmentationError(
-                    f"entries out of order: {earlier!r} then {later!r}"
-                )
-            if later.is_success and not later == self.entries[-1]:
-                raise SegmentationError(
-                    "success report in the middle of a recovery process"
-                )
-        for entry in self.entries:
+        last = len(self.entries) - 1
+        earlier = self.entries[0]
+        for position, entry in enumerate(self.entries):
             if entry.machine != self.machine:
                 raise SegmentationError(
                     f"entry machine {entry.machine!r} differs from process "
                     f"machine {self.machine!r}"
                 )
+            if entry.time < earlier.time:
+                raise SegmentationError(
+                    f"entries out of order: {earlier!r} then {entry!r}"
+                )
+            if entry.kind is _SUCCESS and position != last:
+                raise SegmentationError(
+                    "success report in the middle of a recovery process"
+                )
+            earlier = entry
 
     # ------------------------------------------------------------------
     # Derived views
@@ -119,7 +132,7 @@ class RecoveryProcess:
     @property
     def symptoms(self) -> Tuple[str, ...]:
         """All symptom descriptions in occurrence order (with repeats)."""
-        return tuple(e.description for e in self.entries if e.is_symptom)
+        return tuple([e.description for e in self.entries if e.kind is _SYMPTOM])
 
     @functools.cached_property
     def symptom_set(self) -> FrozenSet[str]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SegmentationError
-from repro.recoverylog.entry import LogEntry
+from repro.recoverylog.entry import EntryKind, LogEntry
 from repro.recoverylog.process import RecoveryProcess
 
 __all__ = ["StreamingSegmenter", "DEFAULT_MAX_OPEN_ENTRIES"]
@@ -36,6 +36,9 @@ DEFAULT_MAX_OPEN_ENTRIES = 100_000
 #: the count grows (an adversarial all-orphan log must not re-create the
 #: unbounded-memory problem streaming exists to solve).
 DEFAULT_MAX_ORPHANS_KEPT = 10_000
+
+_SYMPTOM = EntryKind.SYMPTOM
+_SUCCESS = EntryKind.SUCCESS
 
 
 class StreamingSegmenter:
@@ -84,48 +87,52 @@ class StreamingSegmenter:
     # ------------------------------------------------------------------
     def feed(self, entry: LogEntry) -> Optional[RecoveryProcess]:
         """Consume one entry; return the process it completed, if any."""
-        last = self._last
-        # Fast path on the timestamp alone; the full (and much more
-        # expensive) total-order comparison only runs on timestamp ties.
-        if last is not None and not last.time < entry.time and entry < last:
-            raise SegmentationError(
-                f"entries out of stream order: {last!r} then {entry!r}; "
-                "the streaming segmenter needs time-ordered input"
-            )
-        self._last = entry
-        self._entry_count += 1
-        buffer = self._open.get(entry.machine)
-        if buffer is None:
-            if not entry.is_symptom:
-                self._orphan_count += 1
-                if len(self._orphans) < self._max_orphans:
-                    self._orphans.append(entry)
-                return None
-            self._open[entry.machine] = [entry]
-            return None
-        buffer.append(entry)
-        if entry.is_success:
-            del self._open[entry.machine]
-            self._emitted_count += 1
-            return RecoveryProcess(entry.machine, tuple(buffer))
-        if len(buffer) > self._max_open:
-            raise SegmentationError(
-                f"machine {entry.machine!r} has an open recovery process "
-                f"exceeding {self._max_open} entries; the log likely "
-                "lost its success reports (raise max_open_entries to "
-                "override)"
-            )
-        return None
+        return next(self.feed_many((entry,)), None)
 
     def feed_many(
         self, entries: Iterable[LogEntry]
     ) -> Iterator[RecoveryProcess]:
-        """Consume entries, yielding each completed process as it closes."""
-        feed = self.feed
+        """Consume entries, yielding each completed process as it closes.
+
+        This loop is the segmentation rule (:meth:`feed` runs it on one
+        entry); the state lives on the instance, so it reads the same
+        between yields and after an error as after one entry at a time.
+        """
+        open_buffers = self._open
+        orphans = self._orphans
         for entry in entries:
-            process = feed(entry)
-            if process is not None:
-                yield process
+            last = self._last
+            # Fast path on the timestamp alone; the full (and much more
+            # expensive) total-order comparison only runs on ties.
+            if last is not None and not last.time < entry.time and entry < last:
+                raise SegmentationError(
+                    f"entries out of stream order: {last!r} then {entry!r}; "
+                    "the streaming segmenter needs time-ordered input"
+                )
+            self._last = entry
+            self._entry_count += 1
+            machine = entry.machine
+            buffer = open_buffers.get(machine)
+            if buffer is None:
+                if entry.kind is _SYMPTOM:
+                    open_buffers[machine] = [entry]
+                else:
+                    self._orphan_count += 1
+                    if len(orphans) < self._max_orphans:
+                        orphans.append(entry)
+                continue
+            buffer.append(entry)
+            if entry.kind is _SUCCESS:
+                del open_buffers[machine]
+                self._emitted_count += 1
+                yield RecoveryProcess(machine, tuple(buffer))
+            elif len(buffer) > self._max_open:
+                raise SegmentationError(
+                    f"machine {machine!r} has an open recovery process "
+                    f"exceeding {self._max_open} entries; the log likely "
+                    "lost its success reports (raise max_open_entries to "
+                    "override)"
+                )
 
     # ------------------------------------------------------------------
     # State

@@ -158,6 +158,35 @@ def test_binary_header_refuses(tmp_path, field, value, mmap):
     )
 
 
+#: Two names in each vocabulary: error types A and B, history actions
+#: REBOOT and REIMAGE, decided actions REIMAGE and RMA.
+VOCABULARY_POLICY = TrainedPolicy({
+    RecoveryState.initial("error:A"): ("REIMAGE", 600.0),
+    RecoveryState("error:B", tried=("REBOOT",)): ("RMA", 7200.0),
+    RecoveryState("error:B", tried=("REBOOT", "REIMAGE")): ("RMA", 7200.0),
+})
+
+
+@pytest.mark.parametrize(
+    "field", ["error_types", "history_actions", "decided_actions"]
+)
+@pytest.mark.parametrize("verify", [True, False], ids=["verify", "trust"])
+@pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+def test_binary_vocabulary_repeating_a_name_refused(tmp_path, field, verify, mmap):
+    # A repeat at the same length keeps the header valid and declared;
+    # read as is, the repeated name would answer with the other's rules.
+    path = tmp_path / "policy.rpb"
+    save_policy_binary(VOCABULARY_POLICY, path)
+    header = binary_header(path)
+    first = header[field][0]
+    write_binary_header(path, {**header, field: [first, first]})
+    _rejects(
+        lambda p: load_policy_binary(p, mmap=mmap, verify=verify),
+        path,
+        f"{path}: {field} repeats the name {first!r}",
+    )
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

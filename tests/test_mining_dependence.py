@@ -1,9 +1,15 @@
 """Tests for symptom co-occurrence counting."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MiningError
 from repro.mining.dependence import SymptomCooccurrence
+from repro.mining.streaming import StreamingMiner
+from repro.recoverylog.entry import LogEntry
 
 
 @pytest.fixture
@@ -119,3 +125,105 @@ class TestIncrementalUpdates:
         cooc.add(["a", "a", "b"])
         assert cooc.count("a") == 1
         assert cooc.pair_count("a", "b") == 1
+
+
+class TestWeightedCounts:
+    def test_count_is_a_multiplicity(self):
+        weighted = SymptomCooccurrence()
+        weighted.add(frozenset({"a", "b"}), 3)
+        repeated = SymptomCooccurrence().update([frozenset({"a", "b"})] * 3)
+        for cooc in (weighted, repeated):
+            assert cooc.transaction_count == 3
+            assert cooc.count("a") == 3
+            assert cooc.pair_count("a", "b") == 3
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_refused(self, count):
+        cooc = SymptomCooccurrence()
+        with pytest.raises(MiningError, match="count must be >= 1"):
+            cooc.add(frozenset({"a"}), count)
+        assert cooc.transaction_count == 0 and cooc.items == ()
+
+    def test_symptoms_intern_in_first_occurrence_order(self):
+        cooc = SymptomCooccurrence().update(
+            [frozenset({"c", "a"}), frozenset({"b"}), frozenset({"a", "c"})]
+        )
+        assert cooc._names == ["a", "c", "b"]
+
+
+_SYMPTOMS = [f"error:S{index:02d}" for index in range(12)]
+_MINPS = (0.05, 0.3, 0.5, 0.75, 1.0)
+
+_symptom_sets = st.one_of(
+    st.sampled_from(_SYMPTOMS).map(lambda name: frozenset({name})),
+    st.frozensets(st.sampled_from(_SYMPTOMS), min_size=2, max_size=4),
+    st.frozensets(st.sampled_from(_SYMPTOMS), min_size=8),
+)
+
+
+@st.composite
+def _transactions(draw):
+    """Symptom sets drawn from a small pool, so most of them repeat."""
+    pool = draw(st.lists(_symptom_sets, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+def _brute_force(transactions):
+    """Per-transaction dict counts of items and of sorted pairs."""
+    items, pairs = {}, {}
+    for transaction in transactions:
+        for item in transaction:
+            items[item] = items.get(item, 0) + 1
+        for pair in combinations(sorted(transaction), 2):
+            pairs[pair] = pairs.get(pair, 0) + 1
+    return items, pairs
+
+
+def _assert_counts(cooc, transactions):
+    items, pairs = _brute_force(transactions)
+    assert cooc.items == tuple(sorted(items))
+    assert cooc.transaction_count == len(transactions)
+    for item in _SYMPTOMS:
+        assert cooc.count(item) == items.get(item, 0)
+    for a, b in combinations(_SYMPTOMS, 2):
+        assert cooc.pair_count(a, b) == pairs.get((a, b), 0)
+        assert cooc.pair_count(b, a) == pairs.get((a, b), 0)
+    for minp in _MINPS:
+        assert cooc.dependent_pairs(minp) == sorted(
+            (a, b)
+            for (a, b), both in pairs.items()
+            if min(both / items[a], both / items[b]) >= minp
+        )
+
+
+def _stream(transactions):
+    """One machine's log: a process per transaction, one after another."""
+    entries = []
+    for index, transaction in enumerate(transactions):
+        start = 100.0 * index
+        for offset, symptom in enumerate(sorted(transaction)):
+            entries.append(LogEntry.symptom(start + offset, "m", symptom))
+        entries.append(LogEntry.success(start + 50.0, "m"))
+    return entries
+
+
+class TestCountsAgainstBruteForce:
+    @given(transactions=_transactions(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_eager_folded_and_brute_force_agree(self, transactions, data):
+        _assert_counts(
+            SymptomCooccurrence.from_transactions(transactions), transactions
+        )
+        entries = _stream(transactions)
+        cuts = data.draw(
+            st.lists(st.integers(0, len(entries)), max_size=5).map(sorted)
+        )
+        bounds = [0, *cuts, len(entries)]
+        miner = StreamingMiner()
+        for start, stop in zip(bounds, bounds[1:]):
+            miner.feed(entries[start:stop])
+            # Read between chunks: a later observation must refold.
+            _assert_counts(
+                miner.cooccurrence, transactions[: miner.process_count]
+            )
+        assert miner.process_count == len(transactions)

@@ -1,7 +1,14 @@
 """Tests for repro.recoverylog.process: structure, views, segmentation."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from helpers import make_process
 from repro.errors import SegmentationError
 from repro.recoverylog.entry import LogEntry
@@ -46,6 +53,18 @@ class TestProcessInvariants:
         with pytest.raises(SegmentationError):
             RecoveryProcess("m", entries)
 
+    def test_mid_process_success_equal_to_final_rejected(self):
+        # The middle success report equals the last one field for field.
+        entries = (
+            LogEntry.symptom(0.0, "m", "error:X"),
+            LogEntry.action(1.0, "m", "REBOOT"),
+            LogEntry.success(2.0, "m"),
+            LogEntry.action(2.0, "m", "RMA"),
+            LogEntry.success(2.0, "m"),
+        )
+        with pytest.raises(SegmentationError, match="middle"):
+            RecoveryProcess("m", entries)
+
     def test_foreign_machine_rejected(self):
         entries = (
             LogEntry.symptom(0.0, "m", "error:X"),
@@ -53,6 +72,66 @@ class TestProcessInvariants:
         )
         with pytest.raises(SegmentationError):
             RecoveryProcess("m", entries)
+
+
+#: Builds a process, hashes it and writes its pickle (hex) to stdout.
+_PICKLE_HASHED = """
+import pickle, sys
+from repro.recoverylog.entry import LogEntry
+from repro.recoverylog.process import RecoveryProcess
+process = RecoveryProcess("m", (
+    LogEntry.symptom(0.0, "m", "error:X"),
+    LogEntry.action(1.0, "m", "REBOOT"),
+    LogEntry.success(2.0, "m"),
+))
+hash(process)
+sys.stdout.write(pickle.dumps(process).hex())
+"""
+
+#: Loads that pickle from stdin and looks it up by a freshly built twin.
+_LOOK_UP_LOADED = """
+import pickle, sys
+from repro.recoverylog.entry import LogEntry
+from repro.recoverylog.process import RecoveryProcess
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+twin = RecoveryProcess("m", (
+    LogEntry.symptom(0.0, "m", "error:X"),
+    LogEntry.action(1.0, "m", "REBOOT"),
+    LogEntry.success(2.0, "m"),
+))
+assert loaded == twin
+assert hash(loaded) == hash(twin)
+assert {twin: 1}.get(loaded) == 1
+"""
+
+
+def _python(code: str, hash_seed: str, stdin: str = "") -> str:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestProcessPickling:
+    def test_memoized_hash_not_pickled(self):
+        process = make_process(["REBOOT"])
+        hash(process)
+        assert "_hash" in process.__dict__
+        loaded = pickle.loads(pickle.dumps(process))
+        assert "_hash" not in loaded.__dict__
+        assert loaded == process and hash(loaded) == hash(process)
+
+    def test_loaded_under_another_hash_seed_finds_its_twin(self):
+        pickled = _python(_PICKLE_HASHED, "1")
+        _python(_LOOK_UP_LOADED, "2", stdin=pickled)
 
 
 class TestDerivedViews:

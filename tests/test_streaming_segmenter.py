@@ -1,10 +1,12 @@
 """Tests for repro.recoverylog.stream: emit-on-close segmentation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_process
 from repro.errors import ConfigurationError, SegmentationError
-from repro.recoverylog.entry import LogEntry
+from repro.recoverylog.entry import EntryKind, LogEntry
 from repro.recoverylog.stream import StreamingSegmenter
 
 
@@ -133,3 +135,97 @@ class TestPending:
         segmenter = StreamingSegmenter()
         list(segmenter.feed_many(process.entries))
         assert segmenter.pending() == ()
+
+
+_KINDS = (EntryKind.SYMPTOM, EntryKind.ACTION, EntryKind.SUCCESS)
+_DESCRIPTIONS = {
+    EntryKind.SYMPTOM: ("error:X", "warn:Y"),
+    EntryKind.ACTION: ("REBOOT", "RMA"),
+    EntryKind.SUCCESS: ("Success",),
+}
+
+
+@st.composite
+def _streams(draw):
+    """A mostly time-ordered stream with ties and the odd step back."""
+    entries, time = [], 0.0
+    for _ in range(draw(st.integers(0, 40))):
+        time = max(0.0, time + draw(st.sampled_from([0.0, 1.0, 1.0, -1.0])))
+        kind = draw(st.sampled_from(_KINDS))
+        entries.append(LogEntry(
+            time,
+            draw(st.sampled_from(["m-a", "m-b", "m-c"])),
+            kind,
+            draw(st.sampled_from(_DESCRIPTIONS[kind])),
+        ))
+    return entries
+
+
+def _run(segmenter, feeding):
+    """Drive ``feeding``; return what it emitted, raised and left."""
+    emitted, error = [], None
+    try:
+        for process in feeding:
+            emitted.append(process)
+    except SegmentationError as exc:
+        error = (type(exc), str(exc))
+    return (
+        emitted,
+        error,
+        segmenter.entry_count,
+        segmenter.emitted_count,
+        segmenter.orphan_count,
+        segmenter.orphans,
+        segmenter.open_entry_count,
+        segmenter.pending(),
+    )
+
+
+class TestFeedManyMatchesFeed:
+    @given(
+        entries=_streams(),
+        max_open=st.integers(2, 4),
+        max_orphans=st.integers(0, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_chunking_ends_the_same_way(
+        self, entries, max_open, max_orphans, data
+    ):
+        def segmenter():
+            return StreamingSegmenter(
+                max_open_entries=max_open, max_orphans_kept=max_orphans
+            )
+
+        one = segmenter()
+        singly = (
+            process
+            for entry in entries
+            for process in [one.feed(entry)]
+            if process is not None
+        )
+        expected = _run(one, singly)
+
+        cuts = data.draw(
+            st.lists(st.integers(0, len(entries)), max_size=4).map(sorted)
+        )
+        bounds = [0, *cuts, len(entries)]
+        many = segmenter()
+        chunked = (
+            process
+            for start, stop in zip(bounds, bounds[1:])
+            for process in many.feed_many(entries[start:stop])
+        )
+        assert _run(many, chunked) == expected
+
+    def test_suspended_feed_many_sees_interleaved_feed(self):
+        first = make_process(["TRYNOP"], machine="m-a", start=0.0)
+        segmenter = StreamingSegmenter()
+        feeding = segmenter.feed_many(
+            list(first.entries) + [LogEntry.symptom(5_000.0, "m-b", "error:X")]
+        )
+        assert next(feeding) == first
+        segmenter.feed(LogEntry.symptom(10_000.0, "m-c", "error:X"))
+        with pytest.raises(SegmentationError, match="out of stream order"):
+            next(feeding)
+        assert segmenter.entry_count == len(first.entries) + 1
