@@ -2,12 +2,13 @@
 
 Two measurements, mirroring ``bench_training_throughput``'s shape:
 
-* **comparison** — the same cluster scenario on both backends, which
+* **comparison** — the same cluster scenario on the fleet engine and on
+  the event-driven reference (``tests/reference_cluster.py``), which
   draw from the same per-machine streams.  They are bit-identical by
   contract (the differential fuzz suite pins it), so the benchmark first
   asserts exact log equality and only then reports the speedup — a
   speedup against diverging results would be meaningless.
-* **scale** — the fleet engine alone on a fleet the event backend
+* **scale** — the fleet engine alone on a fleet the event reference
   cannot reasonably hold (10^5+ machines in the full profile),
   reporting machines simulated per wall-clock second.
 
@@ -35,12 +36,17 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.actions import default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine
 from repro.policies import UserDefinedPolicy
 from repro.util.rng import RngStreams
 from repro.util.tables import render_table
+
+# The event-driven reference lives with the tests that pin the fleet
+# engine against it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_cluster import ClusterSimulator  # noqa: E402
 
 BENCH_NAME = "fleet_scale"
 DAY = 86_400.0

@@ -62,6 +62,7 @@ from repro.serving import (
     run_storm,
     storm_states,
 )
+from repro.serving.telemetry import LatencyRecorder
 from repro.util.rng import RngStreams
 from repro.util.tables import render_table
 
@@ -249,22 +250,17 @@ def _bench_single(bin_policy, queries: int) -> Dict[str, object]:
     states = storm_states(
         bin_policy, queries, unknown_fraction=UNKNOWN_FRACTION, seed=SEED + 1
     )
-    latencies: List[float] = []
+    recorder = LatencyRecorder()
     started = time.perf_counter()
     for state in states:
-        t0 = time.perf_counter()
-        server.decide(state)
-        latencies.append(time.perf_counter() - t0)
+        with recorder.observe():
+            server.decide(state)
     elapsed = time.perf_counter() - started
-    latencies.sort()
-    rank = lambda f: latencies[  # noqa: E731
-        min(len(latencies) - 1, max(0, round(f * len(latencies)) - 1))
-    ]
     return {
         "queries": queries,
         "decisions_per_s": round(queries / elapsed, 1),
-        "p50_latency_us": round(rank(0.50) * 1e6, 2),
-        "p99_latency_us": round(rank(0.99) * 1e6, 2),
+        "p50_latency_us": round(recorder.percentile(0.50) * 1e6, 2),
+        "p99_latency_us": round(recorder.percentile(0.99) * 1e6, 2),
     }
 
 

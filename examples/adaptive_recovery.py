@@ -17,7 +17,7 @@ Run:  python examples/adaptive_recovery.py
 """
 
 from repro import RecoveryPolicyLearner, default_catalog
-from repro.cluster import ClusterConfig, ClusterSimulator, FaultCatalog, FaultType
+from repro.cluster import ClusterConfig, FaultCatalog, FaultType, simulate_cluster
 from repro.core import PipelineConfig
 from repro.learning.qlearning import QLearningConfig
 from repro.learning.selection_tree import SelectionTreeConfig
@@ -47,7 +47,7 @@ def simulate_era(cures, seed):
             ),
         ]
     )
-    simulator = ClusterSimulator(
+    log = simulate_cluster(
         ClusterConfig(
             machine_count=120,
             duration=90 * DAY,
@@ -59,7 +59,7 @@ def simulate_era(cures, seed):
         catalog,
         RngStreams(seed),
     )
-    return simulator.run().to_processes()
+    return log.to_processes()
 
 
 def fit(processes):

@@ -17,7 +17,7 @@ Run:  python examples/custom_actions.py
 
 from repro import RecoveryPolicyLearner
 from repro.actions import ActionCatalog, LognormalCost, RepairAction
-from repro.cluster import ClusterConfig, ClusterSimulator, FaultCatalog, FaultType
+from repro.cluster import ClusterConfig, FaultCatalog, FaultType, simulate_cluster
 from repro.core import PipelineConfig
 from repro.learning.qlearning import QLearningConfig
 from repro.learning.selection_tree import SelectionTreeConfig
@@ -72,7 +72,7 @@ def build_faults() -> FaultCatalog:
 
 
 def run_cluster(policy, catalog, seed):
-    simulator = ClusterSimulator(
+    log = simulate_cluster(
         ClusterConfig(
             machine_count=150,
             duration=120 * DAY,
@@ -84,7 +84,7 @@ def run_cluster(policy, catalog, seed):
         catalog,
         RngStreams(seed),
     )
-    return simulator.run().to_processes()
+    return log.to_processes()
 
 
 def main() -> None:

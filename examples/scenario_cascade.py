@@ -17,10 +17,9 @@ shows what cascades change — and what they don't:
 * but each individual process still looks the same, so the mining and
   training pipeline runs unchanged and the trained policy holds up.
 
-Cascades run on the sequential event engine; the vectorized fleet
-engine refuses them by design (wave-based resolution cannot honor
-onset-to-onset coupling), and ``simulate_cluster`` transparently falls
-back.
+Cascades run on the vectorized fleet engine like every other fault
+model: an onset waits in its wave until no neighbour can still induce
+an earlier one.
 
 Run:  python examples/scenario_cascade.py
 """
@@ -28,7 +27,7 @@ Run:  python examples/scenario_cascade.py
 import numpy as np
 
 from repro.actions import default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster import ClusterConfig, simulate_cluster
 from repro.experiments.families import run_family
 from repro.policies.user_defined import UserDefinedPolicy
 from repro.scenario.presets import build_scenario_model, cascade_spec
@@ -58,7 +57,7 @@ def run(coupled: bool):
         else catalog
     )
     actions = default_catalog()
-    simulator = ClusterSimulator(
+    processes = simulate_cluster(
         ClusterConfig(
             machine_count=60,
             duration=40 * DAY,
@@ -69,8 +68,7 @@ def run(coupled: bool):
         UserDefinedPolicy(actions),
         actions,
         RngStreams(7),
-    )
-    processes = simulator.run().to_processes()
+    ).to_processes()
     return processes, [p.entries[0].time for p in processes]
 
 
@@ -102,10 +100,6 @@ def main() -> None:
         f"{result.process_count:,} processes, trained relative downtime "
         f"{result.trained_cost:.4f} (user-defined = "
         f"{result.user_cost:.4f})."
-    )
-    print(
-        "Note: simulate_cluster runs a cascading scenario on the "
-        "event engine automatically."
     )
 
 

@@ -111,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="STRENGTH",
         help="cascading faults: expected induced neighbour onsets per "
-        "onset, in [0, 1) (default 0 = independent; runs on the "
-        "sequential event engine)",
+        "onset, in [0, 1) (default 0 = independent)",
     )
 
     inspect = commands.add_parser(

@@ -225,7 +225,7 @@ def effective_cure_probabilities(
 
 @dataclass(frozen=True)
 class CompiledFaults:
-    """The fault catalog flattened into dense arrays for the fleet backend.
+    """The fault catalog flattened into dense arrays for the fleet engine.
 
     Fault ids are catalog positions; action ids are positions in the
     action catalog's strength order (the same convention as

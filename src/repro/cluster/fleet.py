@@ -1,16 +1,16 @@
-"""The vectorized fleet-scale cluster engine — the default simulator.
+"""The vectorized fleet-scale cluster engine — the cluster simulator.
 
-:class:`FleetEngine` simulates the same cluster model as the event-driven
-:class:`~repro.cluster.cluster.ClusterSimulator`, but holds every
-machine's state in flat numpy arrays and advances all machines in
-batched lockstep *waves* — the tianshou-``Collector``-over-vectorized-
-envs shape.  :func:`simulate_cluster` (and so every generated trace)
-runs it whenever the inputs allow.  One pass of the wave loop moves
-every active machine through its next lifecycle phase:
+:class:`FleetEngine` holds every machine's state in flat numpy arrays
+and advances all machines in batched lockstep *waves* — the
+tianshou-``Collector``-over-vectorized-envs shape.
+:func:`simulate_cluster` (and so every generated trace) runs it.  One
+pass of the wave loop moves every active machine through its next
+lifecycle phase:
 
 * **onset** — the pending fault fires: sample the fault (and possible
   overlapping noise fault), record the primary symptom, queue secondary-
-  symptom candidates, sample the detection delay;
+  symptom candidates, sample the detection delay, and, in a cascading
+  scenario, flip the coins that induce onsets on ring neighbours;
 * **decide** — every machine awaiting a repair decision resolves in one
   :func:`~repro.session.driver.decide_wave` call (cap-forced machines
   bypass the policy; the rest share a single
@@ -20,32 +20,37 @@ every active machine through its next lifecycle phase:
   successes close their recovery process and schedule the next fault,
   failures queue re-emission candidates and the next decision.
 
-Machines are mutually independent in the cluster model — no draw on one
-machine ever depends on another machine's trajectory — which is the
-property that makes wave execution *exactly* equivalent to event
-execution over the counter-based
-:class:`~repro.cluster.randomness.MachineRandomSource`: each machine
+Every draw comes from the counter-based
+:class:`~repro.cluster.randomness.MachineRandomSource`, so each machine
 consumes the same per-channel uniform sequence no matter how the global
-schedule interleaves.  ``tests/test_fleet_equivalence.py``
-pins this bit for bit across fuzzed configurations.
+schedule interleaves, and a machine's trajectory depends on no other
+machine's — except through cascades.  That is what makes wave execution
+*exactly* equivalent to event execution; ``tests/test_fleet_equivalence.py``
+pins it bit for bit against the event-driven reference kept in
+``tests/reference_cluster.py``.
+
+A cascade couples machines in one direction only: an onset can induce a
+neighbour's later onset.  Such an onset is queued on its target
+(:class:`_Cascades`), and a machine's onset fires only once no induced
+onset earlier than it can still be created (:meth:`_Cascades.gate`);
+decide and complete waves are never gated.
 
 The one cross-time construct, *straggler* symptom candidates (secondary
 symptoms, noise symptoms and re-emissions that fire later and are only
 recorded while the machine is still unhealthy), is resolved after the
 wave loop by a vectorized interval sweep over the completed recovery
-processes — equivalent to the reference backend's check of the
-machine's state at fire time, because every process interval is closed
-by the time the sweep runs.
+processes — equivalent to the event engine's check of the machine's
+state at fire time, because every process interval is closed by the
+time the sweep runs.
 
 Policies with ``batch_safe = False`` draw internal RNG state per
-decision, so their behaviour depends on global decision order; they
-cannot run on waves.  Cascading scenarios couple machines.
-:func:`simulate_cluster` routes both to the sequential event engine,
-which draws from the same per-machine streams.
+decision, so their behaviour depends on global decision order; waves
+cannot run them, and the engine refuses them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -53,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.actions.action import ActionCatalog, default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.randomness import (
     ARRIVALS,
     CURES,
@@ -69,7 +74,11 @@ from repro.mdp.state import RecoveryState, StateIndex
 from repro.policies.base import DecisionBatch, Policy
 from repro.recoverylog.entry import EntryKind, LogEntry, SUCCESS_DESCRIPTION
 from repro.recoverylog.log import RecoveryLog
-from repro.scenario.compiled import CompiledScenario, compile_scenario
+from repro.scenario.compiled import (
+    CompiledCascade,
+    CompiledScenario,
+    compile_scenario,
+)
 from repro.scenario.model import FaultModel, as_scenario_model
 from repro.session.core import forced_action
 from repro.session.driver import decide_wave
@@ -115,6 +124,182 @@ class _Columns:
             return np.empty(0, dtype=dtype if dtype is not None else float)
         out = np.concatenate(chunks)
         return out.astype(dtype) if dtype is not None else out
+
+
+class _Cascades:
+    """Cascading faults in waves: induced onsets and the onset gate.
+
+    Each onset on a source machine draws, after its other draws, one
+    coin per (ring neighbour, target fault) from its own ARRIVALS
+    channel, in the event engine's (distance, side, target) order, and
+    for each hit a delay from its SYMPTOMS channel.  A hit queues an
+    induced onset ``(time, machine, fault)`` on the neighbour; it is
+    dropped if it falls past the horizon or lands while its target is
+    down.  A healthy machine's next onset is the earlier of its natural
+    arrival and its earliest queued induced onset.  An induced onset
+    draws no fault and no noise, and it cancels the pending natural
+    arrival: the next one is drawn at its success.
+    """
+
+    #: Rounds of the lower-bound iteration in :meth:`gate`; more rounds
+    #: admit more onsets per wave, never a wrong one.
+    GATE_ROUNDS = 4
+
+    def __init__(
+        self, cascade: CompiledCascade, arrivals: np.ndarray, duration: float
+    ) -> None:
+        machine_count = arrivals.size
+        self._duration = duration
+        self._delay_low = cascade.delay_low
+        self._delay_high = cascade.delay_high
+        # Neighbour offsets in (distance, side) order.  On a small ring
+        # an offset that wraps onto the machine itself, or onto a
+        # neighbour already listed, is skipped — the same offsets for
+        # every machine.
+        offsets: List[int] = []
+        for distance in range(1, cascade.radius + 1):
+            for offset in (distance, -distance):
+                if offset % machine_count and all(
+                    (offset - seen) % machine_count for seen in offsets
+                ):
+                    offsets.append(offset)
+        #: ``neighbours[slot, i]``: machine ``i``'s neighbour in ``slot``.
+        self._neighbours = (
+            np.arange(machine_count)
+            + np.array(offsets, dtype=np.int64).reshape(-1, 1)
+        ) % machine_count
+        # Per-source-fault target ids and trigger probabilities, padded.
+        sources = len(cascade.targets)
+        width = max(1, max(len(t) for t in cascade.targets))
+        self._target_count = np.array(
+            [len(t) for t in cascade.targets], dtype=np.int64
+        )
+        self._target_ids = np.zeros((sources, width), dtype=np.int64)
+        self._target_probs = np.zeros((sources, width), dtype=np.float64)
+        for fid, targets in enumerate(cascade.targets):
+            self._target_ids[fid, : len(targets)] = targets
+            self._target_probs[fid, : len(targets)] = cascade.matrix[
+                fid, list(targets)
+            ]
+        #: Next natural arrival of each healthy machine; inf past the
+        #: horizon.  Not read while the machine is down.
+        self.natural = arrivals.copy()
+        # Time each machine last recovered.  The gate fires an onset
+        # only once no earlier induced onset can reach it, so an induced
+        # onset never lands before its target's last onset; landing at
+        # or before the last recovery's end, it landed while down.
+        self._healthy_since = np.full(machine_count, -np.inf)
+        # Earliest queued induced onset per machine, and the queues.
+        self._first = np.full(machine_count, np.inf)
+        self._queued: Dict[int, List[Tuple[float, int]]] = {}
+
+    def gate(self, t_event: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """Per machine, the latest onset time no induced onset can precede.
+
+        ``bound`` is a sound lower bound on each machine's future
+        onsets: the global minimum next-event time to start with, then
+        ``min(next event, neighbours' bound + delay_low)``, because an
+        induced onset lands at least ``delay_low`` after its source's
+        onset.  A machine's onset at ``a`` fires once ``a`` is at most
+        its neighbours' bound plus ``delay_low``.  The globally
+        earliest onset always passes, so the loop cannot stall.
+        """
+        if not len(self._neighbours):
+            return np.full(t_event.shape, np.inf)
+        upcoming = np.where(phase == _PH_DONE, np.inf, t_event)
+        bound = np.full(upcoming.shape, upcoming.min())
+        for _ in range(self.GATE_ROUNDS):
+            bound = np.minimum(
+                upcoming,
+                bound[self._neighbours].min(axis=0) + self._delay_low,
+            )
+        return bound[self._neighbours].min(axis=0) + self._delay_low
+
+    def take(self, machines: np.ndarray) -> np.ndarray:
+        """Fire the onsets of ``machines``: the induced fault id of each
+        one an induced onset starts, -1 where the natural arrival fires.
+
+        Either way the natural arrival is spent; the next one is drawn
+        at the recovery's success (:meth:`recovered`).
+        """
+        faults = np.full(machines.size, -1, dtype=np.int64)
+        induced = self._first[machines] < self.natural[machines]
+        for pos in np.flatnonzero(induced).tolist():
+            machine = int(machines[pos])
+            queue = self._queued[machine]
+            faults[pos] = heapq.heappop(queue)[1]
+            self._first[machine] = queue[0][0] if queue else np.inf
+        return faults
+
+    def trigger(self, rand, sources, times, faults, t_event, phase) -> None:
+        """Draw the cascade coins and delays of the onsets of ``faults``
+        on ``sources`` at ``times``, and queue the onsets they induce."""
+        slots = len(self._neighbours)
+        if not slots:
+            return  # a lone machine has no neighbours
+        counts = self._target_count[faults]
+        for count in np.unique(counts[counts > 0]).tolist():
+            group = np.flatnonzero(counts == count)
+            machines = sources[group]
+            # Coin row k is neighbour slot k // count, target k % count.
+            hit = rand.uniform_block(
+                machines, ARRIVALS, slots * count
+            ) < np.tile(self._target_probs[faults[group], :count].T, (slots, 1))
+            rows, cols = np.nonzero(hit)
+            if not rows.size:
+                continue
+            # Each source draws one delay per hit, in coin order.
+            rank = (np.cumsum(hit, axis=0) - 1)[rows, cols]
+            delays = np.empty(rows.size, dtype=np.float64)
+            for r in range(int(rank.max()) + 1):
+                at_rank = rank == r
+                delays[at_rank] = range_from_uniform(
+                    rand.uniform_wave(machines[cols[at_rank]], SYMPTOMS),
+                    self._delay_low, self._delay_high,
+                )
+            self._queue(
+                times[group][cols] + delays,
+                self._neighbours[rows // count, machines[cols]],
+                self._target_ids[faults[group][cols], rows % count],
+                t_event, phase,
+            )
+
+    def _queue(self, when, targets, target_faults, t_event, phase) -> None:
+        """Queue induced onsets, dropping those past the horizon or
+        inside a recovery their target has already finished."""
+        keep = (when <= self._duration) & (
+            when > self._healthy_since[targets]
+        )
+        for at, machine, fault in zip(
+            when[keep].tolist(),
+            targets[keep].tolist(),
+            target_faults[keep].tolist(),
+        ):
+            heapq.heappush(self._queued.setdefault(machine, []), (at, fault))
+            if at < self._first[machine]:
+                self._first[machine] = at
+                if phase[machine] in (_PH_ONSET, _PH_DONE):  # healthy
+                    t_event[machine] = min(at, self.natural[machine])
+                    phase[machine] = _PH_ONSET
+
+    def recovered(
+        self, machines: np.ndarray, times: np.ndarray, arrivals: np.ndarray
+    ) -> np.ndarray:
+        """Next onset of ``machines`` healthy again at ``times``, whose
+        next natural arrivals are ``arrivals`` (inf past the horizon).
+
+        Queued induced onsets that landed during the recovery are
+        dropped.
+        """
+        self.natural[machines] = arrivals
+        self._healthy_since[machines] = times
+        for pos in np.flatnonzero(self._first[machines] <= times).tolist():
+            machine = int(machines[pos])
+            queue = self._queued[machine]
+            while queue and queue[0][0] <= times[pos]:
+                heapq.heappop(queue)
+            self._first[machine] = queue[0][0] if queue else np.inf
+        return np.minimum(arrivals, self._first[machines])
 
 
 @dataclass
@@ -198,7 +383,7 @@ class FleetResult:
 
         Ordering follows :class:`~repro.recoverylog.entry.LogEntry`'s
         total order — ``(time, machine name, kind rank, description)``
-        — so the result is byte-identical to what the event backend's
+        — so the result is byte-identical to what the event engine's
         incremental inserts produce.  Names and descriptions sort by
         their ranks in Python string order, and entries share one
         ``str`` per machine name and per description.
@@ -242,7 +427,7 @@ class FleetResult:
     def episode_traces(self) -> List[EpisodeTrace]:
         """One trace per process, in success-time order.
 
-        The event backend emits traces at success events, i.e. in
+        The event engine emits traces at success events, i.e. in
         global success-time order; this reproduces that order (ties
         broken by machine index, which almost surely never fire under
         continuous delays).
@@ -289,17 +474,28 @@ class FleetResult:
 class FleetEngine:
     """Wave-vectorized cluster simulation over flat machine arrays.
 
-    Accepts the same model inputs as
-    :class:`~repro.cluster.cluster.ClusterSimulator` and produces the
-    same simulation, bit for bit, while supporting fleets of 10^5+
-    machines.
+    Runs every fault model — drifting, heterogeneous and cascading
+    scenarios included — and holds fleets of 10^5+ machines.
 
     Parameters
     ----------
     config:
         Cluster parameters.
-    faults / policy / actions / streams:
-        As for the reference simulator.
+    faults:
+        Ground-truth fault model: a plain
+        :class:`~repro.cluster.faults.FaultCatalog` (the stationary
+        homogeneous case) or a
+        :class:`~repro.scenario.model.ScenarioModel` adding catalog
+        drift, machine classes and/or cascading faults.  Every epoch's
+        catalog is validated against ``actions`` for cure-probability
+        monotonicity.
+    policy:
+        The online recovery policy scheduling repair actions; it must
+        be ``batch_safe``.
+    actions:
+        Action catalog; defaults to the paper's four actions.
+    streams:
+        Named RNG streams; pass the same seed for reproducible traces.
     episode_telemetry:
         Optional observer receiving one trace per completed recovery
         after the run, in success-time order.
@@ -319,25 +515,17 @@ class FleetEngine:
             raise ConfigurationError(
                 f"policy {policy.name!r} declares batch_safe=False (its "
                 "decisions consume internal RNG state, so they depend on "
-                "global decision order); use simulate_cluster(), which "
-                "falls back to the sequential ClusterSimulator"
+                "global decision order); the cluster simulator decides "
+                "in waves and cannot run it"
             )
         self.scenario = as_scenario_model(faults)
-        if not self.scenario.fleet_compatible:
-            raise ConfigurationError(
-                "FleetEngine cannot run cascading scenarios: induced "
-                "onsets couple machines, breaking the independence "
-                "property wave execution relies on; use "
-                "simulate_cluster(), which falls back to the sequential "
-                "ClusterSimulator"
-            )
         self.config = config
         #: The epoch-0 catalog — the full fault roster (legacy surface).
         self.faults = self.scenario.base_catalog
         self.policy = policy
         self.actions = actions if actions is not None else default_catalog()
-        # Validates every epoch against the action catalog; the event
-        # backend reads the same arrays, so values agree to the bit.
+        # Validates every epoch against the action catalog; cure and
+        # cost factors are read from these arrays, never re-derived.
         self.compiled: CompiledScenario = compile_scenario(
             self.scenario, self.actions
         )
@@ -440,7 +628,7 @@ class FleetEngine:
         phase = np.full(N, _PH_ONSET, dtype=np.int8)
         t_event = np.zeros(N, dtype=np.float64)
         # Epoch governing each machine's current recovery process —
-        # resolved once at onset, like the event backend's per-process
+        # resolved once at onset, like the event engine's per-process
         # epoch pin, so mid-process drift never changes the rules.
         cur_epoch = np.zeros(N, dtype=np.int64)
         fault_id = np.full(N, -1, dtype=np.int64)
@@ -473,14 +661,27 @@ class FleetEngine:
         )
         t_event[:] = gaps
         phase[gaps > cfg.duration] = _PH_DONE
+        # Without a cascade nothing is induced: no gate, no queue.
+        cascades = None
+        if com.cascade is not None:
+            cascades = _Cascades(
+                com.cascade,
+                np.where(gaps > cfg.duration, np.inf, gaps),
+                cfg.duration,
+            )
 
         while True:
             onset = np.flatnonzero(phase == _PH_ONSET).astype(np.intp)
+            if cascades is not None and onset.size:
+                onset = onset[
+                    t_event[onset] <= cascades.gate(t_event, phase)[onset]
+                ]
             if onset.size:
                 next_proc = self._onset_wave(
                     onset, t_event, phase, cur_epoch, fault_id, noise_id,
                     main_open, noise_open, attempts, state_sid, cur_proc,
                     failure_counts, log, candidates, procs, next_proc,
+                    cascades,
                 )
             decide = np.flatnonzero(phase == _PH_DECIDE).astype(np.intp)
             if decide.size:
@@ -496,7 +697,7 @@ class FleetEngine:
                     main_open, noise_open, attempts, state_sid, action_id,
                     cur_proc, pending_cost, pending_forced, pending_source,
                     pending_expected, recovery_counts, log, candidates,
-                    steps, success_scatter,
+                    steps, success_scatter, cascades,
                 )
             if not (onset.size or decide.size or complete.size):
                 break
@@ -507,7 +708,7 @@ class FleetEngine:
 
         # Straggler candidates: emitted iff they fire inside one of the
         # machine's recovery intervals [fault, success) — exactly the
-        # reference backend's "machine not HEALTHY at fire time" check,
+        # event engine's "machine not HEALTHY at fire time" check,
         # resolvable post-hoc because every interval is now closed.
         cand_t = candidates.column("t", np.float64)
         cand_m = candidates.column("m", np.int64)
@@ -585,10 +786,38 @@ class FleetEngine:
             )
         return fids
 
+    def _draw_faults(
+        self, I: np.ndarray, eids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The fault and overlapping noise fault (-1 for none) of each
+        natural onset on ``I``, drawn from the arrivals channel."""
+        fids = self._sample_faults(eids, self._rand.uniform_wave(I, ARRIVALS))
+        nids = np.full(I.size, -1, dtype=np.int64)
+        if self.compiled.fault_count > 1:
+            coin = self._rand.uniform_wave(I, ARRIVALS)
+            drawing = coin < self.config.noise_probability
+            pending = I[drawing]
+            pending_eid = eids[drawing]
+            pending_fid = fids[drawing]
+            pending_pos = np.flatnonzero(drawing)
+            # Rejection loop: redraw while the overlap equals the main
+            # fault, exactly as the event engine does per machine.
+            while pending.size:
+                draw = self._sample_faults(
+                    pending_eid, self._rand.uniform_wave(pending, ARRIVALS)
+                )
+                ok = draw != pending_fid
+                nids[pending_pos[ok]] = draw[ok]
+                pending = pending[~ok]
+                pending_eid = pending_eid[~ok]
+                pending_fid = pending_fid[~ok]
+                pending_pos = pending_pos[~ok]
+        return fids, nids
+
     def _onset_wave(
         self, I, t_event, phase, cur_epoch, fault_id, noise_id, main_open,
         noise_open, attempts, state_sid, cur_proc, failure_counts, log,
-        candidates, procs, next_proc,
+        candidates, procs, next_proc, cascades,
     ) -> int:
         cfg = self.config
         com = self.compiled
@@ -597,7 +826,7 @@ class FleetEngine:
         failure_counts[I] += 1
 
         # Epoch resolution at onset time: zero draws, same searchsorted
-        # formula as the event backend's scalar ScenarioModel.epoch_at.
+        # formula as the scalar ScenarioModel.epoch_at.
         if com.epoch_count == 1:
             eids = np.zeros(I.size, dtype=np.int64)
         else:
@@ -605,27 +834,18 @@ class FleetEngine:
         cur_epoch[I] = eids
         cls = self._class_ids[I]
 
-        fids = self._sample_faults(eids, rand.uniform_wave(I, ARRIVALS))
-        nids = np.full(I.size, -1, dtype=np.int64)
-        if com.fault_count > 1:
-            coin = rand.uniform_wave(I, ARRIVALS)
-            drawing = coin < cfg.noise_probability
-            pending = I[drawing]
-            pending_eid = eids[drawing]
-            pending_fid = fids[drawing]
-            pending_pos = np.flatnonzero(drawing)
-            # Rejection loop: redraw while the overlap equals the main
-            # fault, exactly as the reference backend does per machine.
-            while pending.size:
-                draw = self._sample_faults(
-                    pending_eid, rand.uniform_wave(pending, ARRIVALS)
+        if cascades is None:
+            fids, nids = self._draw_faults(I, eids)
+        else:
+            # An induced onset's fault is fixed by the coupling: it
+            # draws no fault and no overlapping noise fault.
+            fids = cascades.take(I)
+            nids = np.full(I.size, -1, dtype=np.int64)
+            natural = np.flatnonzero(fids < 0)
+            if natural.size:
+                fids[natural], nids[natural] = self._draw_faults(
+                    I[natural], eids[natural]
                 )
-                ok = draw != pending_fid
-                nids[pending_pos[ok]] = draw[ok]
-                pending = pending[~ok]
-                pending_eid = pending_eid[~ok]
-                pending_fid = pending_fid[~ok]
-                pending_pos = pending_pos[~ok]
 
         fault_id[I] = fids
         noise_id[I] = nids
@@ -673,6 +893,10 @@ class FleetEngine:
             self._queue_secondaries(
                 nm, nids[noisy], eids[noisy], noise_after, candidates
             )
+
+        # Cascade coins last: they follow every other draw of the onset.
+        if cascades is not None:
+            cascades.trigger(rand, I, t, fids, t_event, phase)
 
         pids = np.arange(next_proc, next_proc + I.size, dtype=np.int64)
         cur_proc[I] = pids
@@ -746,7 +970,7 @@ class FleetEngine:
             outcome = batch[int(np.argmax(bad))]
             if isinstance(outcome, UnhandledStateError):
                 # The online path must never swallow an unable policy —
-                # same contract as the reference backend.
+                # same contract as the event engine.
                 raise outcome
             # Unknown action name: surface the catalog's error.
             self.actions[outcome.action]
@@ -788,7 +1012,7 @@ class FleetEngine:
         self, K, t_event, phase, cur_epoch, fault_id, noise_id, main_open,
         noise_open, attempts, state_sid, action_id, cur_proc, pending_cost,
         pending_forced, pending_source, pending_expected, recovery_counts,
-        log, candidates, steps, success_scatter,
+        log, candidates, steps, success_scatter, cascades,
     ) -> None:
         cfg = self.config
         com = self.compiled
@@ -796,9 +1020,9 @@ class FleetEngine:
         t = t_event[K]
 
         # Cure checks, main fault first then the overlap — the same
-        # per-machine order the reference iterates its uncured list in.
-        # Cure probabilities come from the process's onset epoch and the
-        # machine's class, exactly as the event backend looks them up.
+        # per-machine order the event engine iterates its uncured list
+        # in.  Cure probabilities come from the process's onset epoch
+        # and the machine's class.
         sub = K[main_open[K]]
         if sub.size:
             u = rand.uniform_wave(sub, CURES)
@@ -839,6 +1063,12 @@ class FleetEngine:
                 cfg.mean_time_between_failures,
             )
             next_fault = t[succeeded] + gaps
+            if cascades is not None:
+                # The next onset may be an induced one instead.
+                next_fault = cascades.recovered(
+                    S, t[succeeded],
+                    np.where(next_fault > cfg.duration, np.inf, next_fault),
+                )
             beyond = next_fault > cfg.duration
             t_event[S] = next_fault
             phase[S] = np.where(beyond, _PH_DONE, _PH_ONSET)
@@ -951,25 +1181,13 @@ def simulate_cluster(
     *,
     episode_telemetry: Optional[EpisodeTelemetry] = None,
 ) -> RecoveryLog:
-    """Run a cluster simulation on the engine its inputs allow.
+    """Simulate the cluster on :class:`FleetEngine` and return its log.
 
-    The vectorized :class:`FleetEngine` runs by default, drifting and
-    heterogeneous scenarios included.  Policies with
-    ``batch_safe = False`` cannot be decided in waves, and cascading
-    scenarios couple machines (an onset can induce a neighbour's
-    onset), so those fall back to the sequential
-    :class:`~repro.cluster.cluster.ClusterSimulator`.  Both engines draw
-    from the same per-machine streams and agree bit for bit wherever
-    both can run, so the engine decides only the speed, never the log.
+    Every fault model runs, cascading scenarios included.  A policy
+    with ``batch_safe = False`` cannot be decided in waves and is a
+    :class:`~repro.errors.ConfigurationError`.
     """
-    if policy.batch_safe and as_scenario_model(faults).fleet_compatible:
-        engine = FleetEngine(
-            config, faults, policy, actions, streams,
-            episode_telemetry=episode_telemetry,
-        )
-        return engine.run().to_log()
-    simulator = ClusterSimulator(
+    return FleetEngine(
         config, faults, policy, actions, streams,
         episode_telemetry=episode_telemetry,
-    )
-    return simulator.run()
+    ).run().to_log()

@@ -4,11 +4,11 @@ Every ``(machine, channel)`` pair owns an independent splitmix64-keyed
 counter stream, so a machine's draws depend only on its *own* logical
 trajectory, never on how the global schedule interleaves machines.
 That is what lets the vectorized :class:`~repro.cluster.fleet.FleetEngine`
-(drawing for whole *waves* of machines at once) and the event-driven
-:class:`~repro.cluster.cluster.ClusterSimulator` (drawing one machine at
-a time, in event order) produce bit-identical runs — pinned by
-``tests/test_fleet_equivalence.py`` — and what lets the fleet engine hold
-10^5+ machines.
+draw for whole *waves* of machines at once and still produce, bit for
+bit, the run of an engine that draws one machine at a time in event
+order — pinned against the event-driven reference in
+``tests/test_fleet_equivalence.py`` — and what lets it hold 10^5+
+machines.
 
 All distribution transforms are fixed numpy ufunc formulas (``log1p``,
 ``searchsorted``, Box–Muller) applied to the raw uniforms, never
@@ -18,15 +18,9 @@ last bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.actions.costs import CostModel
-    from repro.cluster.faults import FaultCatalog
 
 __all__ = [
     "ARRIVALS",
@@ -97,12 +91,13 @@ class MachineRandomSource:
     number ``n``, with ``key`` itself a mix of the root entropy and the
     pair's index.  Draws are therefore a pure function of *how many*
     draws the machine has made on the channel — global interleaving is
-    irrelevant, so the event backend (drawing one machine at a time) and
-    the fleet backend (drawing whole waves) produce identical values.
+    irrelevant, so drawing one machine at a time (the event-driven
+    reference) and drawing whole waves (the fleet engine) produce
+    identical values.
 
     The counters are exposed via :meth:`draw_counts`; equality of the
-    full counter matrix across backends is one of the differential fuzz
-    harness's pinned invariants.
+    full counter matrix with the reference's is one of the differential
+    fuzz harness's pinned invariants.
     """
 
     def __init__(self, entropy: int, machine_count: int) -> None:
@@ -125,9 +120,8 @@ class MachineRandomSource:
         """One uniform per machine index (indices must be distinct).
 
         Advances each addressed machine's channel counter by one.  This
-        is the fleet backend's draw primitive; the scalar methods below
-        are one-element waves, which is what guarantees the two
-        backends read identical values.
+        is the engine's one draw primitive: a machine's ``n``-th value
+        on a channel is the same whichever wave draws it.
         """
         machines = np.asarray(machines, dtype=np.intp)
         counters = self._counters[machines, channel]
@@ -145,60 +139,18 @@ class MachineRandomSource:
         """``count`` uniforms per machine, shape ``(count, len(machines))``.
 
         Row ``k`` is each machine's ``k``-th draw, so a block is the
-        same values as ``count`` consecutive one-row waves.
+        same values as ``count`` consecutive one-row waves, computed
+        in one pass.
         """
         machines = np.asarray(machines, dtype=np.intp)
-        if not count:
-            return np.empty((0, machines.size))
-        return np.stack(
-            [self.uniform_wave(machines, channel) for _ in range(count)]
-        )
-
-    def _uniform(self, machine: int, channel: int) -> float:
-        return float(self.uniform_wave(np.array([machine]), channel)[0])
-
-    # -- scalar draws, one per simulator draw site ----------------------
-    def arrival_gap(self, machine: int, mean: float) -> float:
-        """Exponential inter-arrival gap (arrivals channel)."""
-        return float(
-            exponential_from_uniform(self._uniform(machine, ARRIVALS), mean)
-        )
-
-    def fault_index(self, machine: int, catalog: "FaultCatalog") -> int:
-        """Weighted fault-type index (arrivals channel)."""
-        return catalog.index_from_uniform(self._uniform(machine, ARRIVALS))
-
-    def noise_uniform(self, machine: int) -> float:
-        """Raw uniform for the noise and cascade coins (arrivals channel)."""
-        return self._uniform(machine, ARRIVALS)
-
-    def symptom_uniform(self, machine: int) -> float:
-        """Raw uniform for emission coins (symptoms channel)."""
-        return self._uniform(machine, SYMPTOMS)
-
-    def symptom_offset(self, machine: int, low: float, high: float) -> float:
-        """Uniform offset in ``[low, high)`` (symptoms channel)."""
-        return float(
-            range_from_uniform(self._uniform(machine, SYMPTOMS), low, high)
-        )
-
-    def cure_uniform(self, machine: int) -> float:
-        """Raw uniform for one cure check (cures channel)."""
-        return self._uniform(machine, CURES)
-
-    def action_duration(self, machine: int, cost_model: "CostModel") -> float:
-        """One action duration from ``cost_model`` (costs channel)."""
-        uniforms = self.uniform_block(
-            np.array([machine]), COSTS, cost_model.uniform_count
-        )
-        return float(cost_model.from_uniforms(uniforms)[0])
-
-    def delay(self, machine: int, mean: float) -> float:
-        """Exponential latency delay; callers guard ``mean > 0``
-        (delays channel)."""
-        return float(
-            exponential_from_uniform(self._uniform(machine, DELAYS), mean)
-        )
+        counters = self._counters[machines, channel]
+        steps = np.arange(1, count + 1, dtype=np.uint64).reshape(-1, 1)
+        with np.errstate(over="ignore"):
+            bits = mix64(
+                self._keys[machines, channel] + (counters + steps) * _GOLDEN
+            )
+        self._counters[machines, channel] = counters + np.uint64(count)
+        return uniform_from_bits(bits)
 
     def draw_counts(self) -> np.ndarray:
         """A copy of the ``(machine_count, 5)`` uint64 draw counters."""

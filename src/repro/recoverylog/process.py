@@ -8,7 +8,6 @@ is the span from first symptom to success.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -24,6 +23,7 @@ __all__ = [
 ]
 
 _SYMPTOM = EntryKind.SYMPTOM
+_ACTION = EntryKind.ACTION
 _SUCCESS = EntryKind.SUCCESS
 
 
@@ -134,35 +134,56 @@ class RecoveryProcess:
         """All symptom descriptions in occurrence order (with repeats)."""
         return tuple([e.description for e in self.entries if e.kind is _SYMPTOM])
 
-    @functools.cached_property
+    # The three views below are memoized in ``__dict__`` like
+    # ``__hash__``: ``functools.cached_property`` takes a lock on every
+    # first read (Python 3.10 and 3.11), which cost as much as building
+    # the value.
+
+    @property
     def symptom_set(self) -> FrozenSet[str]:
         """The distinct symptoms observed during this process."""
-        return frozenset(self.symptoms)
+        cached = self.__dict__.get("_symptom_set")
+        if cached is None:
+            cached = frozenset(
+                [e.description for e in self.entries if e.kind is _SYMPTOM]
+            )
+            object.__setattr__(self, "_symptom_set", cached)
+        return cached
 
-    @functools.cached_property
+    @property
     def actions(self) -> Tuple[str, ...]:
         """Repair-action names in execution order."""
-        return tuple(e.description for e in self.entries if e.is_action)
+        cached = self.__dict__.get("_actions")
+        if cached is None:
+            cached = tuple(
+                [e.description for e in self.entries if e.kind is _ACTION]
+            )
+            object.__setattr__(self, "_actions", cached)
+        return cached
 
-    @functools.cached_property
+    @property
     def attempts(self) -> Tuple[ActionAttempt, ...]:
         """Action executions with their observed durations and outcomes.
 
-        Cached: replay and training touch this on every simulated step.
+        Memoized: replay and training touch this on every simulated step.
         """
-        action_entries = [e for e in self.entries if e.is_action]
-        attempts: List[ActionAttempt] = []
-        for i, entry in enumerate(action_entries):
-            if i + 1 < len(action_entries):
-                end = action_entries[i + 1].time
-                succeeded = False
-            else:
-                end = self.entries[-1].time
-                succeeded = True
-            attempts.append(
-                ActionAttempt(entry.description, entry.time, end, succeeded)
-            )
-        return tuple(attempts)
+        cached = self.__dict__.get("_attempts")
+        if cached is None:
+            action_entries = [e for e in self.entries if e.kind is _ACTION]
+            attempts: List[ActionAttempt] = []
+            for i, entry in enumerate(action_entries):
+                if i + 1 < len(action_entries):
+                    end = action_entries[i + 1].time
+                    succeeded = False
+                else:
+                    end = self.entries[-1].time
+                    succeeded = True
+                attempts.append(
+                    ActionAttempt(entry.description, entry.time, end, succeeded)
+                )
+            cached = tuple(attempts)
+            object.__setattr__(self, "_attempts", cached)
+        return cached
 
     @property
     def start_time(self) -> float:

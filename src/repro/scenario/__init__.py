@@ -2,9 +2,9 @@
 
 This package generalizes the stationary
 :class:`~repro.cluster.faults.FaultCatalog` into a time- and
-machine-class-indexed :class:`ScenarioModel` (see DESIGN.md §5g).  Both
-cluster backends accept either type; a stationary single-class scenario
-is bit-identical to the bare catalog path.
+machine-class-indexed :class:`ScenarioModel` (see DESIGN.md §5g).  The
+cluster simulator accepts either type; a stationary single-class
+scenario is bit-identical to the bare catalog path.
 """
 
 from repro.scenario.compiled import (

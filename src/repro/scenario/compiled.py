@@ -5,12 +5,12 @@ what :class:`~repro.cluster.faults.CompiledFaults` is to
 :class:`~repro.cluster.faults.FaultCatalog` — and it is built *through*
 :func:`~repro.cluster.faults.compile_fault_arrays` per epoch, so the
 stationary single-class slice ``[0, 0]`` holds exactly the same float64
-values as the legacy compilation.  **Both** cluster backends read cure
-probabilities and cost scales from these arrays (the event backend as
-scalars, the fleet backend as whole waves), which is what makes
-per-class multipliers bit-identical across backends: each value is
-computed once here, never re-derived by a differently-associated
-multiplication at the call site.
+values as the legacy compilation.  The fleet engine reads cure
+probabilities and cost scales from these arrays as whole waves, and
+the event-driven reference in the tests reads them as scalars, which is
+what makes per-class multipliers bit-identical between the two: each
+value is computed once here, never re-derived by a
+differently-associated multiplication at the call site.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class CompiledScenario:
     cost:
         ``(E, C, F)`` combined duration multipliers: the epoch's fault
         ``cost_scale`` times the class cost multiplier, precomputed so
-        both backends apply one identical float64 factor.
+        every reader applies one identical float64 factor.
     secondary_probability:
         ``(E, F)`` per-epoch secondary-symptom emission probability.
     primary_symptoms:

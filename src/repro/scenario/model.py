@@ -4,8 +4,7 @@ The paper (and every layer of this reproduction until now) assumes one
 *stationary* fault catalog over an i.i.d. fleet.  :class:`ScenarioModel`
 generalizes that assumption along three orthogonal axes while keeping
 the stationary single-class case **bit-identical** to the plain
-:class:`~repro.cluster.faults.FaultCatalog` path on both cluster
-backends:
+:class:`~repro.cluster.faults.FaultCatalog` path:
 
 * **Catalog drift** — a piecewise-constant schedule of
   :class:`Epoch`\\ s.  Every epoch carries a full catalog sharing the
@@ -13,7 +12,7 @@ backends:
   free to move occurrence weights, cure probabilities,
   ``secondary_probability`` and ``cost_scale``.  The governing epoch is
   resolved **once, at fault onset** (``searchsorted`` on the epoch
-  starts — the identical formula in the event and fleet backends), and
+  starts — the identical formula scalar and vectorized), and
   that epoch's parameters rule the whole recovery process; resolution
   consumes zero RNG draws, which is what keeps the stationary case
   bit-identical.
@@ -30,10 +29,9 @@ backends:
   *induced* onset of the target fault on the neighbor after a uniform
   delay.  Induced onsets fire only while the neighbor is healthy and
   the horizon has not passed, and they cascade further (a subcritical
-  branching process — validated at construction).  Cascades break the
-  machine-independence property the vectorized fleet backend relies
-  on, so cascading scenarios run on the event backend only
-  (:attr:`ScenarioModel.fleet_compatible`).
+  branching process — validated at construction).  The fleet engine
+  runs them in waves: an onset fires only once no induced onset
+  earlier than it can still be created.
 """
 
 from __future__ import annotations
@@ -242,7 +240,7 @@ class ScenarioModel:
         Machine classes; defaults to one neutral class (no decoration,
         multipliers exactly 1.0).
     cascade:
-        Optional onset-hazard coupling (event backend only).
+        Optional onset-hazard coupling.
     """
 
     def __init__(
@@ -335,15 +333,6 @@ class ScenarioModel:
         return self.cascade is not None
 
     @property
-    def fleet_compatible(self) -> bool:
-        """Whether the vectorized fleet backend can run this scenario.
-
-        Cascades couple machines, breaking the independence property
-        wave execution relies on; everything else vectorizes.
-        """
-        return self.cascade is None
-
-    @property
     def is_trivial(self) -> bool:
         """Indistinguishable from a bare catalog (the legacy path)."""
         return (
@@ -370,8 +359,8 @@ class ScenarioModel:
         Uses the half-open convention: a drift switch at ``t`` governs
         onsets at times ``>= t``.  Negative times clamp to epoch 0.
         The identical ``searchsorted`` formula runs vectorized in the
-        fleet backend (:meth:`epochs_at`), so the two backends cannot
-        disagree at a boundary.
+        fleet engine (:meth:`epochs_at`), so scalar and wave resolution
+        cannot disagree at a boundary.
         """
         return max(
             int(
@@ -422,7 +411,7 @@ class ScenarioModel:
         return f"{symptom}{CLASS_TAG_SEPARATOR}{self.classes[class_id].name}"
 
 
-#: What the cluster backends accept wherever a fault model is expected.
+#: What the cluster simulator accepts wherever a fault model is expected.
 FaultModel = Union[FaultCatalog, ScenarioModel]
 
 

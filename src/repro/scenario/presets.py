@@ -232,5 +232,5 @@ def heterogeneous_spec(
 
 
 def cascade_spec(strength: float = 0.6, radius: int = 2) -> ScenarioSpec:
-    """The cascading-faults workload family (event backend only)."""
+    """The cascading-faults workload family."""
     return ScenarioSpec(cascade_strength=strength, cascade_radius=radius)

@@ -15,9 +15,10 @@ per-step objects; they share the session's cap rule
 The session is deliberately a *state machine*, not a closed loop:
 ``next_action()`` produces the next decision and ``record_outcome()``
 advances the state.  Synchronous callers use
-:func:`~repro.session.driver.drive`; the event-driven cluster simulator
-calls the two halves directly across simulated time (decide now,
-observe the outcome when the action's completion event fires).
+:func:`~repro.session.driver.drive`; an event-driven caller (the
+reference cluster simulator in ``tests/reference_cluster.py``) calls
+the two halves directly across simulated time (decide now, observe the
+outcome when the action's completion event fires).
 """
 
 from __future__ import annotations

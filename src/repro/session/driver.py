@@ -42,15 +42,15 @@ def decide_wave(
     """Resolve one lockstep decision wave over mixed forced/free states.
 
     This is the wave-splitting rule of the replay platform's waves and
-    the fleet backend's single policy touchpoint: rows whose ``N``-cap
+    the fleet engine's single policy touchpoint: rows whose ``N``-cap
     already forces an action (``forced[i]`` True) bypass the policy and
     decide ``forced_name`` from :data:`FORCED_SOURCE` with no estimate;
     all remaining states pool into **one**
     :meth:`~repro.policies.base.Policy.decide_batch` call.  The answer
     comes back as columns in input order; a policy miss stays a miss
     row — returned, not raised, so callers choose between ending one
-    replay unhandled (the replay platform) and propagating (the live
-    cluster backends).
+    replay unhandled (the replay platform) and propagating (the cluster
+    simulator).
     """
     if len(states) != len(forced):
         raise ValueError("states and forced must align")

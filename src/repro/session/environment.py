@@ -3,10 +3,10 @@
 A session decides; an environment executes.  :class:`Environment` is the
 small protocol :func:`~repro.session.driver.drive` couples a session to
 — a live-serving executor, a test double, anything that can run one
-repair action and report ``(cost, succeeded)``.  The event-driven
-cluster simulator does not fit a blocking ``execute`` call and instead
-drives :class:`~repro.session.core.RecoverySession` directly across
-simulated time.  Counterfactual log replay needs no environment: it
+repair action and report ``(cost, succeeded)``.  The cluster
+simulator's waves decide through
+:func:`~repro.session.driver.decide_wave` instead.  Counterfactual log
+replay needs no environment: it
 runs on the platform's compiled rows
 (:meth:`~repro.simplatform.platform.CompiledReplay.step`).
 """

@@ -88,7 +88,7 @@ class TestComposeActions:
 
     def test_composite_usable_in_recovery_pipeline(self):
         """A catalog with a composite flows through simulation + replay."""
-        from repro.cluster import ClusterConfig, ClusterSimulator
+        from repro.cluster import ClusterConfig, simulate_cluster
         from repro.cluster.faults import FaultCatalog, FaultType
         from repro.policies import UserDefinedPolicy
         from repro.simplatform import SimulationPlatform
@@ -116,7 +116,7 @@ class TestComposeActions:
                 )
             ]
         )
-        simulator = ClusterSimulator(
+        log = simulate_cluster(
             ClusterConfig(
                 machine_count=10,
                 duration=20 * 86_400.0,
@@ -131,7 +131,6 @@ class TestComposeActions:
             catalog,
             RngStreams(2),
         )
-        log = simulator.run()
         processes = log.to_processes()
         assert processes
         platform = SimulationPlatform(processes, catalog)

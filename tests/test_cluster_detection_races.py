@@ -25,9 +25,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reference_cluster import ClusterSimulator, FaultDetector
 from repro.actions import default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
-from repro.cluster.detector import FaultDetector
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine
 from repro.policies import UserDefinedPolicy

@@ -1,8 +1,9 @@
-"""Tests for the discrete-event simulation engine."""
+"""Tests for the discrete-event engine of the event-driven reference
+simulator (``reference_cluster``)."""
 
 import pytest
 
-from repro.cluster.engine import SimulationEngine
+from reference_cluster import SimulationEngine
 from repro.errors import SimulationError
 
 

@@ -1,9 +1,10 @@
-"""Tests for the machine lifecycle state machine."""
+"""Tests for the machine lifecycle state machine of the event-driven
+reference simulator (``reference_cluster``)."""
 
 import pytest
 
+from reference_cluster import Machine, MachineState
 from repro.cluster.faults import FaultType
-from repro.cluster.machine import Machine, MachineState
 from repro.errors import SimulationError
 
 

@@ -1,9 +1,9 @@
-"""Tests for the event monitor and fault detector components."""
+"""Tests for the event monitor and fault detector components of the
+event-driven reference simulator (``reference_cluster``)."""
 
 import pytest
 
-from repro.cluster.detector import FaultDetector
-from repro.cluster.monitor import EventMonitor
+from reference_cluster import EventMonitor, FaultDetector
 from repro.errors import ConfigurationError
 from repro.recoverylog.entry import LogEntry
 

@@ -1,9 +1,11 @@
-"""Integration tests of the cluster simulator."""
+"""Integration tests of the event-driven reference simulator
+(``reference_cluster``), the fleet engine's differential reference."""
 
 import pytest
 
+from reference_cluster import ClusterSimulator
 from repro.actions import default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.errors import ConfigurationError
 from repro.policies import AlwaysStrongestPolicy, UserDefinedPolicy

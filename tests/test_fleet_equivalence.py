@@ -1,17 +1,19 @@
-"""Differential fuzzing: fleet backend vs the event-driven reference.
+"""Differential fuzzing: the fleet engine vs the event-driven reference.
 
-The fleet engine's contract is *bit identity* with
-:class:`~repro.cluster.cluster.ClusterSimulator` — both draw from the
-per-machine counter streams — same log entries (exact float times),
-same per-machine downtime, same action sequences, same telemetry traces
-and same RNG draw counters.  These tests pin that contract the way
+The fleet engine's contract is *bit identity* with the event-driven
+:class:`~reference_cluster.ClusterSimulator` kept in
+``tests/reference_cluster.py`` — both draw from the per-machine counter
+streams — same log entries (exact float times), same per-machine
+downtime, same action sequences, same telemetry traces and same RNG
+draw counters.  These tests pin that contract the way
 ``test_backend_equivalence`` pins the dict/array Q-table pair: generate
 random cluster scenarios with hypothesis (machine counts, horizons,
-fault catalogs, delay regimes, policy families) and compare every
-observable of the two backends exactly.
+fault catalogs, delay regimes, drift, machine classes, cascades, policy
+families) and compare every observable of the two engines exactly.
 
-Well over 200 scenarios run across this module's generators (120 in the
-main sweep, 40 per policy family, plus a deeper slow-lane sweep).
+Well over 300 scenarios run across this module's generators (120 in the
+main sweep, 80 drifting or heterogeneous, 80 cascading, 40 per policy
+family, plus deeper slow-lane sweeps).
 """
 
 from __future__ import annotations
@@ -23,21 +25,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_cluster import ClusterSimulator, MachineState
 from repro.actions import REBOOT, RMA, TRYNOP, default_catalog
 from repro.actions.action import ActionCatalog
 from repro.actions.composite import compose_actions
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine, simulate_cluster
 from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy
-from repro.scenario.model import ScenarioModel
-from repro.scenario.presets import ScenarioSpec, build_scenario_model
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.static import AlwaysStrongestPolicy
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
+from repro.scenario.model import CascadeCoupling, ScenarioModel
+from repro.scenario.presets import ScenarioSpec, build_scenario_model
 from repro.session.trace import EpisodeTelemetry
 from repro.util.rng import RngStreams
 
@@ -116,8 +119,8 @@ def scenario_trained_chain(draw, scenario: ScenarioModel, max_actions: int):
 
 @st.composite
 def scenario_specs(draw) -> ScenarioSpec:
-    """Non-trivial drift / machine-class specs (fleet-compatible: no
-    cascade, which the fleet backend rejects by design)."""
+    """Non-trivial drift / machine-class specs (no cascade; see
+    :func:`cascading_models_for`)."""
     epochs = draw(st.integers(1, 3))
     classes = draw(st.integers(1, 3))
     if epochs == 1 and classes == 1:
@@ -138,6 +141,42 @@ def scenario_models_for(draw, catalog, duration) -> ScenarioModel:
         draw(scenario_specs()),
         duration=duration,
         seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def cascade_couplings(draw, catalog) -> CascadeCoupling:
+    """Random subcritical couplings: radius 1-3, a delay window that may
+    start at 0, and one or more targets per source fault."""
+    radius = draw(st.integers(1, 3))
+    low = draw(st.one_of(st.just(0.0), st.floats(1.0, 600.0)))
+    strength = draw(st.floats(0.3, 0.95))
+    per_pair = strength / (2 * radius * len(catalog))
+    names = [fault.name for fault in catalog]
+    return CascadeCoupling(
+        triggers={
+            source: dict.fromkeys(
+                draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
+                per_pair,
+            )
+            for source in names
+        },
+        radius=radius,
+        delay_low=low,
+        delay_high=low + draw(st.floats(1.0, 7200.0)),
+    )
+
+
+@st.composite
+def cascading_models_for(draw, catalog, duration) -> ScenarioModel:
+    """A cascade over a stationary catalog, or over drift and classes."""
+    base = (
+        draw(scenario_models_for(catalog, duration))
+        if draw(st.booleans())
+        else ScenarioModel.stationary(catalog)
+    )
+    return ScenarioModel(
+        base.epochs, base.classes, draw(cascade_couplings(catalog))
     )
 
 
@@ -215,14 +254,32 @@ def policies(draw, faults: FaultCatalog, max_actions: int) -> Policy:
     return HybridPolicy(TrainedPolicy(truncated), UserDefinedPolicy(CATALOG))
 
 
+@st.composite
+def scenario_policies(draw, scenario: ScenarioModel, max_actions: int):
+    """User-defined, strongest, trained or hybrid, with trained rules
+    over the scenario's class-decorated error types."""
+    family = draw(st.sampled_from(["user", "strongest", "trained", "hybrid"]))
+    if family == "user":
+        return UserDefinedPolicy(CATALOG)
+    if family == "strongest":
+        return AlwaysStrongestPolicy(CATALOG)
+    trained = scenario_trained_chain(draw, scenario, max_actions)
+    if family == "trained":
+        return trained
+    return HybridPolicy(trained, UserDefinedPolicy(CATALOG))
+
+
 # ---------------------------------------------------------------------------
 # The differential core
 # ---------------------------------------------------------------------------
-def run_both(params, faults, policy_builder, seed, actions=CATALOG):
+def run_both(
+    params, faults, policy_builder, seed, actions=CATALOG,
+    reference=ClusterSimulator,
+):
     """Run the event engine and the fleet engine on one scenario."""
     config = ClusterConfig(**params)
     event_rec, fleet_rec = _TraceRecorder(), _TraceRecorder()
-    simulator = ClusterSimulator(
+    simulator = reference(
         config,
         faults,
         policy_builder(),
@@ -329,22 +386,33 @@ class TestFuzzEquivalence:
         scenario = data.draw(
             scenario_models_for(catalog, params["duration"])
         )
-        family = data.draw(
-            st.sampled_from(["user", "strongest", "trained", "hybrid"])
+        policy_spec = data.draw(
+            scenario_policies(scenario, params["max_actions"])
         )
-        if family == "user":
-            policy_spec = UserDefinedPolicy(CATALOG)
-        elif family == "strongest":
-            policy_spec = AlwaysStrongestPolicy(CATALOG)
-        else:
-            trained = scenario_trained_chain(
-                data.draw, scenario, params["max_actions"]
-            )
-            policy_spec = (
-                trained
-                if family == "trained"
-                else HybridPolicy(trained, UserDefinedPolicy(CATALOG))
-            )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        outputs = run_both(
+            params, scenario, lambda: copy.deepcopy(policy_spec), seed
+        )
+        assert_equivalent(*outputs)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_cascading_scenarios(self, data):
+        """Cascade sweep: induced onsets couple ring neighbours (1-8
+        machines, so small rings wrap onto themselves), and the gated
+        onset waves must still reproduce the event order bit for bit."""
+        params = data.draw(cluster_configs())
+        catalog = data.draw(fault_catalogs())
+        scenario = data.draw(
+            cascading_models_for(catalog, params["duration"])
+        )
+        policy_spec = data.draw(
+            scenario_policies(scenario, params["max_actions"])
+        )
         seed = data.draw(st.integers(0, 2**32 - 1))
         outputs = run_both(
             params, scenario, lambda: copy.deepcopy(policy_spec), seed
@@ -393,6 +461,27 @@ class TestFuzzEquivalence:
         seed = data.draw(st.integers(0, 2**32 - 1))
         outputs = run_both(
             params, faults, lambda: copy.deepcopy(policy_spec), seed
+        )
+        assert_equivalent(*outputs)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.slow
+    def test_deep_cascading_scenarios(self, data):
+        """Slow lane: cascades over larger rings and longer horizons."""
+        params = data.draw(cluster_configs())
+        params["machine_count"] = data.draw(st.integers(20, 60))
+        params["duration"] = data.draw(st.floats(20.0, 60.0)) * DAY
+        catalog = data.draw(fault_catalogs())
+        scenario = data.draw(
+            cascading_models_for(catalog, params["duration"])
+        )
+        policy_spec = data.draw(
+            scenario_policies(scenario, params["max_actions"])
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        outputs = run_both(
+            params, scenario, lambda: copy.deepcopy(policy_spec), seed
         )
         assert_equivalent(*outputs)
 
@@ -559,6 +648,103 @@ class TestDirectedEquivalence:
             ).run()
 
 
+class _InducedOnsetCounter(ClusterSimulator):
+    """The reference, counting what happens to induced onsets: dropped
+    because the target is down, or reviving a machine whose natural
+    arrivals ended past the horizon."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.dropped_while_down = 0
+        self.revived = 0
+        self._arrival_pending = {}
+
+    def _schedule_next_fault(self, machine, from_time):
+        queued = self.engine.pending
+        super()._schedule_next_fault(machine, from_time)
+        self._arrival_pending[machine.name] = self.engine.pending > queued
+
+    def _on_induced_fault(self, machine, fault_id):
+        if self.engine.now <= self.config.duration:
+            if machine.state is not MachineState.HEALTHY:
+                self.dropped_while_down += 1
+            elif not self._arrival_pending[machine.name]:
+                self.revived += 1
+        super()._on_induced_fault(machine, fault_id)
+
+
+def _directed_cascade(catalog, radius=1, **delays) -> ScenarioModel:
+    """Every fault induces every fault, at just under critical."""
+    per_pair = 0.99 / (2 * radius * len(catalog))
+    names = [fault.name for fault in catalog]
+    return ScenarioModel.stationary(
+        catalog,
+        cascade=CascadeCoupling(
+            triggers={s: {t: per_pair for t in names} for s in names},
+            radius=radius,
+            **delays,
+        ),
+    )
+
+
+class TestDirectedCascades:
+    def test_induced_onset_during_recovery_is_dropped(self):
+        """A target that is down when its induced onset lands keeps its
+        recovery: the onset is dropped, and no draw is made for it.
+        Short cascade delays and slow cures make that the common case
+        (an induced onset often cascades straight back onto its
+        still-recovering source)."""
+        stubborn = FaultCatalog(
+            [
+                FaultType(
+                    name="stubborn",
+                    primary_symptom="error:Stubborn",
+                    cure_probabilities={"TRYNOP": 0.1, "REBOOT": 0.2},
+                )
+            ]
+        )
+        outputs = run_both(
+            small_params(machine_count=3, noise_probability=0.0),
+            _directed_cascade(stubborn, delay_low=0.0, delay_high=120.0),
+            lambda: UserDefinedPolicy(CATALOG),
+            seed=7,
+            reference=_InducedOnsetCounter,
+        )
+        assert outputs[0].dropped_while_down > 0
+        assert_equivalent(*outputs)
+
+    def test_induced_onset_revives_machine_past_its_arrivals(self):
+        """A machine whose next natural arrival fell past the horizon
+        (it would stay healthy to the end) still fails when a
+        neighbour's onset induces one before the horizon."""
+        outputs = run_both(
+            small_params(
+                machine_count=8,
+                duration=10 * DAY,
+                mean_time_between_failures=60 * DAY,
+            ),
+            _directed_cascade(simple_faults(), radius=2, delay_low=600.0),
+            lambda: UserDefinedPolicy(CATALOG),
+            seed=2,
+            reference=_InducedOnsetCounter,
+        )
+        assert outputs[0].revived > 0
+        assert_equivalent(*outputs)
+
+    @pytest.mark.parametrize("machines", [1, 2, 3, 5])
+    def test_ring_wraps_onto_itself(self, machines):
+        """With 2 * radius >= machine count the ring wraps: each
+        neighbour draws its coins once, and a lone machine none."""
+        outputs = run_both(
+            small_params(machine_count=machines),
+            _directed_cascade(simple_faults(), radius=3, delay_low=0.0,
+                              delay_high=900.0),
+            lambda: UserDefinedPolicy(CATALOG),
+            seed=machines,
+        )
+        assert_equivalent(*outputs)
+
+
 class TestBackendSelection:
     def test_fleet_rejects_stream_discipline(self):
         """One RNG discipline: the knob that chose another is gone."""
@@ -566,11 +752,9 @@ class TestBackendSelection:
             ClusterConfig(rng_discipline="stream")
 
     def test_fleet_engine_rejects_stream_config(self):
-        """The fleet is the only configurable engine; the event engine
-        is constructed directly or reached by simulate_cluster's
-        fallback, and the error says so."""
+        """The fleet is the only engine, and the error says so."""
         assert ClusterConfig().backend == "fleet"
-        with pytest.raises(ConfigurationError, match="ClusterSimulator"):
+        with pytest.raises(ConfigurationError, match="one engine"):
             ClusterConfig(**small_params(), backend="event")
 
     def test_factory_dispatches_identically(self):
@@ -591,29 +775,21 @@ class TestBackendSelection:
         )
         assert via_event == via_factory
 
-    def test_factory_falls_back_for_batch_unsafe_policy(self):
-        """batch_safe=False policies run sequentially on the event
-        engine and produce the trace the fleet defines."""
+    def test_factory_rejects_batch_unsafe_policy(self):
+        """batch_safe=False policies cannot be decided in waves, and
+        the cluster simulator has no sequential engine to fall back to."""
 
         class StatefulPolicy(UserDefinedPolicy):
             batch_safe = False
 
-        params = small_params(noise_probability=0.0)
-        log = simulate_cluster(
-            ClusterConfig(backend="fleet", **params),
-            simple_faults(),
-            StatefulPolicy(CATALOG),
-            CATALOG,
-            RngStreams(23),
-        )
-        reference = simulate_cluster(
-            ClusterConfig(**params),
-            simple_faults(),
-            UserDefinedPolicy(CATALOG),
-            CATALOG,
-            RngStreams(23),
-        )
-        assert log == reference
+        with pytest.raises(ConfigurationError, match="batch_safe=False"):
+            simulate_cluster(
+                ClusterConfig(**small_params()),
+                simple_faults(),
+                StatefulPolicy(CATALOG),
+                CATALOG,
+                RngStreams(23),
+            )
 
     def test_fleet_engine_rejects_batch_unsafe_policy(self):
         class StatefulPolicy(UserDefinedPolicy):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_log, make_process
+from reference_cluster import ClusterSimulator
 from repro.actions import default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.evaluation.evaluator import PolicyEvaluator
 from repro.policies import RandomPolicy, UserDefinedPolicy
@@ -87,6 +88,8 @@ class TestArbitraryPolicyLogs:
 
     @pytest.fixture(scope="class")
     def random_log_processes(self):
+        # RandomPolicy is batch_safe=False: waves cannot decide it, so
+        # this log comes from the event-driven reference simulator.
         faults = FaultCatalog(
             [
                 FaultType(

@@ -4,18 +4,20 @@ Two contracts pin the scenario-model refactor:
 
 * **Frozen references** — sha256 digests of (rendered log entries +
   per-channel draw-count matrices) captured on the pre-refactor
-  backends.  The refactored backends must reproduce them exactly, on
-  both engines.  Any change to these digests is a break of the
-  bit-compatibility contract, not a test to update.
+  engines.  The fleet engine and the event-driven reference
+  (``tests/reference_cluster.py``) must reproduce them exactly.  Any
+  change to these digests is a break of the bit-compatibility
+  contract, not a test to update.
 * **Wrapper identity** — a stationary single-class
   :class:`~repro.scenario.model.ScenarioModel` must be bit-identical to
   passing the bare :class:`~repro.cluster.faults.FaultCatalog`, on both
-  backends: same RNG draws, same log, same downtime, same telemetry.
+  engines: same RNG draws, same log, same downtime, same telemetry.
 
 Plus the epoch-boundary semantics the drift feature hinges on: a
 catalog switch at time *t* affects onsets strictly at times ``>= t``,
-with no off-by-one between the event backend's scalar resolution and
-the fleet backend's vectorized wave resolution.
+with no off-by-one between the reference's scalar resolution and the
+fleet engine's vectorized wave resolution; and cascading scenarios, now
+run by the fleet engine, against the reference.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_cluster import ClusterSimulator
 from repro.actions import default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine, simulate_cluster
-from repro.errors import ConfigurationError
 from repro.policies.static import AlwaysStrongestPolicy
 from repro.policies.user_defined import UserDefinedPolicy
 from repro.scenario import (
@@ -402,23 +404,26 @@ def _cascading_scenario(strength: float = 0.4) -> ScenarioModel:
 
 
 class TestCascadeRouting:
-    def test_fleet_engine_rejects_cascades(self):
-        with pytest.raises(ConfigurationError, match="cascad"):
-            FleetEngine(
-                ClusterConfig(
-                    backend="fleet",
-                    machine_count=8,
-                    duration=10 * DAY,
-                    mean_time_between_failures=2 * DAY,
-                ),
-                _cascading_scenario(),
-                UserDefinedPolicy(CATALOG),
-                CATALOG,
-            )
+    """Cascading scenarios run on the one engine, FleetEngine."""
 
-    def test_simulate_cluster_falls_back_to_event(self):
-        """A cascading scenario runs on the event backend — the same
-        log as constructing the simulator directly."""
+    def test_fleet_engine_matches_reference(self):
+        """FleetEngine equals the event-driven reference on a cascade:
+        log, draw counts, lifetime counters and episode traces."""
+        outputs = run_both(
+            dict(
+                machine_count=8,
+                duration=10 * DAY,
+                mean_time_between_failures=2 * DAY,
+            ),
+            _cascading_scenario(),
+            lambda: UserDefinedPolicy(CATALOG),
+            seed=19,
+        )
+        assert_equivalent(*outputs)
+
+    def test_simulate_cluster_matches_reference(self):
+        """simulate_cluster runs a cascading scenario and writes the
+        log the event-driven reference writes."""
         params = dict(
             machine_count=8,
             duration=10 * DAY,
@@ -426,7 +431,7 @@ class TestCascadeRouting:
             noise_probability=0.1,
         )
         scenario = _cascading_scenario()
-        via_fleet_request = simulate_cluster(
+        via_factory = simulate_cluster(
             ClusterConfig(backend="fleet", **params),
             scenario,
             UserDefinedPolicy(CATALOG),
@@ -440,7 +445,7 @@ class TestCascadeRouting:
             CATALOG,
             RngStreams(19),
         ).run()
-        assert via_fleet_request == reference
+        assert via_factory == reference
 
     def test_cascades_induce_extra_onsets(self):
         """With coupling on, the same seed produces strictly more
@@ -453,13 +458,13 @@ class TestCascadeRouting:
         )
 
         def run(faults):
-            return ClusterSimulator(
+            return simulate_cluster(
                 ClusterConfig(**params),
                 faults,
                 UserDefinedPolicy(CATALOG),
                 CATALOG,
                 RngStreams(23),
-            ).run()
+            )
 
         baseline = len(run(reference_faults()).to_processes())
         cascaded = len(run(_cascading_scenario(0.8)).to_processes())
@@ -473,12 +478,12 @@ class TestCascadeRouting:
         )
 
         def run():
-            return ClusterSimulator(
+            return simulate_cluster(
                 ClusterConfig(**params),
                 _cascading_scenario(),
                 UserDefinedPolicy(CATALOG),
                 CATALOG,
                 RngStreams(31),
-            ).run()
+            )
 
         assert run() == run()

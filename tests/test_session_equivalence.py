@@ -19,10 +19,11 @@ import math
 import pytest
 
 from helpers import ladder_processes, make_process, snapshot_digest
+from reference_cluster import ClusterSimulator
 from reference_qtable import ReferenceQTable
 from reference_replay import ReferencePlatform
 from repro.actions import default_catalog
-from repro.cluster.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.errors import UnhandledStateError
 from repro.evaluation.evaluator import PolicyEvaluator
