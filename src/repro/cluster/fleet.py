@@ -72,7 +72,7 @@ from repro.cluster.randomness import COSTS as COSTS_CHANNEL
 from repro.errors import ConfigurationError, UnhandledStateError
 from repro.mdp.state import RecoveryState, StateIndex
 from repro.policies.base import DecisionBatch, Policy
-from repro.recoverylog.entry import EntryKind, LogEntry, SUCCESS_DESCRIPTION
+from repro.recoverylog.entry import LogEntry, SUCCESS_DESCRIPTION
 from repro.recoverylog.log import RecoveryLog
 from repro.scenario.compiled import (
     CompiledCascade,
@@ -94,11 +94,11 @@ _PH_ONSET = 1     # a fault fires at t_event
 _PH_DECIDE = 2    # a repair decision is due at t_event
 _PH_COMPLETE = 3  # the running action finishes at t_event
 
-# Log-entry kind codes, matching LogEntry's causal tie-break ranks.
+# Log-entry kind codes: EntryKind's tie-break ranks, the codes
+# LogEntry.from_columns reads.
 _KIND_SYMPTOM = 0
 _KIND_ACTION = 1
 _KIND_SUCCESS = 2
-_KINDS = (EntryKind.SYMPTOM, EntryKind.ACTION, EntryKind.SUCCESS)
 
 
 def _string_ranks(strings: Tuple[str, ...]) -> np.ndarray:
@@ -385,8 +385,10 @@ class FleetResult:
         total order — ``(time, machine name, kind rank, description)``
         — so the result is byte-identical to what the event engine's
         incremental inserts produce.  Names and descriptions sort by
-        their ranks in Python string order, and entries share one
-        ``str`` per machine name and per description.
+        their ranks in Python string order; the sorted columns become
+        rows through :meth:`LogEntry.from_columns`, which checks each
+        column once, and entries share one ``str`` per machine name and
+        per description.
         """
         names = self.machine_names
         descs = self.descriptions
@@ -396,12 +398,13 @@ class FleetResult:
             _string_ranks(names)[self.log_machines],
             self.log_times,
         ))
-        return RecoveryLog(map(
-            LogEntry,
-            self.log_times[order].tolist(),
-            map(names.__getitem__, self.log_machines[order].tolist()),
-            map(_KINDS.__getitem__, self.log_kinds[order].tolist()),
-            map(descs.__getitem__, self.log_descriptions[order].tolist()),
+        return RecoveryLog(LogEntry.from_columns(
+            self.log_times[order],
+            self.log_machines[order],
+            self.log_kinds[order],
+            self.log_descriptions[order],
+            machine_names=names,
+            description_names=descs,
         ))
 
     def downtime_per_machine(self) -> np.ndarray:

@@ -21,11 +21,12 @@ failures with identical ``path:line_no`` diagnostics.
 chunk-at-a-time consumers.
 
 The JSONL writer formats each line itself, byte for byte as the compact
-``json`` encoder would (entries whose time is not a ``float`` or whose
-text is not ``str`` go through that encoder).  The JSONL reader reads
-lines through :func:`repro.records.read_lines` and checks each against
-:data:`repro.records.LOG_LINE`: values of the wrong JSON type are
-refused, not converted.  A byte that is not UTF-8 is reported like
+``json`` encoder would (entries whose time is an ``int`` go through that
+encoder; :class:`~repro.recoverylog.entry.LogEntry` admits no other
+types).  Both writers unpack each row rather than read its fields.  The
+JSONL reader reads lines through :func:`repro.records.read_lines` and
+checks each against :data:`repro.records.LOG_LINE`: values of the wrong
+JSON type are refused, not converted.  A byte that is not UTF-8 is reported like
 every other defect: as a ``LogFormatError`` that begins
 ``path:line_no:``.
 ``benchmarks/bench_mining_throughput.py`` reports both writers' speed
@@ -93,9 +94,9 @@ def write_log_text(log: Iterable[LogEntry], path: PathLike) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
-        for entry in log:
+        for time, machine, _, text in log:
             # repr() keeps full float precision so parsing round-trips.
-            write(f"{entry.time!r}\t{entry.machine}\t{entry.description}\n")
+            write(f"{time!r}\t{machine}\t{text}\n")
             count += 1
     return count
 
@@ -109,23 +110,18 @@ def write_log_jsonl(log: Iterable[LogEntry], path: PathLike) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
-        for entry in log:
-            time, machine, text = entry.time, entry.machine, entry.description
-            if (
-                isinstance(time, float)
-                and isinstance(machine, str)
-                and isinstance(text, str)
-            ):
+        for time, machine, kind, text in log:
+            if isinstance(time, float):
                 write(
                     f'{{"time":{_FLOAT_JSON(time)},'
                     f'"machine":{_STR_JSON(machine)},'
-                    f'"kind":{_KIND_JSON[entry.kind]},'
+                    f'"kind":{_KIND_JSON[kind]},'
                     f'"description":{_STR_JSON(text)}}}\n'
                 )
             else:
                 write(_COMPACT_JSON({
                     "time": time, "machine": machine,
-                    "kind": entry.kind.value, "description": text,
+                    "kind": kind.value, "description": text,
                 }) + "\n")
             count += 1
     return count
@@ -186,17 +182,23 @@ def iter_log_text(
 def _log_entry(record: Any) -> LogEntry:
     """The entry a :data:`~repro.records.LOG_LINE` record holds.
 
-    A generic check would cost about a quarter of every log read, so the
-    declared types are tested inline first (a hypothesis differential
-    pins this to ``LOG_LINE``); a record that fails them is read through
-    ``LOG_LINE``, which refuses it or reads an integer time as a float.
+    A generic check would cost about a quarter of every log read, so a
+    record with a ``float`` time goes straight to
+    :class:`~repro.recoverylog.entry.LogEntry`, which checks the other
+    fields' types itself (a hypothesis differential pins this to
+    ``LOG_LINE``).  A record that fails either test is read through
+    ``LOG_LINE``, which refuses it with the declared message or reads
+    an integer time as a float.
     """
     try:
         time = record["time"]
-        machine = record["machine"]
-        text = record["description"]
-        if type(time) is float and type(machine) is str and type(text) is str:
-            return LogEntry(time, machine, _KINDS[record["kind"]], text)
+        if type(time) is float:
+            return LogEntry(
+                time,
+                record["machine"],
+                _KINDS[record["kind"]],
+                record["description"],
+            )
     except (KeyError, TypeError, LogFormatError):
         pass
     fields = LOG_LINE.read(record)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import LogFormatError
@@ -11,20 +11,32 @@ from repro.recoverylog.process import RecoveryProcess, SegmentationResult, segme
 
 __all__ = ["RecoveryLog"]
 
-#: Sorting by key builds one order key per entry, not two per comparison.
-_SORT_KEY = attrgetter("sort_key")
+
+def _entry_list(entries: Iterable[LogEntry]) -> List[LogEntry]:
+    """The entries as a new list, refusing anything that is not a row.
+
+    The check matters because rows sort as plain tuples: a 4-tuple
+    with the same values would otherwise sort in silently.
+    """
+    listed = list(entries)
+    if not all(map(isinstance, listed, repeat(LogEntry))):
+        bad = next(e for e in listed if not isinstance(e, LogEntry))
+        raise LogFormatError(f"expected LogEntry, got {type(bad).__name__}")
+    return listed
 
 
 class RecoveryLog:
     """A time-ordered collection of log entries with segmentation caching.
 
-    The log accepts entries in any order and keeps them sorted.  Calling
+    The log accepts entries in any order and keeps them sorted in the
+    rows' natural tuple order, which is the log's total order.  Calling
     :meth:`to_processes` segments the log into recovery processes; the
     result is cached until the log is mutated.
     """
 
     def __init__(self, entries: Iterable[LogEntry] = ()) -> None:
-        self._entries: List[LogEntry] = sorted(entries, key=_SORT_KEY)
+        self._entries = _entry_list(entries)
+        self._entries.sort()
         self._segmentation: Optional[SegmentationResult] = None
 
     # ------------------------------------------------------------------
@@ -68,14 +80,8 @@ class RecoveryLog:
 
     def extend(self, entries: Iterable[LogEntry]) -> None:
         """Add many entries, maintaining time order."""
-        new = list(entries)
-        for entry in new:
-            if not isinstance(entry, LogEntry):
-                raise LogFormatError(
-                    f"expected LogEntry, got {type(entry).__name__}"
-                )
-        self._entries.extend(new)
-        self._entries.sort(key=_SORT_KEY)
+        self._entries.extend(_entry_list(entries))
+        self._entries.sort()
         self._segmentation = None
 
     # ------------------------------------------------------------------

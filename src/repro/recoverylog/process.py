@@ -89,37 +89,43 @@ class RecoveryProcess:
         return state
 
     def __post_init__(self) -> None:
-        if len(self.entries) < 2:
+        entries = self.entries
+        if len(entries) < 2:
             raise SegmentationError(
                 "a recovery process needs at least a symptom and a success"
             )
-        if not self.entries[0].is_symptom:
+        if entries[0].kind is not _SYMPTOM:
             raise SegmentationError(
                 "a recovery process must start with an error symptom, got "
-                f"{self.entries[0]!r}"
+                f"{entries[0]!r}"
             )
-        if not self.entries[-1].is_success:
+        if entries[-1].kind is not _SUCCESS:
             raise SegmentationError(
                 "a recovery process must end with a success report, got "
-                f"{self.entries[-1]!r}"
+                f"{entries[-1]!r}"
             )
-        last = len(self.entries) - 1
-        earlier = self.entries[0]
-        for position, entry in enumerate(self.entries):
-            if entry.machine != self.machine:
+        # Rows are unpacked, not read field by field: a named-tuple field
+        # read is a descriptor call.
+        last = len(entries) - 1
+        machine = self.machine
+        earlier = entries[0]
+        earlier_time = earlier.time
+        for position, entry in enumerate(entries):
+            time, entry_machine, kind, _ = entry
+            if entry_machine != machine:
                 raise SegmentationError(
-                    f"entry machine {entry.machine!r} differs from process "
-                    f"machine {self.machine!r}"
+                    f"entry machine {entry_machine!r} differs from process "
+                    f"machine {machine!r}"
                 )
-            if entry.time < earlier.time:
+            if time < earlier_time:
                 raise SegmentationError(
                     f"entries out of order: {earlier!r} then {entry!r}"
                 )
-            if entry.kind is _SUCCESS and position != last:
+            if kind is _SUCCESS and position != last:
                 raise SegmentationError(
                     "success report in the middle of a recovery process"
                 )
-            earlier = entry
+            earlier, earlier_time = entry, time
 
     # ------------------------------------------------------------------
     # Derived views
@@ -132,7 +138,7 @@ class RecoveryProcess:
     @property
     def symptoms(self) -> Tuple[str, ...]:
         """All symptom descriptions in occurrence order (with repeats)."""
-        return tuple([e.description for e in self.entries if e.kind is _SYMPTOM])
+        return tuple([d for _, _, k, d in self.entries if k is _SYMPTOM])
 
     # The three views below are memoized in ``__dict__`` like
     # ``__hash__``: ``functools.cached_property`` takes a lock on every
@@ -145,7 +151,7 @@ class RecoveryProcess:
         cached = self.__dict__.get("_symptom_set")
         if cached is None:
             cached = frozenset(
-                [e.description for e in self.entries if e.kind is _SYMPTOM]
+                [d for _, _, k, d in self.entries if k is _SYMPTOM]
             )
             object.__setattr__(self, "_symptom_set", cached)
         return cached
@@ -156,7 +162,7 @@ class RecoveryProcess:
         cached = self.__dict__.get("_actions")
         if cached is None:
             cached = tuple(
-                [e.description for e in self.entries if e.kind is _ACTION]
+                [d for _, _, k, d in self.entries if k is _ACTION]
             )
             object.__setattr__(self, "_actions", cached)
         return cached
@@ -169,18 +175,16 @@ class RecoveryProcess:
         """
         cached = self.__dict__.get("_attempts")
         if cached is None:
-            action_entries = [e for e in self.entries if e.kind is _ACTION]
+            actions = [(t, d) for t, _, k, d in self.entries if k is _ACTION]
             attempts: List[ActionAttempt] = []
-            for i, entry in enumerate(action_entries):
-                if i + 1 < len(action_entries):
-                    end = action_entries[i + 1].time
+            for i, (time, action) in enumerate(actions):
+                if i + 1 < len(actions):
+                    end = actions[i + 1][0]
                     succeeded = False
                 else:
                     end = self.entries[-1].time
                     succeeded = True
-                attempts.append(
-                    ActionAttempt(entry.description, entry.time, end, succeeded)
-                )
+                attempts.append(ActionAttempt(action, time, end, succeeded))
             cached = tuple(attempts)
             object.__setattr__(self, "_attempts", cached)
         return cached
@@ -294,14 +298,15 @@ def segment_log(
         machine_entries = sorted(by_machine[machine])
         current: List[LogEntry] = []
         for entry in machine_entries:
+            kind = entry.kind
             if not current:
-                if entry.is_symptom:
+                if kind is _SYMPTOM:
                     current.append(entry)
                 else:
                     orphaned.append(entry)
                 continue
             current.append(entry)
-            if entry.is_success:
+            if kind is _SUCCESS:
                 processes.append(RecoveryProcess(machine, tuple(current)))
                 current = []
         if current and keep_incomplete:

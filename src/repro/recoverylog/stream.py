@@ -101,20 +101,22 @@ class StreamingSegmenter:
         open_buffers = self._open
         orphans = self._orphans
         for entry in entries:
+            # One unpack reads the row; a named-tuple field read is a
+            # descriptor call.
+            time, machine, kind, _ = entry
             last = self._last
-            # Fast path on the timestamp alone; the full (and much more
-            # expensive) total-order comparison only runs on ties.
-            if last is not None and not last.time < entry.time and entry < last:
+            # Fast path on the timestamp alone; whole rows compare (in
+            # C) only on ties.
+            if last is not None and not last.time < time and entry < last:
                 raise SegmentationError(
                     f"entries out of stream order: {last!r} then {entry!r}; "
                     "the streaming segmenter needs time-ordered input"
                 )
             self._last = entry
             self._entry_count += 1
-            machine = entry.machine
             buffer = open_buffers.get(machine)
             if buffer is None:
-                if entry.kind is _SYMPTOM:
+                if kind is _SYMPTOM:
                     open_buffers[machine] = [entry]
                 else:
                     self._orphan_count += 1
@@ -122,7 +124,7 @@ class StreamingSegmenter:
                         orphans.append(entry)
                 continue
             buffer.append(entry)
-            if entry.kind is _SUCCESS:
+            if kind is _SUCCESS:
                 del open_buffers[machine]
                 self._emitted_count += 1
                 yield RecoveryProcess(machine, tuple(buffer))

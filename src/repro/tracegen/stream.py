@@ -242,12 +242,12 @@ def iter_synthetic_log(
         )
         for index in range(config.machines)
     ]
-    # Keying on the bare timestamp (C-level attrgetter) instead of the
-    # full ``sort_key`` tuple is safe *and* ~2x faster: each machine's
-    # stream is strictly time-increasing, streams are passed in
-    # machine-name order, and ``heapq.merge`` is stable — so a
-    # cross-machine timestamp tie resolves machine-ascending, exactly
-    # the LogEntry total order.
+    # Keying on the bare timestamp is safe: each machine's stream is
+    # strictly time-increasing, streams are passed in machine-name
+    # order, and ``heapq.merge`` is stable — so a cross-machine
+    # timestamp tie resolves machine-ascending, exactly the LogEntry
+    # row order.  Merging whole rows (which compare in C) measured no
+    # faster.
     merged = heapq.merge(*streams, key=attrgetter("time"))
     if total_entries:
         return islice(merged, total_entries)

@@ -11,6 +11,7 @@ and torn-file tolerance along the way.
 
 import functools
 import json
+import os
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -34,6 +35,7 @@ from repro.learning.checkpoint import (
 from repro.learning.parallel import ParallelTrainingEngine
 from repro.learning.qlearning import QLearningConfig
 from repro.learning.selection_tree import SelectionTreeConfig
+from repro.policies import UserDefinedPolicy
 from test_learning_parallel import (
     ladder_groups,
     outcome_snapshot,
@@ -45,17 +47,35 @@ QL = QLearningConfig(max_sweeps=40, episodes_per_sweep=8, seed=3)
 TREE = SelectionTreeConfig(min_sweeps=10, check_interval=5)
 
 
-def engine_for(groups, store, *, resume=True, n_workers=1):
+def engine_for(groups, store, *, resume=True, n_workers=1, baseline=None):
     ensemble = [p for ps in groups.values() for p in ps]
     return ParallelTrainingEngine(
         ensemble,
         CATALOG,
         qlearning=QL,
         tree=TREE,
+        baseline=baseline,
         n_workers=n_workers,
         checkpoint=store,
         resume=resume,
     )
+
+
+class _ExitInCourse(UserDefinedPolicy):
+    """A baseline whose process exits when asked about one error type.
+
+    The selection tree consults the baseline at each check, so a pool
+    worker running that type's course dies mid-course.
+    """
+
+    def __init__(self, catalog, doomed_type):
+        super().__init__(catalog)
+        self.doomed_type = doomed_type
+
+    def decide(self, state):
+        if state.error_type == self.doomed_type:
+            os._exit(1)
+        return super().decide(state)
 
 
 def store_at(tmp_path, fingerprint="fp-test"):
@@ -295,6 +315,39 @@ class TestInterruptAndResume:
         engine_for(prefix, store).train(prefix)
         resumed = engine_for(groups, store, n_workers=2).train(groups)
         assert outcome_snapshot(resumed) == outcome_snapshot(uninterrupted)
+
+    @pytest.mark.slow
+    def test_worker_killed_mid_type_then_resumed(self, tmp_path):
+        """A worker dies inside error:Mid's course; the run fails by
+        name, leaves only loadable checkpoints, and resumes to the
+        uninterrupted outcome whichever types finished first."""
+        groups = ladder_groups()
+        baseline = UserDefinedPolicy(CATALOG)
+        uninterrupted = engine_for(groups, None, baseline=baseline).train(
+            groups
+        )
+        store = store_at(tmp_path)
+        killer = _ExitInCourse(CATALOG, "error:Mid")
+        with pytest.raises(TrainingError, match="crashed"):
+            engine_for(groups, store, n_workers=2, baseline=killer).train(
+                groups
+            )
+
+        left = sorted(store.directory.glob("*")) if store.directory.is_dir() else []
+        saved = store.completed_types()
+        assert [path.suffix for path in left] == [".json"] * len(saved)
+        assert all(
+            isinstance(store.load(error_type), TypeCheckpoint)
+            for error_type in saved
+        )
+        assert "error:Mid" not in saved
+
+        resumed = engine_for(
+            groups, store, n_workers=2, baseline=baseline
+        ).train(groups)
+        assert outcome_snapshot(resumed) == outcome_snapshot(uninterrupted)
+        for error_type, outcome in resumed.items():
+            assert outcome.from_checkpoint == (error_type in saved)
 
     def test_failure_keeps_earlier_checkpoints(self, tmp_path):
         """Types finished before a failure stay resumable."""

@@ -30,6 +30,7 @@ from repro.actions import default_catalog
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import FaultCatalog, FaultType
 from repro.cluster.fleet import FleetEngine
+from repro.errors import LogFormatError
 from repro.policies import UserDefinedPolicy
 from repro.recoverylog.entry import EntryKind, LogEntry
 from repro.recoverylog.log import RecoveryLog
@@ -165,6 +166,29 @@ class TestSameInstantOrdering:
             )
 
 
+def _bad_time(value):
+    """Corrupt one row's time; returns the result and the row."""
+
+    def corrupt(result):
+        times = result.log_times.copy()
+        row = len(times) // 2
+        times[row] = value
+        return dataclasses.replace(result, log_times=times), row
+
+    return corrupt
+
+
+def _empty_machine_names(result):
+    return dataclasses.replace(result, machine_name_format=""), 0
+
+
+def _success_described_as_action(result):
+    row = int(np.flatnonzero(result.log_kinds == 2)[0])
+    descriptions = result.log_descriptions.copy()
+    descriptions[row] = result.log_descriptions[result.log_kinds == 1][0]
+    return dataclasses.replace(result, log_descriptions=descriptions), row
+
+
 class TestFleetToLog:
     """``FleetResult.to_log`` against per-row entries sorted by ``<``.
 
@@ -228,6 +252,32 @@ class TestFleetToLog:
         for entry in entries:
             machines_at.setdefault(entry.time, set()).add(entry.machine)
         assert any({"m10", "m2"} <= names for names in machines_at.values())
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _bad_time(float("nan")),
+            _bad_time(-1.0),
+            _bad_time(float("inf")),
+            _empty_machine_names,
+            _success_described_as_action,
+        ],
+        ids=["nan-time", "negative-time", "infinite-time", "empty-machine",
+             "success-described-as-action"],
+    )
+    def test_corrupt_column_refused_like_single_row(self, corrupt):
+        corrupted, row = corrupt(self.result(3))
+        kinds = (EntryKind.SYMPTOM, EntryKind.ACTION, EntryKind.SUCCESS)
+        with pytest.raises(LogFormatError) as single:
+            LogEntry(
+                float(corrupted.log_times[row]),
+                corrupted.machine_names[corrupted.log_machines[row]],
+                kinds[corrupted.log_kinds[row]],
+                corrupted.descriptions[corrupted.log_descriptions[row]],
+            )
+        with pytest.raises(LogFormatError) as batch:
+            corrupted.to_log()
+        assert str(batch.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------

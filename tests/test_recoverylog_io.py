@@ -1,7 +1,6 @@
 """Tests for repro.recoverylog.io: round trips and error reporting."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -508,7 +507,7 @@ class TestJsonlDifferentials:
             assert write_log_jsonl(entries, path) == len(entries)
             assert path.read_bytes() == expected.encode("utf-8")
             assert list(iter_log_jsonl(path)) == [
-                replace(e, time=float(e.time)) for e in entries
+                e._replace(time=float(e.time)) for e in entries
             ]
 
     @pytest.mark.parametrize(

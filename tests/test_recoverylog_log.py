@@ -39,6 +39,12 @@ class TestContainer:
         with pytest.raises(LogFormatError):
             log.extend([LogEntry.symptom(1.0, "m", "e"), 42])
 
+    def test_construction_rejects_non_entry(self):
+        # A plain tuple with a row's values would sort in silently.
+        entry = LogEntry.symptom(1.0, "m", "e")
+        with pytest.raises(LogFormatError, match="expected LogEntry, got tuple"):
+            RecoveryLog([entry, tuple(entry)])
+
     def test_machines(self):
         log = RecoveryLog(
             [

@@ -77,10 +77,7 @@ class TestSegmentationEquivalence:
         segmenter = StreamingSegmenter()
         processes = list(segmenter.feed_many(window))
         assert eager.orphaned  # the scenario actually has orphans
-        key = lambda e: e.sort_key  # noqa: E731
-        assert sorted(segmenter.orphans, key=key) == sorted(
-            eager.orphaned, key=key
-        )
+        assert sorted(segmenter.orphans) == sorted(eager.orphaned)
         assert _by_start(processes) == list(eager.processes)
         assert segmenter.pending() == eager.incomplete
 
@@ -217,7 +214,7 @@ class TestSimulatorLogEquivalence:
     """The cluster simulator's log mines identically via either path."""
 
     def test_small_trace_round_trip(self, small_trace):
-        entries = sorted(small_trace.log, key=lambda e: e.sort_key)
+        entries = sorted(small_trace.log)
         eager = segment_log(entries)
         miner = StreamingMiner()
         miner.feed(entries)

@@ -12,7 +12,7 @@ from repro.recoverylog.stream import StreamingSegmenter
 
 def _entries(*processes):
     merged = [entry for process in processes for entry in process.entries]
-    return sorted(merged, key=lambda entry: entry.sort_key)
+    return sorted(merged)
 
 
 class TestStateMachine:
