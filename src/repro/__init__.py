@@ -42,14 +42,7 @@ from repro.recoverylog import (
     write_log_jsonl,
     write_log_text,
 )
-from repro.session import (
-    Environment,
-    EpisodeTelemetry,
-    EpisodeTrace,
-    RecoverySession,
-    StepTrace,
-    drive,
-)
+from repro.session import EpisodeTelemetry, EpisodeTrace, StepTrace
 from repro.tracegen import (
     TraceConfig,
     default_config,
@@ -86,12 +79,9 @@ __all__ = [
     "iter_log_entries",
     "StreamingSegmenter",
     "StreamingMiner",
-    "Environment",
     "EpisodeTelemetry",
     "EpisodeTrace",
-    "RecoverySession",
     "StepTrace",
-    "drive",
     "TraceConfig",
     "default_config",
     "paper_scale_config",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.dataflow.model import FunctionInfo, ProjectModel
 
@@ -160,14 +160,6 @@ class CallGraph:
 
     def __init__(self, edges: Tuple[CallEdge, ...]) -> None:
         self.edges = edges
-        self._by_caller: Dict[str, List[CallEdge]] = {}
-        for edge in edges:
-            self._by_caller.setdefault(edge.caller, []).append(edge)
-
-    def callees(self, caller: str) -> Tuple[str, ...]:
-        return tuple(
-            edge.callee for edge in self._by_caller.get(caller, ())
-        )
 
     def fingerprint(self) -> str:
         return "\n".join(

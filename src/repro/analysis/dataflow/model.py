@@ -80,10 +80,6 @@ class FunctionInfo:
     lineno: int = 0
     end_lineno: int = 0
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
     def param_index(self, name: str) -> Optional[int]:
         try:
             return self.params.index(name)

@@ -12,7 +12,7 @@ lifecycle phase:
   symptom candidates, sample the detection delay, and, in a cascading
   scenario, flip the coins that induce onsets on ring neighbours;
 * **decide** — every machine awaiting a repair decision resolves in one
-  :func:`~repro.session.driver.decide_wave` call (cap-forced machines
+  :func:`~repro.session.core.decide_wave` call (cap-forced machines
   bypass the policy; the rest share a single
   :meth:`~repro.policies.base.Policy.decide_batch`), then durations are
   sampled per action group;
@@ -80,8 +80,7 @@ from repro.scenario.compiled import (
     compile_scenario,
 )
 from repro.scenario.model import FaultModel, as_scenario_model
-from repro.session.core import forced_action
-from repro.session.driver import decide_wave
+from repro.session.core import decide_wave, forced_action
 from repro.session.trace import EpisodeTelemetry, EpisodeTrace, StepTrace
 from repro.util.rng import RngStreams
 
@@ -944,8 +943,8 @@ class FleetEngine:
         rand = self._rand
         t = t_event[J]
 
-        # The N-cap rule, from its single source in session.core, once
-        # per distinct attempt count in the wave.
+        # The N-cap rule (session.core.forced_action), once per
+        # distinct attempt count in the wave.
         forced_name = self.actions.strongest.name
         counts = attempts[J]
         capped = [

@@ -6,8 +6,11 @@ components periodically retrain on fresh recovery history and push the
 regenerated policy to the online recovery component.
 :class:`RollingRetrainer` packages that loop: feed it completed recovery
 processes as the monitor produces them; every ``retrain_every``
-processes it refits on a sliding window and swaps the deployed hybrid
-policy atomically.
+processes it refits on a sliding window, swaps the deployed hybrid
+policy atomically and publishes it to every subscriber.  The online
+recovery component is a :class:`~repro.serving.server.DecisionServer`
+(:meth:`~repro.serving.server.DecisionServer.attach_retrainer`
+subscribes it), which answers recovery decisions in batches.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ from repro.policies.base import Policy
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.user_defined import UserDefinedPolicy
 from repro.recoverylog.process import RecoveryProcess
-from repro.session.driver import EpisodeOutcome, drive
-from repro.session.environment import Environment
-from repro.session.trace import EpisodeTelemetry
 
 __all__ = ["RollingRetrainer"]
 
@@ -131,27 +131,6 @@ class RollingRetrainer:
         policy, after the in-process swap has happened.
         """
         self._subscribers.append(callback)
-
-    def recover(
-        self,
-        environment: Environment,
-        *,
-        telemetry: Optional[EpisodeTelemetry] = None,
-    ) -> EpisodeOutcome:
-        """Run one recovery with the currently deployed policy.
-
-        The episode executes through the shared session driver (origin
-        ``"online"``), so the deployed path enforces the same ``N``-cap
-        and emits the same per-step traces as replay, evaluation and
-        training.  The fallback (and any hybrid built on it) is proper,
-        so episodes driven by the deployed policy always complete.
-        """
-        return drive(
-            environment,
-            self.current_policy(),
-            origin="online",
-            telemetry=telemetry,
-        )
 
     def observe(self, process: RecoveryProcess) -> bool:
         """Feed one completed recovery process.

@@ -101,7 +101,7 @@ class PolicyEvaluator:
         Processes whose error type is outside the evaluation scope are
         skipped explicitly and reported via ``EvaluationResult.skipped``
         — they can never reach a per-type accumulator.  All replays run
-        through the shared session driver; batch-safe policies decide
+        in the platform's lockstep waves; batch-safe policies decide
         over every concurrent replay in one ``decide_batch`` call per
         wave.  Per-type sums accumulate in the original process order,
         so results are bit-identical to one-at-a-time replay.

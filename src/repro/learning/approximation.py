@@ -270,9 +270,10 @@ class ApproximateQLearningTrainer:
                     depth = state.attempt_count
                     action_name = platform.forced_action(depth)
                     if action_name is None:
-                        action_name = explorer.select(
-                            qfunction.values_for(state), sweep
-                        )
+                        values = qfunction.values_for(state)
+                        action_name = qfunction.action_names[
+                            explorer.select_index(list(values.values()), sweep)
+                        ]
                     aid = platform.action_id(action_name)
                     succeeded, cost = compiled.step(row, executed, depth, aid)
                     next_state = state.after(action_name, succeeded)

@@ -13,7 +13,7 @@ exploration-strategy ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,39 +76,17 @@ class BoltzmannExplorer:
         self._cached_sweep = -1
         self._cached_temperature = 0.0
 
-    def probabilities(
-        self, q_values: Mapping[str, float], sweep: int
-    ) -> Mapping[str, float]:
-        """Selection probabilities for each action at this sweep."""
-        if not q_values:
-            raise ConfigurationError("q_values must be non-empty")
-        temperature = self.schedule.temperature(sweep)
-        names = list(q_values.keys())
-        values = np.array([q_values[n] for n in names], dtype=float)
-        # Costs are minimized: lower Q => higher probability.  Shift by the
-        # minimum for numerical stability (invariant under softmax).
-        logits = -(values - values.min()) / temperature
-        weights = np.exp(logits)
-        probabilities = weights / weights.sum()
-        return dict(zip(names, probabilities))
-
-    def select(self, q_values: Mapping[str, float], sweep: int) -> str:
-        """Draw one action."""
-        probabilities = self.probabilities(q_values, sweep)
-        names = list(probabilities.keys())
-        p = np.array([probabilities[n] for n in names])
-        return names[int(self._rng.choice(len(names), p=p))]
-
     def select_index(self, q_row: Sequence[float], sweep: int) -> int:
         """Draw one action id from a Q row (the trainer's per-step draw).
 
-        Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
-        the softmax mirrors :meth:`probabilities` operation for
-        operation, and the draw replicates ``Generator.choice``'s
-        internal inverse-CDF computation — ``choice(n, p=p)`` consumes
+        Bit-identical to ``Generator.choice(n, p=p)`` over the softmax
+        ``p = exp(-(q - min q) / T) / sum(...)``: the draw replicates
+        ``choice``'s internal inverse-CDF computation — it consumes
         exactly one ``random()`` and returns
         ``searchsorted(normalized cumsum(p), u, side="right")`` — while
-        skipping its input validation and per-call dict round-trips.
+        skipping its input validation.  The tests pin it draw for draw
+        to the mapping-form reference in
+        ``tests/reference_exploration.py``.
         """
         size = len(q_row)
         if size == 0:
@@ -117,9 +95,8 @@ class BoltzmannExplorer:
             self._cached_temperature = self.schedule.temperature(sweep)
             self._cached_sweep = sweep
         temperature = self._cached_temperature
-        # The logits ``(m - q) / T`` equal :meth:`probabilities`'
-        # ``-(q - m) / T`` bit for bit (IEEE-754 rounding is
-        # sign-symmetric).
+        # The logits ``(m - q) / T`` equal the softmax's ``-(q - m) / T``
+        # bit for bit (IEEE-754 rounding is sign-symmetric).
         lowest = min(q_row)
         if size >= 8:
             # numpy's add-reduce turns pairwise at 8 elements, so wide
@@ -183,21 +160,12 @@ class EpsilonGreedyExplorer:
         """Exploration rate at 0-based sweep index ``sweep``."""
         return max(self._floor, self._epsilon_initial * self._decay**sweep)
 
-    def select(self, q_values: Mapping[str, float], sweep: int) -> str:
-        """Draw one action: random w.p. epsilon, else the minimum-Q one."""
-        if not q_values:
-            raise ConfigurationError("q_values must be non-empty")
-        names = list(q_values.keys())
-        if self._rng.random() < self.epsilon(sweep):
-            return names[int(self._rng.integers(0, len(names)))]
-        return min(names, key=lambda n: q_values[n])
-
     def select_index(self, q_row: Sequence[float], sweep: int) -> int:
         """Draw one action id from a Q row (the trainer's per-step draw).
 
-        Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
-        same RNG consumption, and the first minimum wins, matching
-        ``min``'s tie break in catalog order.
+        A uniformly random id with probability ``epsilon(sweep)``, else
+        the minimum-Q id; the first minimum wins, so ties break in
+        catalog order.
         """
         if len(q_row) == 0:
             raise ConfigurationError("q_row must be non-empty")

@@ -136,10 +136,6 @@ class TelemetryRecorder(TrainingTelemetry):
         """
         return sum(t.wall_clock for t in self._per_type.values())
 
-    def absorb(self, telemetry: TypeTelemetry) -> None:
-        """Adopt a fully recorded :class:`TypeTelemetry` (from a worker)."""
-        self._per_type[telemetry.error_type] = telemetry
-
     # -- TrainingTelemetry hooks ---------------------------------------
     def on_type_start(self, error_type: str, process_count: int) -> None:
         self._per_type[error_type] = TypeTelemetry(
@@ -217,22 +213,6 @@ class EpisodeRecorder(EpisodeTelemetry):
     def episode_counts(self) -> Dict[str, int]:
         """``{origin: episode count}`` across everything observed."""
         return dict(Counter(t.origin for t in self._traces))
-
-    def forced_manual_count(self, origin: Optional[str] = None) -> int:
-        """Episodes where the ``N``-cap forced the manual repair."""
-        return sum(
-            1
-            for t in self._traces
-            if t.forced_manual and (origin is None or t.origin == origin)
-        )
-
-    def unhandled_count(self, origin: Optional[str] = None) -> int:
-        """Episodes aborted because the policy could not act."""
-        return sum(
-            1
-            for t in self._traces
-            if not t.handled and (origin is None or t.origin == origin)
-        )
 
     def total_cost(self, origin: Optional[str] = None) -> float:
         """Summed episode cost over handled episodes, in arrival order."""

@@ -327,7 +327,8 @@ class DecisionBatch(ColumnRows[Outcome]):
         """These answers at positions ``rows`` of a ``size``-row batch.
 
         Every other row decides ``action`` from ``source`` with no
-        estimate (the session driver's cap-forced rows).
+        estimate (the cap-forced rows of
+        :func:`~repro.session.core.decide_wave`).
         """
         actions, intern_action = _interner(self.actions)
         sources, intern_source = _interner(self.sources)
@@ -435,10 +436,6 @@ class Policy(abc.ABC):
             except UnhandledStateError as exc:
                 outcomes.append(exc)
         return DecisionBatch.from_outcomes(outcomes)
-
-    def action_for(self, state: RecoveryState) -> str:
-        """Convenience: the chosen action name only."""
-        return self.decide(state).action
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

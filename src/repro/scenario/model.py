@@ -184,11 +184,6 @@ class CascadeCoupling:
                     "< 1 so the branching process terminates)"
                 )
 
-    def expected_offspring(self, source: str) -> float:
-        """Expected induced onsets per onset of ``source``."""
-        row = self.triggers.get(source, {})
-        return float(sum(row.values())) * 2 * self.radius
-
 
 def _check_epoch_compatibility(epochs: Sequence[Epoch]) -> None:
     """All epochs must describe the *same* fault identities.

@@ -173,7 +173,7 @@ class ServerBackedPolicy(Policy):
     """A :class:`~repro.policies.base.Policy` that queries a server.
 
     Adapts the decision service back into the policy protocol so the
-    fleet engine (or any session driver) can be pointed at a live
+    fleet engine (or any wave loop) can be pointed at a live
     server: each lockstep decide wave becomes one micro-batched
     ``decide_batch`` query.  The server's fallback routing makes this
     policy proper — it never raises

@@ -36,11 +36,6 @@ class LatencyRecorder:
             self._decisions += decisions
 
     @property
-    def call_count(self) -> int:
-        """Timed serving calls."""
-        return len(self._latencies)
-
-    @property
     def decision_count(self) -> int:
         """Decisions answered across all timed calls."""
         return self._decisions

@@ -1,19 +1,14 @@
-"""Unified recovery-session core shared by every episode loop.
+"""What every episode loop shares: the cap rule, the wave, the trace.
 
-One state machine (:class:`RecoverySession`), one cap rule
-(:func:`forced_action`), one trace schema (:class:`EpisodeTrace`), a
-synchronous driver (:func:`drive`) behind a small :class:`Environment`
-protocol, and the lockstep decision wave
-(:func:`~repro.session.driver.decide_wave`).  Online recovery and the
-cluster simulators execute through sessions.  Log replay, policy
-evaluation and training run on the platform's compiled rows instead;
-they share the cap rule and the trace schema, and replay decides
-through the wave.
+One cap rule (:func:`forced_action`), the lockstep decision wave
+(:func:`decide_wave`) and one trace schema (:class:`EpisodeTrace`,
+observed through :class:`EpisodeTelemetry`).  Log replay, policy
+evaluation, selection-tree scoring and training run on the platform's
+compiled rows, and the fleet engine on its machine arrays; replay and
+the fleet engine decide through the wave.
 """
 
-from repro.session.core import RecoverySession, SessionDecision, forced_action
-from repro.session.driver import EpisodeOutcome, drive
-from repro.session.environment import Environment, ExecutionResult
+from repro.session.core import decide_wave, forced_action
 from repro.session.trace import (
     FORCED_SOURCE,
     EpisodeTelemetry,
@@ -22,13 +17,8 @@ from repro.session.trace import (
 )
 
 __all__ = [
-    "RecoverySession",
-    "SessionDecision",
     "forced_action",
-    "EpisodeOutcome",
-    "drive",
-    "Environment",
-    "ExecutionResult",
+    "decide_wave",
     "FORCED_SOURCE",
     "EpisodeTelemetry",
     "EpisodeTrace",

@@ -1,15 +1,14 @@
 """Structured per-step episode traces and the observer hook they feed.
 
-Online cluster recovery runs through
-:class:`~repro.session.core.RecoverySession`, which records one
-:class:`StepTrace` per executed action and closes the episode with an
-:class:`EpisodeTrace`; log replay, policy evaluation and the trainer's
-exploration loop run on integer ids and build the same trace from the
-ids they recorded, only when a recorder is attached.  The schema is
-the single observability record the ROADMAP's serving-scale direction
-needs: uniform across origins, so a dashboard aggregating "cost per
-step by error type" reads training, evaluation and production recovery
-identically.
+Every episode loop records one :class:`StepTrace` per executed action
+and closes the episode with an :class:`EpisodeTrace`.  Log replay,
+policy evaluation and the trainer's exploration loop run on integer ids
+and build the trace from the ids they recorded, only when a recorder is
+attached; the fleet engine builds its traces from its step columns.
+The schema is the single observability record the ROADMAP's
+serving-scale direction needs: uniform across origins, so a dashboard
+aggregating "cost per step by error type" reads training, evaluation
+and production recovery identically.
 
 :class:`EpisodeTelemetry` is the hook interface; the standard recorder
 (:class:`~repro.learning.telemetry.EpisodeRecorder`) lives next to the
@@ -81,7 +80,7 @@ class EpisodeTrace:
     ----------
     origin:
         Which loop ran the episode (``"replay"``, ``"evaluation"``,
-        ``"training"``, ``"cluster"``, ``"online"``, ...).
+        ``"training"``, ``"cluster"``, ...).
     error_type:
         The session's error type.
     initial_cost:

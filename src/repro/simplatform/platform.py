@@ -25,8 +25,8 @@ from repro.errors import ConfigurationError, SimulationError, UnknownActionError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy
 from repro.recoverylog.process import RecoveryProcess
+from repro.session.core import decide_wave
 from repro.session.core import forced_action as cap_forced_action
-from repro.session.driver import decide_wave
 from repro.session.trace import EpisodeTelemetry, EpisodeTrace, StepTrace
 from repro.simplatform.coststats import CostStatistics
 from repro.simplatform.hypotheses import required_strengths
@@ -297,10 +297,9 @@ class SimulationPlatform:
     def forced_action(self, attempt_count: int) -> Optional[str]:
         """The action the ``N``-cap forces after ``attempt_count`` tries.
 
-        Delegates to the session core's
-        :func:`~repro.session.core.forced_action`, the single source of
-        the cap rule; kept as a method because every replay loop asks
-        the platform directly.
+        Delegates to :func:`~repro.session.core.forced_action`, the
+        single source of the cap rule; kept as a method because every
+        replay loop asks the platform directly.
         """
         return cap_forced_action(
             attempt_count, self._max_actions, self._forced_name
@@ -460,7 +459,7 @@ class SimulationPlatform:
         """Replay many processes, deciding in lockstep waves.
 
         Every open replay advances one step per wave.  Its states pool
-        into one :func:`~repro.session.driver.decide_wave` call, which
+        into one :func:`~repro.session.core.decide_wave` call, which
         forces the manual repair once the ``N``-cap binds, and the
         answers execute through :meth:`CompiledReplay.step`.  A policy
         miss (:class:`~repro.errors.UnhandledStateError` per state) ends

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from reference_session import RecoverySession
 from repro.actions.action import ActionCatalog, RepairAction, default_catalog
 from repro.actions.costs import CostModel
 from repro.cluster.cluster import ClusterConfig
@@ -47,7 +48,6 @@ from repro.recoverylog.entry import LogEntry
 from repro.recoverylog.log import RecoveryLog
 from repro.scenario.compiled import compile_scenario
 from repro.scenario.model import FaultModel, as_scenario_model
-from repro.session.core import RecoverySession
 from repro.session.trace import EpisodeTelemetry
 from repro.util.rng import RngStreams
 

@@ -5,8 +5,9 @@ platform answered one step at a time over names and
 :class:`~repro.mdp.state.RecoveryState` objects:
 ``SimulationPlatform.step`` decided success with ``covers`` over strength
 multisets, and ``replay``/``replay_many`` drove one
-:class:`~repro.session.core.RecoverySession` per process through a
-``ReplayEnvironment`` (``drive``, or ``drive_batch`` in lockstep waves).
+:class:`~reference_session.RecoverySession` per process through a
+``ReplayEnvironment`` (``drive``, or ``drive_batch`` in lockstep waves),
+the session loop that ``reference_session`` keeps.
 This module keeps that path verbatim apart from names and one
 hand-over: the environment no longer passes the successor state to the
 session, which derives the same ``state.after(action, succeeded)``.
@@ -26,13 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
+from reference_session import (
+    Environment,
+    EpisodeOutcome,
+    ExecutionResult,
+    RecoverySession,
+    SessionDecision,
+    _finish,
+    drive,
+)
 from repro.errors import SimulationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy, PolicyDecision
 from repro.recoverylog.process import RecoveryProcess
-from repro.session.core import RecoverySession, SessionDecision
-from repro.session.driver import EpisodeOutcome, _finish, drive
-from repro.session.environment import Environment, ExecutionResult
 from repro.session.trace import FORCED_SOURCE, EpisodeTelemetry, EpisodeTrace
 from repro.simplatform.hypotheses import covers, required_strengths
 from repro.simplatform.platform import (
@@ -349,8 +356,8 @@ def replay(
 ) -> ReplayResult:
     """Drive ``policy`` through ``process`` until cured or unhandled.
 
-    The episode itself runs through the shared recovery-session driver
-    (:func:`repro.session.driver.drive`) over a
+    The episode itself runs through the recovery-session loop
+    (:func:`reference_session.drive`) over a
     :class:`ReplayEnvironment`.
     """
     if not process.attempts:

@@ -163,6 +163,40 @@ class TestTrainParallelFlags:
         assert second_policy.read_text() == first_policy.read_text()
 
     @pytest.mark.slow
+    def test_resumed_partial_run_matches_uninterrupted_policy(
+        self, log_path, tmp_path, capsys
+    ):
+        """A run stopped inside one type resumes to the same bytes.
+
+        Checkpoints are written atomically, so a run killed inside a
+        type's course leaves every finished type's checkpoint and none
+        of its own.  Deleting one checkpoint after a full run is that
+        state, reached without killing anything or timing a signal.
+        """
+        ckpt = tmp_path / "ckpt"
+        full_policy = tmp_path / "full.json"
+        resumed_policy = tmp_path / "resumed.json"
+        base = [
+            "train",
+            "--log", log_path,
+            "--top-k", "2",
+            "--checkpoint-dir", str(ckpt),
+        ]
+        assert main(base + ["--out", str(full_policy)]) == 0
+        capsys.readouterr()
+        checkpoints = sorted(ckpt.glob("*.json"))
+        assert len(checkpoints) == 2
+        checkpoints[0].unlink()
+
+        assert main(
+            base + ["--out", str(resumed_policy), "--resume", "--workers", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "resumed 1 error types" in out
+        assert "trained 1 error types" in out
+        assert resumed_policy.read_bytes() == full_policy.read_bytes()
+
+    @pytest.mark.slow
     def test_parallel_train_produces_identical_policy(
         self, log_path, tmp_path, capsys
     ):

@@ -9,11 +9,9 @@ from repro.core.online import RollingRetrainer
 from repro.errors import ConfigurationError, TrainingError
 from repro.learning.qlearning import QLearningConfig
 from repro.learning.selection_tree import SelectionTreeConfig
-from repro.learning.telemetry import EpisodeRecorder
 from repro.mdp.state import RecoveryState
 from repro.mining.dependence import SymptomCooccurrence
 from repro.mining.streaming import StreamingMiner
-from reference_replay import ReferencePlatform, ReplayEnvironment
 
 CATALOG = default_catalog()
 
@@ -212,27 +210,6 @@ class TestEdgeCases:
         for process in era(reboot_curable=True, count=30):
             assert retrainer.observe(process) is False
         assert retrainer.retrain_count == 0
-
-
-class TestRecover:
-    def test_recover_routes_through_session_driver(self):
-        """The deployed policy's episodes run via the shared driver with
-        origin "online" and match platform.replay exactly."""
-        process = make_process(
-            ["TRYNOP", "REBOOT"], error_type="error:Drift"
-        )
-        platform = ReferencePlatform([process], CATALOG)
-        retrainer = RollingRetrainer(CATALOG, fast_config())
-        recorder = EpisodeRecorder()
-        outcome = retrainer.recover(
-            ReplayEnvironment(platform, process), telemetry=recorder
-        )
-        expected = platform.replay(process, retrainer.current_policy())
-        assert outcome.handled
-        assert outcome.actions == expected.actions
-        assert outcome.cost == expected.cost
-        assert outcome.trace.origin == "online"
-        assert recorder.by_origin("online") == (outcome.trace,)
 
 
 class TestSubscribers:

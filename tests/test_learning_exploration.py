@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_exploration import (
+    ReferenceBoltzmannExplorer,
+    ReferenceEpsilonGreedyExplorer,
+)
 from repro.errors import ConfigurationError
 from repro.learning.exploration import (
     BoltzmannExplorer,
@@ -47,14 +51,14 @@ class TestTemperatureSchedule:
 
 class TestBoltzmannExplorer:
     def test_probabilities_sum_to_one(self):
-        explorer = BoltzmannExplorer(seed=0)
+        explorer = ReferenceBoltzmannExplorer(seed=0)
         probabilities = explorer.probabilities(
             {"a": 100.0, "b": 500.0}, sweep=0
         )
         assert sum(probabilities.values()) == pytest.approx(1.0)
 
     def test_lower_cost_more_probable(self):
-        explorer = BoltzmannExplorer(
+        explorer = ReferenceBoltzmannExplorer(
             TemperatureSchedule(initial=100.0), seed=0
         )
         probabilities = explorer.probabilities(
@@ -63,7 +67,7 @@ class TestBoltzmannExplorer:
         assert probabilities["cheap"] > probabilities["dear"]
 
     def test_high_temperature_near_uniform(self):
-        explorer = BoltzmannExplorer(
+        explorer = ReferenceBoltzmannExplorer(
             TemperatureSchedule(initial=1e9), seed=0
         )
         probabilities = explorer.probabilities(
@@ -72,7 +76,7 @@ class TestBoltzmannExplorer:
         assert probabilities["a"] == pytest.approx(0.5, abs=0.01)
 
     def test_low_temperature_near_greedy(self):
-        explorer = BoltzmannExplorer(
+        explorer = ReferenceBoltzmannExplorer(
             TemperatureSchedule(initial=1.0, floor=1.0), seed=0
         )
         probabilities = explorer.probabilities(
@@ -81,7 +85,7 @@ class TestBoltzmannExplorer:
         assert probabilities["a"] > 0.999
 
     def test_numerical_stability_with_huge_values(self):
-        explorer = BoltzmannExplorer(seed=0)
+        explorer = ReferenceBoltzmannExplorer(seed=0)
         probabilities = explorer.probabilities(
             {"a": 1e12, "b": 1e12 + 5.0}, sweep=0
         )
@@ -92,15 +96,16 @@ class TestBoltzmannExplorer:
             TemperatureSchedule(initial=100.0, decay=1.0, floor=100.0),
             seed=0,
         )
+        names = ["cheap", "dear"]
         draws = [
-            explorer.select({"cheap": 10.0, "dear": 600.0}, sweep=0)
+            names[explorer.select_index([10.0, 600.0], sweep=0)]
             for _ in range(500)
         ]
         assert draws.count("cheap") > 450
 
     def test_empty_q_values_rejected(self):
         with pytest.raises(ConfigurationError):
-            BoltzmannExplorer(seed=0).select({}, sweep=0)
+            BoltzmannExplorer(seed=0).select_index([], sweep=0)
 
 
 class TestEpsilonGreedyExplorer:
@@ -115,8 +120,9 @@ class TestEpsilonGreedyExplorer:
         explorer = EpsilonGreedyExplorer(
             epsilon_initial=0.0, floor=0.0, seed=0
         )
+        names = ["a", "b"]
         draws = {
-            explorer.select({"a": 1.0, "b": 2.0}, sweep=5)
+            names[explorer.select_index([1.0, 2.0], sweep=5)]
             for _ in range(20)
         }
         assert draws == {"a"}
@@ -125,8 +131,9 @@ class TestEpsilonGreedyExplorer:
         explorer = EpsilonGreedyExplorer(
             epsilon_initial=1.0, decay=1.0, floor=1.0, seed=0
         )
+        names = ["a", "b"]
         draws = {
-            explorer.select({"a": 1.0, "b": 2.0}, sweep=0)
+            names[explorer.select_index([1.0, 2.0], sweep=0)]
             for _ in range(100)
         }
         assert draws == {"a", "b"}
@@ -140,6 +147,7 @@ class TestEpsilonGreedyExplorer:
 
 # ----------------------------------------------------------------------
 # The trainer's per-step draw against the mapping form
+# (``reference_exploration``)
 # ----------------------------------------------------------------------
 _q_values = st.one_of(
     # A small pool, so rows hold ties.
@@ -150,10 +158,13 @@ _q_values = st.one_of(
 )
 
 
-def _explorer(kind, rng):
+def _explorer(kind, rng, *, reference=False):
+    """The library explorer, or with ``reference`` its mapping-form twin."""
     if kind == "boltzmann":
-        return BoltzmannExplorer(TemperatureSchedule(), rng=rng)
-    return EpsilonGreedyExplorer(rng=rng)
+        cls = ReferenceBoltzmannExplorer if reference else BoltzmannExplorer
+        return cls(TemperatureSchedule(), rng=rng)
+    cls = ReferenceEpsilonGreedyExplorer if reference else EpsilonGreedyExplorer
+    return cls(rng=rng)
 
 
 class _FixedUniform:
@@ -198,7 +209,8 @@ class TestSelectIndexDifferential:
         row = table.q_row(table.index.intern(state))
         q_values = dict(zip(names, values))
         fast_rng, slow_rng = make_rng(seed), make_rng(seed)
-        fast, slow = _explorer(kind, fast_rng), _explorer(kind, slow_rng)
+        fast = _explorer(kind, fast_rng)
+        slow = _explorer(kind, slow_rng, reference=True)
         for sweep in sweeps:
             for _ in range(draws):
                 picked = names[fast.select_index(row, sweep)]

@@ -142,14 +142,44 @@ class TestContainerFormat:
                     load_policy_binary(path, mmap=mmap)
                 assert str(info.value).startswith(f"{path}: ")
 
-    def test_corrupt_payload_fails_verification(self, tmp_path, policy):
-        path = tmp_path / "policy.rpb"
-        save_policy_binary(policy, path)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # flip a bit inside the cost array
-        path.write_bytes(bytes(blob))
-        with pytest.raises(LogFormatError, match="checksum"):
-            load_policy_binary(path, verify=True)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_payload_fails_verification(self, data):
+        """One bit flipped past the header JSON, or inside ``data_crc32``.
+
+        ``verify=True`` refuses the container with a path-prefixed
+        ``LogFormatError``, or loads the original rules.  Only a flip in
+        the alignment padding between the header and the data section
+        may load: no reader reads it and no checksum covers it.  Flips
+        elsewhere in the header JSON need a header checksum, which
+        container version 1 does not have.
+        """
+        policy = TrainedPolicy(
+            data.draw(_rule_tables(), label="rules"), label="night-shift"
+        )
+        with TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.rpb"
+            save_policy_binary(policy, path)
+            blob = bytearray(path.read_bytes())
+            header_end = 20 + int.from_bytes(blob[12:20], "little")
+            data_origin = -(-header_end // 64) * 64
+            crc = str(json.loads(bytes(blob[20:header_end]))["data_crc32"])
+            key = b'"data_crc32": '
+            field = blob.index(key) + len(key)
+            offsets = st.integers(field, field + len(crc) - 1)
+            if header_end < len(blob):  # an empty table may end there
+                offsets = st.integers(header_end, len(blob) - 1) | offsets
+            offset = data.draw(offsets, label="offset")
+            blob[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+            path.write_bytes(bytes(blob))
+            for mmap in (True, False):
+                try:
+                    loaded = load_policy_binary(path, mmap=mmap, verify=True)
+                except LogFormatError as exc:
+                    assert str(exc).startswith(f"{path}: ")
+                else:
+                    assert header_end <= offset < data_origin
+                    assert loaded.rules == policy.rules
 
     def test_arrays_are_aligned(self, tmp_path, policy):
         path = tmp_path / "policy.rpb"

@@ -3,7 +3,7 @@
 Replay, batched replay, selection-tree scoring and evaluator telemetry
 run on :meth:`~repro.simplatform.platform.CompiledReplay.step`.  Before
 that they stepped through ``SimulationPlatform.step`` over names and
-states, one :class:`~repro.session.core.RecoverySession` per process
+states, one :class:`~reference_session.RecoverySession` per process
 (``reference_replay``).  Hypothesis draws ensembles — self-healed
 processes and value-equal duplicates included — catalogs, cost modes,
 the required-action rule, the action cap and a policy of every family,

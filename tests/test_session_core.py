@@ -1,4 +1,5 @@
-"""Unit tests of the recovery-session core, drivers and batch deciding."""
+"""Unit tests of the cap rule and batch deciding, and of the session
+reference (``reference_session``) with ``drive`` and ``drive_batch``."""
 
 from __future__ import annotations
 
@@ -17,15 +18,7 @@ from repro.policies.hybrid import HybridPolicy
 from repro.policies.static import AlwaysCheapestPolicy, RandomPolicy
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
-from repro.session import (
-    FORCED_SOURCE,
-    Environment,
-    EpisodeTelemetry,
-    ExecutionResult,
-    RecoverySession,
-    drive,
-    forced_action,
-)
+from repro.session import FORCED_SOURCE, EpisodeTelemetry, forced_action
 from repro.simplatform.platform import SimulationPlatform
 
 from helpers import ladder_processes, make_process
@@ -34,6 +27,12 @@ from reference_replay import (
     ReferencePlatform,
     ReplayEnvironment,
     drive_batch,
+)
+from reference_session import (
+    Environment,
+    ExecutionResult,
+    RecoverySession,
+    drive,
 )
 
 

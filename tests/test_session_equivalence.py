@@ -1,12 +1,11 @@
 """Episode-loop routing equivalence.
 
-Cluster recovery executes through :mod:`repro.session`; replay,
-evaluation and training run on the platform's compiled rows and share
-the session's cap rule and trace schema.  The contract is
-*bit-identical* behaviour with the hand-rolled loops these replaced —
-same float sums in the same order, same RNG draw sequences, same action
-traces.  This module pins the contract by re-implementing the
-pre-refactor loops inline (frozen copies of the old code, stepping
+Replay, evaluation and training run on the platform's compiled rows
+and share :mod:`repro.session`'s cap rule and trace schema.  The
+contract is *bit-identical* behaviour with the hand-rolled loops these
+replaced — same float sums in the same order, same RNG draw sequences,
+same action traces.  This module pins the contract by re-implementing
+the pre-refactor loops inline (frozen copies of the old code, stepping
 through ``reference_replay``'s string ``step``) and comparing exactly,
 the same way ``test_backend_equivalence`` pins the Q table against its
 dict reference.
@@ -20,6 +19,7 @@ import pytest
 
 from helpers import ladder_processes, make_process, snapshot_digest
 from reference_cluster import ClusterSimulator
+from reference_exploration import ReferenceBoltzmannExplorer
 from reference_qtable import ReferenceQTable
 from reference_replay import ReferencePlatform
 from repro.actions import default_catalog
@@ -357,7 +357,9 @@ class TestTrainingEquivalence:
         )
         table = QTable(CATALOG.names(), alpha_floor=config.alpha_floor)
         course = trainer._course(table, "error:Hard", training)
-        reference_explorer = trainer._make_explorer(make_rng(5))
+        reference_explorer = ReferenceBoltzmannExplorer(
+            config.temperature, rng=make_rng(5)
+        )
         explorer = trainer._make_explorer(make_rng(5))
         run = trainer._episode_runner(table, course, explorer)
 
