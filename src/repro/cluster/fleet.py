@@ -955,7 +955,7 @@ class FleetEngine:
         forced_mask = np.isin(counts, capped)
         batch = decide_wave(
             self.policy,
-            [self._index.state(sid) for sid in state_sid[J].tolist()],
+            self._index.states(state_sid[J].tolist()),
             forced_mask,
             forced_name,
         )

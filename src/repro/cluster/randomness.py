@@ -48,7 +48,32 @@ CHANNEL_NAMES = ("arrivals", "symptoms", "cures", "costs", "delays")
 
 #: The splitmix64 increment (2^64 / golden ratio, odd).
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = np.float64(2.0**-53)
+#: Pair ``(m, c)`` has index ``m * CHANNEL_COUNT + c + 1``; its key
+#: input ``root + index * golden`` is ``m * _PAIR_STRIDE`` plus a
+#: per-channel offset (arithmetic mod 2^64).
+_PAIR_STRIDE = np.uint64((CHANNEL_COUNT * int(_GOLDEN)) % 2**64)
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """Run the splitmix64 finalizer in place on the ``uint64`` array ``z``.
+
+    Every step writes into ``z`` or into one scratch buffer, so the
+    eight passes allocate nothing else; array ufuncs wrap on overflow
+    without a warning, so no ``np.errstate`` is needed.
+    """
+    scratch = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def mix64(values: np.ndarray) -> np.ndarray:
@@ -56,13 +81,10 @@ def mix64(values: np.ndarray) -> np.ndarray:
 
     A bijective avalanche mix: consecutive inputs produce statistically
     independent outputs, which is what turns ``key + n * golden`` counter
-    sequences into usable uniform bits.
+    sequences into usable uniform bits.  ``values`` is left as it is.
     """
-    with np.errstate(over="ignore"):
-        z = np.asarray(values, dtype=np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+    z = _finalize(np.array(values, dtype=np.uint64))
+    return z if z.ndim else z[()]
 
 
 def uniform_from_bits(bits: np.ndarray) -> np.ndarray:
@@ -88,13 +110,15 @@ class MachineRandomSource:
     """Counter-based per-``(machine, channel)`` uniform streams.
 
     Each pair owns the sequence ``mix64(key + n * golden)`` for draw
-    number ``n``, with ``key`` itself a mix of the root entropy and the
-    pair's index.  Draws are therefore a pure function of *how many*
-    draws the machine has made on the channel — global interleaving is
-    irrelevant, so drawing one machine at a time (the event-driven
-    reference) and drawing whole waves (the fleet engine) produce
-    identical values.
+    number ``n``, with ``key = mix64(root + (m * 5 + c + 1) * golden)``
+    for machine ``m``, channel ``c`` and the root entropy.  Draws are
+    therefore a pure function of *how many* draws the machine has made
+    on the channel — global interleaving is irrelevant, so drawing one
+    machine at a time (the event-driven reference) and drawing whole
+    waves (the fleet engine) produce identical values.
 
+    Keys are derived on each draw, never stored: a source holds the
+    root and one ``uint64`` counter per pair, 40 bytes per machine.
     The counters are exposed via :meth:`draw_counts`; equality of the
     full counter matrix with the reference's is one of the differential
     fuzz harness's pinned invariants.
@@ -105,14 +129,18 @@ class MachineRandomSource:
             raise ConfigurationError(
                 f"machine_count must be positive, got {machine_count}"
             )
-        root = np.uint64(int(entropy) % (2**64))
-        pair_ids = np.arange(
-            1, machine_count * CHANNEL_COUNT + 1, dtype=np.uint64
-        ).reshape(machine_count, CHANNEL_COUNT)
-        with np.errstate(over="ignore"):
-            self._keys = mix64(root + pair_ids * _GOLDEN)
+        root = int(entropy) % 2**64
+        # Channel c's key offset: root + (c + 1) * golden, mod 2^64.
+        self._offsets = np.array(
+            [
+                (root + (channel + 1) * int(_GOLDEN)) % 2**64
+                for channel in range(CHANNEL_COUNT)
+            ],
+            dtype=np.uint64,
+        )
+        # Channel-major, so one channel's counters are one contiguous row.
         self._counters = np.zeros(
-            (machine_count, CHANNEL_COUNT), dtype=np.uint64
+            (CHANNEL_COUNT, machine_count), dtype=np.uint64
         )
 
     # -- vectorized core ------------------------------------------------
@@ -123,15 +151,7 @@ class MachineRandomSource:
         is the engine's one draw primitive: a machine's ``n``-th value
         on a channel is the same whichever wave draws it.
         """
-        machines = np.asarray(machines, dtype=np.intp)
-        counters = self._counters[machines, channel]
-        with np.errstate(over="ignore"):
-            bits = mix64(
-                self._keys[machines, channel]
-                + (counters + np.uint64(1)) * _GOLDEN
-            )
-        self._counters[machines, channel] = counters + np.uint64(1)
-        return uniform_from_bits(bits)
+        return self._draw(machines, channel, 1)[0]
 
     def uniform_block(
         self, machines: np.ndarray, channel: int, count: int
@@ -142,16 +162,30 @@ class MachineRandomSource:
         same values as ``count`` consecutive one-row waves, computed
         in one pass.
         """
-        machines = np.asarray(machines, dtype=np.intp)
-        counters = self._counters[machines, channel]
-        steps = np.arange(1, count + 1, dtype=np.uint64).reshape(-1, 1)
-        with np.errstate(over="ignore"):
-            bits = mix64(
-                self._keys[machines, channel] + (counters + steps) * _GOLDEN
-            )
-        self._counters[machines, channel] = counters + np.uint64(count)
-        return uniform_from_bits(bits)
+        return self._draw(machines, channel, count)
+
+    def _draw(self, machines: np.ndarray, channel: int, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of each machine's ``channel`` stream.
+
+        ``machines`` is a 1-D array of distinct indices.  Row ``k`` of
+        the ``(count, len(machines))`` result is draw ``counter + k + 1``;
+        the counters advance by ``count``.
+        """
+        # int64 ids are non-negative, so their uint64 view is the same
+        # number: the key input is one multiply and one add from it.
+        machines = np.asarray(machines, dtype=np.int64)
+        keys = machines.view(np.uint64) * _PAIR_STRIDE
+        keys += self._offsets[channel]
+        _finalize(keys)
+        row = self._counters[channel]
+        bits = row[machines] + np.arange(1, count + 1, dtype=np.uint64)[:, None]
+        if count:
+            row[machines] = bits[-1]
+        bits *= _GOLDEN
+        bits += keys
+        return uniform_from_bits(_finalize(bits))
 
     def draw_counts(self) -> np.ndarray:
-        """A copy of the ``(machine_count, 5)`` uint64 draw counters."""
-        return self._counters.copy()
+        """A fresh C-contiguous ``(machine_count, 5)`` uint64 copy of the
+        draw counters."""
+        return self._counters.T.copy()

@@ -371,7 +371,10 @@ class SelectionTreeExtractor:
         typically an order of magnitude sooner than waiting for the Q
         values themselves to settle (Figures 13 and 14).
         """
-        state = {"previous": None, "stable": 0}
+        # ``extracted`` keeps the last check's sweep and extraction: the
+        # Q table does not change after the course's last sweep, so a
+        # check made there is the final extraction too.
+        state = {"previous": None, "stable": 0, "extracted": None}
 
         def signature(rules: RuleTable) -> Tuple[Tuple[Tuple[str, ...], str], ...]:
             return tuple(
@@ -383,10 +386,11 @@ class SelectionTreeExtractor:
                 return False
             if (sweep + 1) % self.config.check_interval != 0:
                 return False
-            rules, _cost, _count = self.extract_best(
+            best = self.extract_best(
                 qtable, processes, error_type, baseline=baseline
             )
-            current = signature(rules)
+            state["extracted"] = (sweep, best)
+            current = signature(best[0])
             if current == state["previous"]:
                 state["stable"] += 1
             else:
@@ -398,9 +402,13 @@ class SelectionTreeExtractor:
             error_type, processes, sweep_callback=callback,
             telemetry=telemetry,
         )
-        rules, cost, count = self.extract_best(
-            training.qtable, processes, error_type, baseline=baseline
-        )
+        extracted = state["extracted"]
+        if extracted is not None and extracted[0] == training.sweeps_run - 1:
+            rules, cost, count = extracted[1]
+        else:
+            rules, cost, count = self.extract_best(
+                training.qtable, processes, error_type, baseline=baseline
+            )
         return TreeTrainingOutcome(
             training=training,
             rules=rules,

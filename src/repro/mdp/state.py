@@ -12,7 +12,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Counter as CounterType, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Counter as CounterType,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 
@@ -167,6 +175,10 @@ class StateIndex:
     def state(self, sid: int) -> RecoveryState:
         """The interned state with id ``sid``."""
         return self._states[sid]
+
+    def states(self, sids: Iterable[int]) -> List[RecoveryState]:
+        """The interned states with ids ``sids``, in order (built in C)."""
+        return list(map(self._states.__getitem__, sids))
 
     def is_terminal(self, sid: int) -> bool:
         return self._terminal[sid]

@@ -40,6 +40,7 @@ __all__ = [
     "Outcome",
     "Policy",
     "PolicyDecision",
+    "history_codes",
     "terminal_state_error",
 ]
 
@@ -68,6 +69,13 @@ Outcome = Union[PolicyDecision, UnhandledStateError]
 """One row of a batch answer: a decision, or the error ``decide`` raises."""
 
 Row = TypeVar("Row")
+Code = TypeVar("Code")
+
+# ``healthy`` is what ``RecoveryState.is_terminal`` reads; attribute
+# getters read it (and ``tried``) for a whole batch without a Python
+# frame per state.
+_HEALTHY = operator.attrgetter("healthy")
+_TRIED = operator.attrgetter("tried")
 
 
 def terminal_state_error(state: RecoveryState) -> ConfigurationError:
@@ -75,6 +83,32 @@ def terminal_state_error(state: RecoveryState) -> ConfigurationError:
     return ConfigurationError(
         f"cannot decide an action in terminal state {state}"
     )
+
+
+def history_codes(
+    states: Sequence[RecoveryState], code: Callable[[Tuple[str, ...]], Code]
+) -> Tuple[List[Code], np.ndarray]:
+    """``code(state.tried)`` for a batch, computed once per distinct history.
+
+    Returns ``(codes, rows)``: ``codes`` holds one code per distinct
+    history, in first-seen order, and ``rows`` (intp) gives each state's
+    position in ``codes``, so ``codes[rows[i]]`` is ``code(states[i].tried)``
+    and a column of codes is one numpy gather.  Waves repeat a few
+    histories many times over, so ``code`` runs a handful of times per
+    batch.  A terminal state raises :func:`terminal_state_error` for the
+    first one, as deciding the states in order would.
+    """
+    if any(map(_HEALTHY, states)):
+        raise terminal_state_error(next(filter(_HEALTHY, states)))
+    histories = list(map(_TRIED, states))
+    # dict.fromkeys dedupes in first-seen order (a set's order would
+    # depend on string hashing).
+    distinct = dict.fromkeys(histories)
+    positions = dict(zip(distinct, range(len(distinct))))
+    rows = np.fromiter(
+        map(positions.__getitem__, histories), dtype=np.intp, count=len(histories)
+    )
+    return list(map(code, distinct)), rows
 
 
 def _interner(vocabulary: Sequence[str]) -> Tuple[List[str], Callable[[str], int]]:
@@ -278,7 +312,7 @@ class DecisionBatch(ColumnRows[Outcome]):
         if not missed.size:
             return self
         answer = fallback.decide_batch(
-            [states[row] for row in missed.tolist()]
+            list(map(states.__getitem__, missed.tolist()))
         )
         if not answer.hit.all():
             raise answer[int(np.argmin(answer.hit))]

@@ -33,6 +33,8 @@ lookup, which is exactly the semantics the hybrid fallback relies on.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter, ge
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,6 +46,7 @@ from repro.policies.base import (
     DecisionBatch,
     Policy,
     PolicyDecision,
+    history_codes,
     terminal_state_error,
 )
 
@@ -54,6 +57,7 @@ Rule = Tuple[str, float]
 
 #: Key space ceiling: keys must fit uint64.
 _KEY_LIMIT = 2**64
+_ERROR_TYPE = attrgetter("error_type")
 
 
 def check_rules(rules: Mapping[RecoveryState, Rule]) -> None:
@@ -350,29 +354,30 @@ class TrainedPolicy(Policy):
         )
 
     def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
-        """One pass over the states, then one vectorized key search.
+        """Code each distinct history once, then one vectorized key search.
 
-        The pass reads each state's error-type id and history code;
-        numpy then adds the key parts, searches the sorted key column
-        and gathers actions and costs.
+        Error-type ids and history codes come to numpy as columns;
+        numpy then masks the rows no rule can match, adds the key parts,
+        searches the sorted key column and gathers actions and costs.
         """
-        type_ids = self._et_ids
+        count = len(states)
         unknown = len(self._error_types)
-        history_code = self._history_code
-        types: List[int] = []
-        codes: List[int] = []
-        for state in states:
-            if state.is_terminal:
-                raise terminal_state_error(state)
-            code = history_code(state.tried)
-            if code < 0:
-                types.append(unknown)
-                codes.append(0)
-            else:
-                types.append(type_ids.get(state.error_type, unknown))
-                codes.append(code)
-        type_column = np.array(types, dtype=np.intp)
-        keys = self._type_offsets[type_column] + np.array(codes, dtype=np.uint64)
+        type_column = np.fromiter(
+            map(self._et_ids.get, map(_ERROR_TYPE, states), repeat(unknown)),
+            dtype=np.intp,
+            count=count,
+        )
+        codes, of_row = history_codes(states, self._history_code)
+        # A history no rule can match (code -1) makes its rows unknown,
+        # with history part 0.
+        matchable = np.fromiter(
+            map(ge, codes, repeat(0)), dtype=bool, count=len(codes)
+        )
+        history_parts = np.fromiter(
+            map(max, codes, repeat(0)), dtype=np.uint64, count=len(codes)
+        )
+        type_column[~matchable[of_row]] = unknown
+        keys = self._type_offsets[type_column] + history_parts[of_row]
         # Unknown rows miss without a lookup; on an empty table every
         # error type is unknown, so the gathers below never run.
         hit = type_column != unknown

@@ -12,7 +12,7 @@ systems.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.policies.base import (
     DecisionBatch,
     Policy,
     PolicyDecision,
+    history_codes,
     terminal_state_error,
 )
 
@@ -101,39 +102,40 @@ class UserDefinedPolicy(Policy):
             return 10**9
         return self._budgets.get(action_name, 1)
 
-    def _rung(self, state: RecoveryState) -> int:
-        """The ladder position of the action ``state`` gets.
+    def _rung(self, tried: Tuple[str, ...]) -> int:
+        """The ladder position of the action a state with history
+        ``tried`` gets.
 
-        The weakest rung whose budget ``state``'s history has not spent;
-        once every budget is spent, including (impossibly) the manual
+        The weakest rung whose budget ``tried`` has not spent; once
+        every budget is spent, including (impossibly) the manual
         action's, the strongest rung regardless.
         """
-        if state.is_terminal:
-            raise terminal_state_error(state)
-        tried = state.tried
         for rung, (name, budget) in enumerate(self._ladder):
             if tried.count(name) < budget:
                 return rung
         return len(self._ladder) - 1
 
     def decide(self, state: RecoveryState) -> PolicyDecision:
+        if state.is_terminal:
+            raise terminal_state_error(state)
         return PolicyDecision(
-            action=self._names[self._rung(state)], source=self.name
+            action=self._names[self._rung(state.tried)], source=self.name
         )
 
     def decide_batch(self, states: Sequence[RecoveryState]) -> DecisionBatch:
         """Decide every state by the ladder rule, as columns.
 
-        The action vocabulary is the ladder, weakest first; no row has
-        an estimate and every row is a hit.  A terminal state raises
-        the :class:`~repro.errors.ConfigurationError` ``decide`` raises.
+        The rung reads only the history, so it is computed once per
+        distinct history.  The action vocabulary is the ladder, weakest
+        first; no row has an estimate and every row is a hit.  A
+        terminal state raises the
+        :class:`~repro.errors.ConfigurationError` ``decide`` raises.
         """
+        rungs, of_row = history_codes(states, self._rung)
         count = len(states)
         return DecisionBatch(
             hit=np.ones(count, dtype=bool),
-            action_ids=np.fromiter(
-                map(self._rung, states), dtype=np.intp, count=count
-            ),
+            action_ids=np.array(rungs, dtype=np.intp)[of_row],
             actions=self._names,
             costs=np.zeros(count, dtype=np.float64),
             estimated=np.zeros(count, dtype=bool),

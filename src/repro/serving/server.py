@@ -388,8 +388,12 @@ class DecisionServer:
 
         Subscribes to :class:`~repro.core.online.RollingRetrainer`
         publications; hybrid policies are unbundled so the server keeps
-        owning the fallback routing (and its fallback statistics).
+        owning the fallback routing (and its fallback statistics).  A
+        retrainer that has already retrained has its deployed policy
+        published first, so the server never serves an older one.
         """
+        if retrainer.retrain_count > 0:
+            self._on_retrained(retrainer.current_policy())
         retrainer.subscribe(self._on_retrained)
 
     def _on_retrained(self, policy: Policy) -> None:

@@ -75,7 +75,9 @@ def decide_wave(
     if free.size == len(states):
         return policy.decide_batch(states)
     if free.size:
-        decided = policy.decide_batch([states[row] for row in free.tolist()])
+        decided = policy.decide_batch(
+            list(map(states.__getitem__, free.tolist()))
+        )
     else:
         decided = DecisionBatch.from_outcomes(())
     return decided.spread(

@@ -216,3 +216,68 @@ class TestTreeTrainingCourse:
         assert outcome.expected_cost > 0
         s0 = RecoveryState.initial("error:Hard")
         assert outcome.rules[s0][0] == "REIMAGE"
+
+
+class _CountingExtractor(SelectionTreeExtractor):
+    """An extractor that counts its ``extract_best`` calls."""
+
+    extractions = 0
+
+    def extract_best(self, *args, **kwargs):
+        self.extractions += 1
+        return super().extract_best(*args, **kwargs)
+
+
+class TestFinalExtraction:
+    """The course's final policy is extracted once, not twice.
+
+    A check made at the course's last sweep already extracted from the
+    final Q table, so its result is the outcome; otherwise the final
+    table is extracted once more.  Either way the outcome equals a
+    fresh extraction from the final table.
+    """
+
+    def _course(self, max_sweeps, stable_checks, baseline=None):
+        processes = hard_processes()
+        platform = SimulationPlatform(processes, CATALOG)
+        trainer = QLearningTrainer(
+            platform, QLearningConfig(max_sweeps=max_sweeps, seed=3)
+        )
+        config = SelectionTreeConfig(
+            min_sweeps=20, check_interval=10, stable_checks=stable_checks
+        )
+        extractor = _CountingExtractor(platform, config)
+        outcome = extractor.train_type(
+            trainer, "error:Hard", processes, baseline=baseline
+        )
+        fresh = SelectionTreeExtractor(platform, config).extract_best(
+            outcome.training.qtable, processes, "error:Hard", baseline=baseline
+        )
+        assert (
+            outcome.rules,
+            outcome.expected_cost,
+            outcome.candidates_evaluated,
+        ) == fresh
+        # Checks ran at sweeps 20, 30, ... up to the last sweep.
+        checks = (outcome.training.sweeps_run - 20) // 10 + 1
+        return outcome, extractor.extractions, checks
+
+    @pytest.mark.parametrize("baseline", [None, UserDefinedPolicy(CATALOG)])
+    def test_converged_course_reuses_its_last_check(self, baseline):
+        outcome, extractions, checks = self._course(400, 2, baseline)
+        assert outcome.training.converged
+        assert outcome.training.sweeps_run % 10 == 0
+        assert extractions == checks
+
+    def test_course_capped_on_a_check_sweep_reuses_it(self):
+        outcome, extractions, checks = self._course(40, 100)
+        assert not outcome.training.converged
+        assert outcome.training.sweeps_run == 40
+        assert extractions == checks == 3
+
+    def test_course_capped_between_checks_extracts_once_more(self):
+        outcome, extractions, checks = self._course(35, 100)
+        assert not outcome.training.converged
+        assert outcome.training.sweeps_run == 35
+        assert checks == 2
+        assert extractions == checks + 1

@@ -291,6 +291,50 @@ class TestRetrainerHook:
         assert snapshot.primary.name != "hybrid"
         assert server.decide(UNKNOWN).fell_back
 
+    def test_attach_after_retrains_serves_deployed_policy(
+        self, server, small_processes
+    ):
+        """A server attached late serves what the retrainer deployed.
+
+        It does not wait for the next retrain, and every later retrain
+        bumps its version by one.
+        """
+        retrainer = RollingRetrainer(
+            window=500, retrain_every=50, min_history=10
+        )
+        for process in small_processes[:100]:
+            retrainer.observe(process)
+        assert retrainer.retrain_count == 2
+        server.attach_retrainer(retrainer)
+        deployed = retrainer.current_policy()
+        snapshot = server.snapshot()
+        assert snapshot.version == 2
+        assert snapshot.primary is deployed.trained
+        assert snapshot.fallback is deployed.fallback
+        for process in small_processes[100:]:
+            before = server.version
+            retrained = retrainer.observe(process)
+            assert server.version == before + int(retrained)
+        assert retrainer.retrain_count > 2
+        assert server.version == retrainer.retrain_count
+        assert server.snapshot().primary is retrainer.current_policy().trained
+
+    def test_attach_before_first_retrain_changes_nothing(
+        self, server, trained, small_processes
+    ):
+        retrainer = RollingRetrainer(
+            window=500, retrain_every=50, min_history=10
+        )
+        for process in small_processes[:49]:
+            retrainer.observe(process)
+        assert retrainer.retrain_count == 0
+        server.attach_retrainer(retrainer)
+        assert server.version == 1
+        assert server.snapshot().primary is trained
+        retrainer.observe(small_processes[49])
+        assert retrainer.retrain_count == 1
+        assert server.version == 2
+
 
 class TestGenerationLifetime:
     def test_publishes_keep_no_per_generation_state(self, trained):
