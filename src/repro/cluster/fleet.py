@@ -38,10 +38,11 @@ decide and complete waves are never gated.
 The one cross-time construct, *straggler* symptom candidates (secondary
 symptoms, noise symptoms and re-emissions that fire later and are only
 recorded while the machine is still unhealthy), is resolved after the
-wave loop by a vectorized interval sweep over the completed recovery
-processes — equivalent to the event engine's check of the machine's
-state at fire time, because every process interval is closed by the
-time the sweep runs.
+wave loop, when every recovery process is closed: each candidate
+carries the process that queued it and is emitted iff it fires
+strictly inside that process or a later one of its machine
+(:meth:`FleetEngine._sweep_candidates`) — the event engine's check of
+the machine's state at fire time.
 
 Policies with ``batch_safe = False`` draw internal RNG state per
 decision, so their behaviour depends on global decision order; waves
@@ -122,7 +123,7 @@ class _Columns:
         if not chunks:
             return np.empty(0, dtype=dtype if dtype is not None else float)
         out = np.concatenate(chunks)
-        return out.astype(dtype) if dtype is not None else out
+        return out.astype(dtype, copy=False) if dtype is not None else out
 
 
 class _Cascades:
@@ -649,7 +650,7 @@ class FleetEngine:
         recovery_counts = np.zeros(N, dtype=np.int64)
 
         log = _Columns("t", "m", "k", "d")
-        candidates = _Columns("t", "m", "d")
+        candidates = _Columns("t", "p", "d")
         procs = _Columns("m", "t", "f")
         steps = _Columns("p", "n", "a", "c", "fo", "s", "e", "ok")
         success_scatter: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -692,7 +693,11 @@ class FleetEngine:
                     state_sid, action_id, pending_cost, pending_forced,
                     pending_source, pending_expected, log,
                 )
-            complete = np.flatnonzero(phase == _PH_COMPLETE).astype(np.intp)
+            # The machines just decided are exactly the COMPLETE ones:
+            # none is COMPLETE when an iteration starts (a complete wave
+            # moves all of its machines on), and cascades move only
+            # healthy machines, to ONSET.
+            complete = decide
             if complete.size:
                 self._complete_wave(
                     complete, t_event, phase, cur_epoch, fault_id, noise_id,
@@ -708,24 +713,22 @@ class FleetEngine:
         for pids, times in success_scatter:
             proc_success[pids] = times
 
-        # Straggler candidates: emitted iff they fire inside one of the
-        # machine's recovery intervals [fault, success) — exactly the
-        # event engine's "machine not HEALTHY at fire time" check,
-        # resolvable post-hoc because every interval is now closed.
+        # Straggler candidates: emitted iff they fire strictly inside a
+        # recovery interval of their machine — the event engine's
+        # "machine not HEALTHY at fire time" check, resolvable post-hoc
+        # because every interval is now closed.
+        proc_m = procs.column("m", np.int64)
+        proc_t = procs.column("t", np.float64)
         cand_t = candidates.column("t", np.float64)
-        cand_m = candidates.column("m", np.int64)
-        cand_d = candidates.column("d", np.int64)
+        cand_p = candidates.column("p", np.int64)
         emitted = self._sweep_candidates(
-            cand_t, cand_m,
-            procs.column("t", np.float64),
-            proc_success,
-            procs.column("m", np.int64),
+            cand_t, cand_p, proc_t, proc_success, proc_m
         )
         log.append(
             t=cand_t[emitted],
-            m=cand_m[emitted],
+            m=proc_m[cand_p[emitted]],
             k=np.full(int(emitted.sum()), _KIND_SYMPTOM, dtype=np.int8),
-            d=cand_d[emitted],
+            d=candidates.column("d", np.int64)[emitted],
         )
 
         result = FleetResult(
@@ -736,12 +739,11 @@ class FleetEngine:
             log_machines=log.column("m", np.int64),
             log_kinds=log.column("k", np.int8),
             log_descriptions=log.column("d", np.int64),
-            proc_machines=procs.column("m", np.int64),
-            proc_fault_times=procs.column("t", np.float64),
+            proc_machines=proc_m,
+            proc_fault_times=proc_t,
             proc_success_times=proc_success,
             proc_fault_ids=self._primary_desc[
-                self._class_ids[procs.column("m", np.int64)],
-                procs.column("f", np.int64),
+                self._class_ids[proc_m], procs.column("f", np.int64)
             ] if next_proc else np.empty(0, dtype=np.int64),
             step_procs=steps.column("p", np.int64),
             step_numbers=steps.column("n", np.int64),
@@ -874,9 +876,11 @@ class FleetEngine:
         t_event[I] = t + delay
         phase[I] = _PH_DECIDE
 
+        pids = np.arange(next_proc, next_proc + I.size, dtype=np.int64)
+
         # Main fault's secondary-symptom candidates, slot by slot so each
         # machine draws coin/offset pairs in list order.
-        self._queue_secondaries(I, fids, eids, t, candidates)
+        self._queue_secondaries(I, pids, fids, eids, t, candidates)
 
         # Overlapping noise fault: its primary appears strictly after the
         # main primary; its secondaries hang off that offset time.
@@ -889,24 +893,24 @@ class FleetEngine:
             )
             noise_after = t[noisy] + offset
             candidates.append(
-                t=noise_after, m=nm,
+                t=noise_after, p=pids[noisy],
                 d=self._primary_desc[cls[noisy], nids[noisy]],
             )
             self._queue_secondaries(
-                nm, nids[noisy], eids[noisy], noise_after, candidates
+                nm, pids[noisy], nids[noisy], eids[noisy], noise_after,
+                candidates,
             )
 
         # Cascade coins last: they follow every other draw of the onset.
         if cascades is not None:
             cascades.trigger(rand, I, t, fids, t_event, phase)
 
-        pids = np.arange(next_proc, next_proc + I.size, dtype=np.int64)
         cur_proc[I] = pids
         procs.append(m=I, t=t, f=fids)
         return next_proc + I.size
 
     def _queue_secondaries(
-        self, machines, fids, eids, after, candidates
+        self, machines, pids, fids, eids, after, candidates
     ) -> None:
         cfg = self.config
         rand = self._rand
@@ -927,7 +931,7 @@ class FleetEngine:
                 )
                 candidates.append(
                     t=np.asarray(after)[has][emit] + offset,
-                    m=em,
+                    p=pids[has][emit],
                     d=self._secondary_desc[
                         self._class_ids[em], fids[has][emit], slot
                     ],
@@ -1100,7 +1104,7 @@ class FleetEngine:
                     )
                     candidates.append(
                         t=tr[openr][emit] + offset,
-                        m=em,
+                        p=cur_proc[em],
                         d=self._primary_desc[self._class_ids[em], ids[em]],
                     )
             if cfg.decision_delay_mean > 0:
@@ -1130,47 +1134,42 @@ class FleetEngine:
     @staticmethod
     def _sweep_candidates(
         cand_t: np.ndarray,
-        cand_m: np.ndarray,
+        cand_p: np.ndarray,
         start_t: np.ndarray,
         end_t: np.ndarray,
         interval_m: np.ndarray,
     ) -> np.ndarray:
-        """Which candidates fall inside a ``[start, end)`` interval of
+        """Which candidates fire strictly inside a process interval of
         their machine.
 
-        One global sweep: order events by (machine, time, priority) with
-        interval ends before candidates before interval starts at equal
-        times (half-open semantics), then a running open-interval count.
-        Every machine's starts and ends balance, so a single global
-        cumulative sum is valid across machine boundaries.
+        Candidate ``i`` was queued by process ``cand_p[i]`` and fires no
+        earlier than that process's start.  A machine's processes do not
+        overlap and their ids rise with time, so the candidate is
+        emitted iff it fires inside its own process or, firing after
+        that one ended, inside a later one: the walk follows the
+        machine's next-process links until a process starts at or after
+        the fire time, or none is left.  A candidate exactly on a start
+        or an end is dropped.
         """
-        if not cand_t.size:
-            return np.zeros(0, dtype=bool)
-        times = np.concatenate([end_t, cand_t, start_t])
-        machines = np.concatenate([interval_m, cand_m, interval_m])
-        priority = np.concatenate(
-            [
-                np.zeros(end_t.size, dtype=np.int8),
-                np.ones(cand_t.size, dtype=np.int8),
-                np.full(start_t.size, 2, dtype=np.int8),
-            ]
-        )
-        delta = np.concatenate(
-            [
-                np.full(end_t.size, -1, dtype=np.int64),
-                np.zeros(cand_t.size, dtype=np.int64),
-                np.ones(start_t.size, dtype=np.int64),
-            ]
-        )
-        order = np.lexsort((priority, times, machines))
-        open_count = np.cumsum(delta[order])
-        is_candidate = priority[order] == 1
-        emitted_in_order = open_count[is_candidate] > 0
-        # Un-permute back to candidate input order.
-        candidate_positions = np.flatnonzero(is_candidate)
-        original = order[candidate_positions] - end_t.size
-        emitted = np.zeros(cand_t.size, dtype=bool)
-        emitted[original] = emitted_in_order
+        own_end = end_t[cand_p]
+        emitted = (start_t[cand_p] < cand_t) & (cand_t < own_end)
+        late = np.flatnonzero(cand_t >= own_end)
+        if not late.size:
+            return emitted
+        # Each process's successor on its machine, -1 for the last.
+        by_machine = np.argsort(interval_m, kind="stable")
+        same = np.diff(interval_m[by_machine]) == 0
+        successor = np.full(end_t.size, -1, dtype=np.int64)
+        successor[by_machine[:-1][same]] = by_machine[1:][same]
+        t = cand_t[late]
+        q = successor[cand_p[late]]
+        while late.size:
+            # -1 ends a chain; the start it reads there is masked out.
+            on = (q >= 0) & (start_t[q] < t)
+            late, t, q = late[on], t[on], q[on]
+            inside = t < end_t[q]
+            emitted[late[inside]] = True
+            late, t, q = late[~inside], t[~inside], successor[q[~inside]]
         return emitted
 
 

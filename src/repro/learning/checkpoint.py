@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from repro.policies.serialization import (
     rules_from_records,
 )
 from repro.policies.trained import Rule
-from repro.records import CHECKPOINT, CHECKPOINT_FORMAT, read_json
+from repro.records import CHECKPOINT, CHECKPOINT_FORMAT, read_json, write_atomic
 
 __all__ = [
     "TypeCheckpoint",
@@ -137,8 +136,9 @@ class CheckpointStore:
     def save(self, checkpoint: TypeCheckpoint) -> Path:
         """Persist one type's course atomically; returns the file path.
 
-        The write goes through a temporary file and ``os.replace`` so an
-        interrupt mid-write can never leave a torn checkpoint behind.
+        The write is atomic (:func:`~repro.records.write_atomic`), so
+        neither an interrupt mid-write nor a second save of the same
+        type can leave a torn checkpoint behind.
         """
         self._directory.mkdir(parents=True, exist_ok=True)
         training = checkpoint.training
@@ -159,11 +159,7 @@ class CheckpointStore:
             "wall_clock": checkpoint.wall_clock,
         }
         path = self.path_for(checkpoint.error_type)
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-        os.replace(tmp, path)
+        write_atomic(path, [(json.dumps(payload, indent=1) + "\n").encode()])
         return path
 
     def load(self, error_type: str) -> Optional[TypeCheckpoint]:

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, LogFormatError
 from repro.policies.trained import RuleColumns, TrainedPolicy
-from repro.records import BINARY_HEADER, BINARY_POLICY_FORMAT
+from repro.records import BINARY_HEADER, BINARY_POLICY_FORMAT, write_atomic
 
 __all__ = [
     "BINARY_POLICY_FORMAT",
@@ -67,9 +67,10 @@ def _align(offset: int) -> int:
 def save_policy_binary(policy: TrainedPolicy, path: PathLike) -> int:
     """Write ``policy`` in the zero-copy binary format; returns rule count.
 
-    The write is atomic (temp file + ``os.replace``), so a reader — or a
-    decision server hot-reloading from the same path — never observes a
-    torn container.
+    The write is atomic (:func:`~repro.records.write_atomic`), so a
+    reader — or a decision server hot-reloading from the same path —
+    never observes a torn container, even while another save to the
+    same path runs.
     """
     columns = policy.columns
     blobs = {
@@ -108,18 +109,14 @@ def save_policy_binary(policy: TrainedPolicy, path: PathLike) -> int:
     prefix_len = len(_MAGIC) + 4 + 8 + len(header_bytes)
     data_origin = _align(prefix_len)
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(_CONTAINER_VERSION.to_bytes(4, "little"))
-        handle.write(len(header_bytes).to_bytes(8, "little"))
-        handle.write(header_bytes)
-        handle.write(b"\x00" * (data_origin - prefix_len))
-        handle.write(bytes(data))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, (
+        _MAGIC,
+        _CONTAINER_VERSION.to_bytes(4, "little"),
+        len(header_bytes).to_bytes(8, "little"),
+        header_bytes,
+        b"\x00" * (data_origin - prefix_len),
+        bytes(data),
+    ))
     return len(policy)
 
 

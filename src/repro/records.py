@@ -1,4 +1,5 @@
-"""Every file's records, declared once, and the readers of both file shapes.
+"""Every file's records, declared once, the readers of both file shapes,
+and the one writer that publishes a file whole.
 
 JSON documents (policies, Q tables, checkpoints, the lint baseline, the
 RPROPOLB header) and JSONL lines (recovery logs, ``serve --queries``) are
@@ -10,19 +11,23 @@ read as a float.  A refusal names the record, the field and the value.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, TextIO, TypeVar, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, Optional, TextIO, TypeVar, Union,
+)
 
 from repro.errors import LogFormatError
 
 __all__ = [
     "Kind", "Integer", "Record", "read_json", "read_lines", "open_text",
-    "check_utf8", "STATE", "RULE", "POLICY", "QTABLE_ENTRY", "QTABLE",
-    "TRAINING", "CHECKPOINT", "LOG_LINE", "ARRAY_SPEC", "BINARY_HEADER",
-    "FINDING", "BASELINE",
+    "check_utf8", "write_atomic", "STATE", "RULE", "POLICY", "QTABLE_ENTRY",
+    "QTABLE", "TRAINING", "CHECKPOINT", "LOG_LINE", "ARRAY_SPEC",
+    "BINARY_HEADER", "FINDING", "BASELINE",
 ]
 
 PathLike = Union[str, Path]
@@ -269,3 +274,33 @@ def read_lines(path: PathLike, build: Callable[[Any], T]) -> Iterator[T]:
             except LogFormatError as exc:
                 raise LogFormatError(f"{path}:{line_no}: {exc}") from None
             yield item
+
+
+def write_atomic(path: PathLike, chunks: Iterable[bytes]) -> None:
+    """Publish ``chunks`` as the file at ``path``: a reader of ``path``
+    sees the previous file or the whole new one, never a part.
+
+    The bytes go to a temporary file beside ``path`` whose name no other
+    writer holds (created with ``"xb"``, so it gets the mode any new
+    file gets), are synced to disk, and replace ``path`` in one rename.
+    Writers racing on one path each publish a complete file, the last
+    rename winning.  A step that raises removes the temporary file.
+    """
+    path = Path(path)
+    for attempt in itertools.count():
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            handle = open(tmp, "xb")
+        except FileExistsError:
+            continue
+        break
+    try:
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -15,7 +15,9 @@ tests can pin the wave engine against it bit for bit: logs, draw-count
 matrices, lifetime counters and episode traces
 (``tests/test_fleet_equivalence.py``, ``tests/test_scenario_equivalence.py``).
 It also runs what waves cannot: ``batch_safe=False`` policies, whose
-decisions depend on global decision order.
+decisions depend on global decision order.  :func:`sweep_candidates`
+keeps the fleet engine's former straggler sweep, the reference its
+per-process rule is pinned to (``tests/test_fleet_stragglers.py``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "FaultDetector",
     "ScalarRandomSource",
     "ClusterSimulator",
+    "sweep_candidates",
 ]
 
 
@@ -789,3 +792,52 @@ class ClusterSimulator:
         if mean <= 0:
             return 0.0
         return self._rand.delay(machine.index, mean)
+
+
+# ---------------------------------------------------------------------------
+# The fleet engine's former straggler sweep
+# ---------------------------------------------------------------------------
+def sweep_candidates(
+    cand_t: np.ndarray,
+    cand_m: np.ndarray,
+    start_t: np.ndarray,
+    end_t: np.ndarray,
+    interval_m: np.ndarray,
+) -> np.ndarray:
+    """Which candidates fall strictly inside a ``(start, end)`` interval
+    of their machine.
+
+    One global sweep: order events by (machine, time, priority) with
+    interval ends before candidates before interval starts at equal
+    times (so a candidate on either end is outside), then a running
+    open-interval count.  Every machine's starts and ends balance, so a
+    single global cumulative sum is valid across machine boundaries.
+    """
+    if not cand_t.size:
+        return np.zeros(0, dtype=bool)
+    times = np.concatenate([end_t, cand_t, start_t])
+    machines = np.concatenate([interval_m, cand_m, interval_m])
+    priority = np.concatenate(
+        [
+            np.zeros(end_t.size, dtype=np.int8),
+            np.ones(cand_t.size, dtype=np.int8),
+            np.full(start_t.size, 2, dtype=np.int8),
+        ]
+    )
+    delta = np.concatenate(
+        [
+            np.full(end_t.size, -1, dtype=np.int64),
+            np.zeros(cand_t.size, dtype=np.int64),
+            np.ones(start_t.size, dtype=np.int64),
+        ]
+    )
+    order = np.lexsort((priority, times, machines))
+    open_count = np.cumsum(delta[order])
+    is_candidate = priority[order] == 1
+    emitted_in_order = open_count[is_candidate] > 0
+    # Un-permute back to candidate input order.
+    candidate_positions = np.flatnonzero(is_candidate)
+    original = order[candidate_positions] - end_t.size
+    emitted = np.zeros(cand_t.size, dtype=bool)
+    emitted[original] = emitted_in_order
+    return emitted

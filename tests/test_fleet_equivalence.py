@@ -608,6 +608,53 @@ class TestDirectedEquivalence:
         )
         assert composite_attempts > 100
 
+    def test_stragglers_spill_into_later_processes(self, monkeypatch):
+        """An MTBF shorter than the symptom window: secondaries of a
+        quickly cured fault often fire after their process has closed,
+        and some land inside the machine's next process.  No benchmark
+        workload reaches that path."""
+        faults = FaultCatalog(
+            [
+                FaultType(
+                    name="flaky",
+                    primary_symptom="error:Flaky",
+                    secondary_symptoms=("warn:Flaky",),
+                    secondary_probability=1.0,
+                    cure_probabilities={"TRYNOP": 0.9},
+                    weight=3.0,
+                ),
+                FaultType(
+                    name="transient",
+                    primary_symptom="error:Transient",
+                    cure_probabilities={"TRYNOP": 0.7, "REBOOT": 0.95},
+                ),
+            ]
+        )
+        spilled = []
+        sweep = FleetEngine._sweep_candidates
+
+        def counting(cand_t, cand_p, start_t, end_t, interval_m):
+            emitted = sweep(cand_t, cand_p, start_t, end_t, interval_m)
+            spilled.append(int((emitted & (cand_t >= end_t[cand_p])).sum()))
+            return emitted
+
+        monkeypatch.setattr(
+            FleetEngine, "_sweep_candidates", staticmethod(counting)
+        )
+        outputs = run_both(
+            small_params(
+                machine_count=4,
+                duration=2 * DAY,
+                mean_time_between_failures=600.0,
+                symptom_reemission_probability=1.0,
+            ),
+            faults,
+            lambda: UserDefinedPolicy(CATALOG),
+            seed=3,
+        )
+        assert spilled[0] > 0
+        assert_equivalent(*outputs)
+
     def test_machine_names_formatted_on_first_use(self):
         """Only the log needs machine names; a run formats none."""
         config = ClusterConfig(backend="fleet", **small_params())
