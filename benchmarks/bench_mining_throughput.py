@@ -2,10 +2,11 @@
 
 Three measurements:
 
-* **stream** — runs FIRST so the process's peak RSS reflects it: a
-  synthetic recovery log of ``entries`` entries (100M in the full
-  profile) is produced as a pure iterator and mined end to end by the
-  streaming pipeline — segmentation, incremental co-occurrence counts,
+* **stream** — runs FIRST so the process's peak RSS reflects it: the
+  first ``entries`` entries (100M in the full profile) of a fleet
+  engine's log, streamed in time-ordered chunks by
+  ``FleetEngine.iter_log``, are mined end to end by the streaming
+  pipeline — segmentation, incremental co-occurrence counts,
   clustering, noise fraction — without the log ever being materialized.
   Pins entries/s against a floor and peak RSS against a cap that sits
   far below what holding the log in memory would cost.
@@ -45,28 +46,42 @@ import tracemalloc
 from itertools import islice
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.actions.action import default_catalog
+from repro.cluster.cluster import ClusterConfig
+from repro.cluster.fleet import FleetEngine
 from repro.mining.noise import filter_noise
 from repro.mining.streaming import StreamingMiner
+from repro.policies.user_defined import UserDefinedPolicy
+from repro.recoverylog.entry import LogEntry
 from repro.recoverylog.io import write_log_jsonl, write_log_text
 from repro.recoverylog.process import segment_log
-from repro.tracegen.stream import SyntheticStreamConfig, iter_synthetic_log
+from repro.tracegen.catalog_gen import CatalogSpec, generate_fault_catalog
+from repro.util.rng import RngStreams
 from repro.util.tables import render_table
 
 BENCH_NAME = "mining_throughput"
 SEED = 11
 MINP = 0.5
+DAY = 86_400.0
+#: The fleet of ``benchmarks/perf``'s ``ingest`` workload: the default
+#: fault catalog at catalog seed 7, a 6-day MTBF and the user-defined
+#: ladder.  It logs ~0.83 entries per machine-day.
+CATALOG_SEED = 7
+MTBF_DAYS = 6.0
 
-#: Profile -> workload sizes, the entries/s floor the stream stage must
-#: clear, and the peak-RSS cap that makes "bounded memory" a checked
-#: claim rather than a slogan.  The smoke profile keeps CI fast and is
+#: Profile -> fleet size and span, entries mined, the entries/s floor
+#: the stream stage must clear, and the peak-RSS cap that makes
+#: "bounded memory" a checked claim rather than a slogan.  Each fleet
+#: logs more than ``entries``.  The smoke profile keeps CI fast and is
 #: conservative about shared-runner noise; the full profile is the
-#: committed baseline: a 100M-entry log mined end to end in well under
-#: 2 GiB of resident memory.
+#: committed baseline: a 100M-entry log (10^5 machines over 4 years)
+#: mined end to end in well under 2 GiB of resident memory.
 PROFILES = {
     "smoke": {
-        "machines": 500,
+        "machines": 1_000,
+        "days": 365.0,
         "entries": 200_000,
         "equivalence_entries": 100_000,
         "write_entries": 50_000,
@@ -74,7 +89,8 @@ PROFILES = {
         "max_peak_rss_mb": 1_536.0,
     },
     "full": {
-        "machines": 1_000,
+        "machines": 100_000,
+        "days": 1_461.0,
         "entries": 100_000_000,
         "equivalence_entries": 2_000_000,
         "write_entries": 500_000,
@@ -100,8 +116,20 @@ def _commit() -> str:
         return "unknown"
 
 
-def _config(machines: int) -> SyntheticStreamConfig:
-    return SyntheticStreamConfig(machines=machines, seed=SEED)
+def _log(machines: int, days: float) -> Iterator[LogEntry]:
+    """The fleet's log, streamed chunk by chunk."""
+    actions = default_catalog()
+    return FleetEngine(
+        ClusterConfig(
+            machine_count=machines,
+            duration=days * DAY,
+            mean_time_between_failures=MTBF_DAYS * DAY,
+        ),
+        generate_fault_catalog(CatalogSpec(), CATALOG_SEED),
+        UserDefinedPolicy(actions),
+        actions,
+        RngStreams(SEED),
+    ).iter_log()
 
 
 def _peak_rss_mb() -> float:
@@ -110,17 +138,19 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _bench_stream(machines: int, entries: int) -> Dict[str, object]:
+def _bench_stream(
+    machines: int, days: float, entries: int
+) -> Dict[str, object]:
     miner = StreamingMiner()
     started = time.perf_counter()
-    consumed = miner.feed(
-        iter_synthetic_log(_config(machines), total_entries=entries)
-    )
+    consumed = miner.feed(islice(_log(machines, days), entries))
     mine_s = time.perf_counter() - started
     clustering = miner.clustering(MINP)
     peak_rss = _peak_rss_mb()
     return {
         "machines": machines,
+        "days": days,
+        "mtbf_days": MTBF_DAYS,
         "entries": consumed,
         "wall_clock_s": round(mine_s, 2),
         "entries_per_s": round(consumed / mine_s, 1),
@@ -134,23 +164,26 @@ def _bench_stream(machines: int, entries: int) -> Dict[str, object]:
     }
 
 
-def _estimate_materialized_mb(machines: int, entries: int) -> float:
+def _estimate_materialized_mb(
+    machines: int, days: float, entries: int
+) -> float:
     """Scaled cost of holding the whole log in memory as a list."""
     sample = min(entries, _ESTIMATE_SAMPLE)
+    log = _log(machines, days)
     tracemalloc.start()
-    held = list(
-        islice(iter_synthetic_log(_config(machines)), sample)
-    )
-    _, peak = tracemalloc.get_traced_memory()
+    held = list(islice(log, sample))
+    # What stays allocated once the engine and its chunk are gone.
+    del log
+    size, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del held
-    return peak / sample * entries / 1e6
+    return size / sample * entries / 1e6
 
 
-def _bench_equivalence(machines: int, entries: int) -> Dict[str, object]:
-    prefix = list(
-        iter_synthetic_log(_config(machines), total_entries=entries)
-    )
+def _bench_equivalence(
+    machines: int, days: float, entries: int
+) -> Dict[str, object]:
+    prefix = list(islice(_log(machines, days), entries))
 
     started = time.perf_counter()
     eager_seg = segment_log(prefix)
@@ -212,10 +245,10 @@ def _best_of(fn, repeats: int = 5) -> float:
     return best
 
 
-def _bench_write(machines: int, entries: int) -> Dict[str, object]:
-    batch = list(
-        iter_synthetic_log(_config(machines), total_entries=entries)
-    )
+def _bench_write(
+    machines: int, days: float, entries: int
+) -> Dict[str, object]:
+    batch = list(islice(_log(machines, days), entries))
     metrics: Dict[str, object] = {"entries": entries}
     with TemporaryDirectory() as tmp:
         for label, writer, legacy in (
@@ -236,14 +269,11 @@ def _bench_write(machines: int, entries: int) -> Dict[str, object]:
 
 def run(profile: str) -> Dict[str, object]:
     spec = PROFILES[profile]
-    stream = _bench_stream(spec["machines"], spec["entries"])
-    materialized_mb = _estimate_materialized_mb(
-        spec["machines"], spec["entries"]
-    )
-    equivalence = _bench_equivalence(
-        spec["machines"], spec["equivalence_entries"]
-    )
-    write = _bench_write(spec["machines"], spec["write_entries"])
+    fleet = (spec["machines"], spec["days"])
+    stream = _bench_stream(*fleet, spec["entries"])
+    materialized_mb = _estimate_materialized_mb(*fleet, spec["entries"])
+    equivalence = _bench_equivalence(*fleet, spec["equivalence_entries"])
+    write = _bench_write(*fleet, spec["write_entries"])
     return {
         "profile": profile,
         "seed": SEED,

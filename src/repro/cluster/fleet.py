@@ -37,12 +37,17 @@ decide and complete waves are never gated.
 
 The one cross-time construct, *straggler* symptom candidates (secondary
 symptoms, noise symptoms and re-emissions that fire later and are only
-recorded while the machine is still unhealthy), is resolved after the
-wave loop, when every recovery process is closed: each candidate
-carries the process that queued it and is emitted iff it fires
-strictly inside that process or a later one of its machine
-(:meth:`FleetEngine._sweep_candidates`) — the event engine's check of
-the machine's state at fire time.
+recorded while the machine is still unhealthy), is resolved a chunk at
+a time.  The waves of a chunk take only machines whose next event lies
+before its horizon, so every process that starts before the horizon is
+known by its end; each candidate that fires before the horizon carries
+the process that queued it and is emitted iff it fires strictly inside
+that process or a later one of its machine, a process still open
+ending at +inf (:meth:`FleetEngine._sweep_candidates`) — the event
+engine's check of the machine's state at fire time.
+:meth:`FleetEngine.run` is the one chunk at an infinite horizon;
+:meth:`FleetEngine.iter_log` streams the log in chunks and drops what
+no later chunk can reach.
 
 Policies with ``batch_safe = False`` draw internal RNG state per
 decision, so their behaviour depends on global decision order; waves
@@ -54,7 +59,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, count, takewhile
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,23 +113,65 @@ def _string_ranks(strings: Tuple[str, ...]) -> np.ndarray:
     return np.array([rank[s] for s in strings], dtype=np.int64)
 
 
-class _Columns:
-    """Append-only column store: per-wave arrays, concatenated on demand."""
+def _log_rows(
+    columns: Sequence[np.ndarray],
+    machine_names: Sequence[str],
+    description_names: Sequence[str],
+    machine_ranks: np.ndarray,
+    description_ranks: np.ndarray,
+) -> List[LogEntry]:
+    """The rows of the log columns ``(times, machines, kinds,
+    descriptions)`` in :class:`~repro.recoverylog.entry.LogEntry`'s total
+    order — ``(time, machine name, kind rank, description)``.
 
-    def __init__(self, *names: str) -> None:
-        self._names = names
-        self._chunks: Dict[str, List[np.ndarray]] = {n: [] for n in names}
+    Names and descriptions sort by their ranks in Python string order
+    (:func:`_string_ranks`); the sorted columns become rows through
+    :meth:`LogEntry.from_columns`, which checks each column once, and
+    rows share one ``str`` per machine name and per description.
+    """
+    times, machines, kinds, descriptions = columns
+    order = np.lexsort((
+        description_ranks[descriptions],
+        kinds,
+        machine_ranks[machines],
+        times,
+    ))
+    return LogEntry.from_columns(
+        times[order],
+        machines[order],
+        kinds[order],
+        descriptions[order],
+        machine_names=machine_names,
+        description_names=description_names,
+    )
+
+
+class _Columns:
+    """Column store: per-wave arrays of declared dtypes, concatenated on
+    demand."""
+
+    def __init__(self, **dtypes) -> None:
+        self._dtypes = dtypes
+        self._chunks: Dict[str, List[np.ndarray]] = {n: [] for n in dtypes}
 
     def append(self, **arrays: np.ndarray) -> None:
-        for name in self._names:
+        for name in self._dtypes:
             self._chunks[name].append(np.asarray(arrays[name]))
 
-    def column(self, name: str, dtype=None) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray:
         chunks = self._chunks[name]
         if not chunks:
-            return np.empty(0, dtype=dtype if dtype is not None else float)
-        out = np.concatenate(chunks)
-        return out.astype(dtype, copy=False) if dtype is not None else out
+            return np.empty(0, dtype=self._dtypes[name])
+        return np.concatenate(chunks).astype(self._dtypes[name], copy=False)
+
+    def retain(self, rows, **lookups: np.ndarray) -> None:
+        """Keep only the rows that the index ``rows`` selects, passing
+        each column named in ``lookups`` through its lookup table."""
+        for name in self._dtypes:
+            kept = self.column(name)[rows]
+            self._chunks[name] = [
+                lookups[name][kept] if name in lookups else kept
+            ]
 
 
 class _Cascades:
@@ -381,30 +429,23 @@ class FleetResult:
     def to_log(self) -> RecoveryLog:
         """Materialize the flat columns into a sorted :class:`RecoveryLog`.
 
-        Ordering follows :class:`~repro.recoverylog.entry.LogEntry`'s
-        total order — ``(time, machine name, kind rank, description)``
-        — so the result is byte-identical to what the event engine's
-        incremental inserts produce.  Names and descriptions sort by
-        their ranks in Python string order; the sorted columns become
-        rows through :meth:`LogEntry.from_columns`, which checks each
-        column once, and entries share one ``str`` per machine name and
-        per description.
+        The rows come from the step that builds each chunk of
+        :meth:`FleetEngine.iter_log` (:func:`_log_rows`), in the log's
+        total order, so the result is byte-identical to what the event
+        engine's incremental inserts produce.
         """
         names = self.machine_names
-        descs = self.descriptions
-        order = np.lexsort((
-            _string_ranks(descs)[self.log_descriptions],
-            self.log_kinds,
-            _string_ranks(names)[self.log_machines],
-            self.log_times,
-        ))
-        return RecoveryLog(LogEntry.from_columns(
-            self.log_times[order],
-            self.log_machines[order],
-            self.log_kinds[order],
-            self.log_descriptions[order],
-            machine_names=names,
-            description_names=descs,
+        return RecoveryLog(_log_rows(
+            (
+                self.log_times,
+                self.log_machines,
+                self.log_kinds,
+                self.log_descriptions,
+            ),
+            names,
+            self.descriptions,
+            _string_ranks(names),
+            _string_ranks(self.descriptions),
         ))
 
     def downtime_per_machine(self) -> np.ndarray:
@@ -502,6 +543,9 @@ class FleetEngine:
     episode_telemetry:
         Optional observer receiving one trace per completed recovery
         after the run, in success-time order.
+
+    An engine simulates its fleet once: either :meth:`run` returns the
+    whole result, or :meth:`iter_log` streams the log.
     """
 
     def __init__(
@@ -523,8 +567,6 @@ class FleetEngine:
             )
         self.scenario = as_scenario_model(faults)
         self.config = config
-        #: The epoch-0 catalog — the full fault roster (legacy surface).
-        self.faults = self.scenario.base_catalog
         self.policy = policy
         self.actions = actions if actions is not None else default_catalog()
         # Validates every epoch against the action catalog; cure and
@@ -589,6 +631,61 @@ class FleetEngine:
         self._source_ids: Dict[str, int] = {}
         self._sources: List[str] = []
 
+        # Machine state: each machine's next event time and phase, and
+        # the recovery process in progress.
+        N = config.machine_count
+        self._phase = np.full(N, _PH_ONSET, dtype=np.int8)
+        self._t_event = np.zeros(N, dtype=np.float64)
+        # Epoch governing each machine's current recovery process —
+        # resolved once at onset, like the event engine's per-process
+        # epoch pin, so mid-process drift never changes the rules.
+        self._cur_epoch = np.zeros(N, dtype=np.int64)
+        self._fault_id = np.full(N, -1, dtype=np.int64)
+        self._noise_id = np.full(N, -1, dtype=np.int64)
+        self._main_open = np.zeros(N, dtype=bool)
+        self._noise_open = np.zeros(N, dtype=bool)
+        self._attempts = np.zeros(N, dtype=np.int64)
+        self._state_sid = np.zeros(N, dtype=np.int64)
+        self._action_id = np.zeros(N, dtype=np.int64)
+        self._cur_proc = np.full(N, -1, dtype=np.int64)
+        self._pending_cost = np.zeros(N, dtype=np.float64)
+        self._pending_forced = np.zeros(N, dtype=bool)
+        self._pending_source = np.zeros(N, dtype=np.int64)
+        self._pending_expected = np.full(N, np.nan, dtype=np.float64)
+        self._failure_counts = np.zeros(N, dtype=np.int64)
+        self._recovery_counts = np.zeros(N, dtype=np.int64)
+
+        # What the waves produce: log rows, straggler candidates (with
+        # the process that queued each), processes, their successes and
+        # their repair steps.  A process id indexes ``_procs``.
+        self._log = _Columns(
+            t=np.float64, m=np.int64, k=np.int8, d=np.int64
+        )
+        self._candidates = _Columns(t=np.float64, p=np.int64, d=np.int64)
+        self._procs = _Columns(m=np.int64, t=np.float64, f=np.int64)
+        self._closed = _Columns(p=np.int64, t=np.float64)
+        self._steps = _Columns(
+            p=np.int64, n=np.int64, a=np.int64, c=np.float64,
+            fo=bool, s=np.int64, e=np.float64, ok=bool,
+        )
+        self._next_proc = 0
+
+        # Initial fault arrivals: one gap per machine from t=0.
+        gaps = exponential_from_uniform(
+            self._rand.uniform_wave(np.arange(N, dtype=np.intp), ARRIVALS),
+            config.mean_time_between_failures,
+        )
+        self._t_event[:] = gaps
+        self._phase[gaps > config.duration] = _PH_DONE
+        # Without a cascade nothing is induced: no gate, no queue.
+        self._cascades: Optional[_Cascades] = None
+        if self.compiled.cascade is not None:
+            self._cascades = _Cascades(
+                self.compiled.cascade,
+                np.where(gaps > config.duration, np.inf, gaps),
+                config.duration,
+            )
+
     def _intern(self, description: str) -> int:
         did = self._desc_ids.get(description)
         if did is None:
@@ -622,147 +719,190 @@ class FleetEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
-        """Execute the wave loop to completion and return the result."""
-        cfg = self.config
-        com = self.compiled
-        N = cfg.machine_count
-        rand = self._rand
+        """Execute the wave loop to completion and return the result.
 
-        phase = np.full(N, _PH_ONSET, dtype=np.int8)
-        t_event = np.zeros(N, dtype=np.float64)
-        # Epoch governing each machine's current recovery process —
-        # resolved once at onset, like the event engine's per-process
-        # epoch pin, so mid-process drift never changes the rules.
-        cur_epoch = np.zeros(N, dtype=np.int64)
-        fault_id = np.full(N, -1, dtype=np.int64)
-        noise_id = np.full(N, -1, dtype=np.int64)
-        main_open = np.zeros(N, dtype=bool)
-        noise_open = np.zeros(N, dtype=bool)
-        attempts = np.zeros(N, dtype=np.int64)
-        state_sid = np.zeros(N, dtype=np.int64)
-        action_id = np.zeros(N, dtype=np.int64)
-        cur_proc = np.full(N, -1, dtype=np.int64)
-        pending_cost = np.zeros(N, dtype=np.float64)
-        pending_forced = np.zeros(N, dtype=bool)
-        pending_source = np.zeros(N, dtype=np.int64)
-        pending_expected = np.full(N, np.nan, dtype=np.float64)
-        failure_counts = np.zeros(N, dtype=np.int64)
-        recovery_counts = np.zeros(N, dtype=np.int64)
-
-        log = _Columns("t", "m", "k", "d")
-        candidates = _Columns("t", "p", "d")
-        procs = _Columns("m", "t", "f")
-        steps = _Columns("p", "n", "a", "c", "fo", "s", "e", "ok")
-        success_scatter: List[Tuple[np.ndarray, np.ndarray]] = []
-        next_proc = 0
-
-        # Initial fault arrivals: one gap per machine from t=0.
-        all_machines = np.arange(N, dtype=np.intp)
-        gaps = exponential_from_uniform(
-            rand.uniform_wave(all_machines, ARRIVALS),
-            cfg.mean_time_between_failures,
-        )
-        t_event[:] = gaps
-        phase[gaps > cfg.duration] = _PH_DONE
-        # Without a cascade nothing is induced: no gate, no queue.
-        cascades = None
-        if com.cascade is not None:
-            cascades = _Cascades(
-                com.cascade,
-                np.where(gaps > cfg.duration, np.inf, gaps),
-                cfg.duration,
-            )
-
-        while True:
-            onset = np.flatnonzero(phase == _PH_ONSET).astype(np.intp)
-            if cascades is not None and onset.size:
-                onset = onset[
-                    t_event[onset] <= cascades.gate(t_event, phase)[onset]
-                ]
-            if onset.size:
-                next_proc = self._onset_wave(
-                    onset, t_event, phase, cur_epoch, fault_id, noise_id,
-                    main_open, noise_open, attempts, state_sid, cur_proc,
-                    failure_counts, log, candidates, procs, next_proc,
-                    cascades,
-                )
-            decide = np.flatnonzero(phase == _PH_DECIDE).astype(np.intp)
-            if decide.size:
-                self._decide_wave(
-                    decide, t_event, phase, cur_epoch, fault_id, attempts,
-                    state_sid, action_id, pending_cost, pending_forced,
-                    pending_source, pending_expected, log,
-                )
-            # The machines just decided are exactly the COMPLETE ones:
-            # none is COMPLETE when an iteration starts (a complete wave
-            # moves all of its machines on), and cascades move only
-            # healthy machines, to ONSET.
-            complete = decide
-            if complete.size:
-                self._complete_wave(
-                    complete, t_event, phase, cur_epoch, fault_id, noise_id,
-                    main_open, noise_open, attempts, state_sid, action_id,
-                    cur_proc, pending_cost, pending_forced, pending_source,
-                    pending_expected, recovery_counts, log, candidates,
-                    steps, success_scatter, cascades,
-                )
-            if not (onset.size or decide.size or complete.size):
-                break
-
-        proc_success = np.zeros(next_proc, dtype=np.float64)
-        for pids, times in success_scatter:
-            proc_success[pids] = times
-
-        # Straggler candidates: emitted iff they fire strictly inside a
-        # recovery interval of their machine — the event engine's
-        # "machine not HEALTHY at fire time" check, resolvable post-hoc
-        # because every interval is now closed.
-        proc_m = procs.column("m", np.int64)
-        proc_t = procs.column("t", np.float64)
-        cand_t = candidates.column("t", np.float64)
-        cand_p = candidates.column("p", np.int64)
-        emitted = self._sweep_candidates(
-            cand_t, cand_p, proc_t, proc_success, proc_m
-        )
-        log.append(
-            t=cand_t[emitted],
-            m=proc_m[cand_p[emitted]],
-            k=np.full(int(emitted.sum()), _KIND_SYMPTOM, dtype=np.int8),
-            d=candidates.column("d", np.int64)[emitted],
-        )
-
+        The run is the one chunk at an infinite horizon: every process
+        closes and every straggler resolves, and the log stays in
+        columns until :meth:`FleetResult.to_log` builds its rows.
+        """
+        self._advance(np.inf)
+        ends = self._resolve_stragglers(np.inf)
+        log, procs, steps = self._log, self._procs, self._steps
+        proc_m = procs.column("m")
         result = FleetResult(
-            machine_count=N,
-            machine_name_format=cfg.machine_name_format,
+            machine_count=self.config.machine_count,
+            machine_name_format=self.config.machine_name_format,
             descriptions=tuple(self._descs),
-            log_times=log.column("t", np.float64),
-            log_machines=log.column("m", np.int64),
-            log_kinds=log.column("k", np.int8),
-            log_descriptions=log.column("d", np.int64),
+            log_times=log.column("t"),
+            log_machines=log.column("m"),
+            log_kinds=log.column("k"),
+            log_descriptions=log.column("d"),
             proc_machines=proc_m,
-            proc_fault_times=proc_t,
-            proc_success_times=proc_success,
+            proc_fault_times=procs.column("t"),
+            proc_success_times=ends,
             proc_fault_ids=self._primary_desc[
-                self._class_ids[proc_m], procs.column("f", np.int64)
-            ] if next_proc else np.empty(0, dtype=np.int64),
-            step_procs=steps.column("p", np.int64),
-            step_numbers=steps.column("n", np.int64),
-            step_action_ids=steps.column("a", np.int64),
-            step_costs=steps.column("c", np.float64),
-            step_forced=steps.column("fo", bool),
-            step_source_ids=steps.column("s", np.int64),
-            step_expected_costs=steps.column("e", np.float64),
-            step_succeeded=steps.column("ok", bool),
+                self._class_ids[proc_m], procs.column("f")
+            ],
+            step_procs=steps.column("p"),
+            step_numbers=steps.column("n"),
+            step_action_ids=steps.column("a"),
+            step_costs=steps.column("c"),
+            step_forced=steps.column("fo"),
+            step_source_ids=steps.column("s"),
+            step_expected_costs=steps.column("e"),
+            step_succeeded=steps.column("ok"),
             step_sources=tuple(self._sources),
             action_names=self.compiled.action_names,
-            failure_counts=failure_counts,
-            recovery_counts=recovery_counts,
-            draw_counts=rand.draw_counts(),
+            failure_counts=self._failure_counts,
+            recovery_counts=self._recovery_counts,
+            draw_counts=self._rand.draw_counts(),
         )
         if self._telemetry is not None:
             for trace in result.episode_traces():
                 self._telemetry.on_episode(trace)
         return result
+
+    def iter_log(self) -> Iterator[LogEntry]:
+        """The log, row by row in :meth:`FleetResult.to_log`'s order,
+        simulated a chunk at a time.
+
+        Chunk horizons lie one mean time between failures apart up to
+        the run's duration; the last chunk takes the rest.  The engine
+        holds one chunk's rows and what later chunks can still reach,
+        so a log of any length streams in bounded memory.  Episode
+        traces fire in success-time order once a whole run is done,
+        which a stream cannot give: with ``episode_telemetry`` attached
+        this is a :class:`~repro.errors.ConfigurationError`.
+        """
+        if self._telemetry is not None:
+            raise ConfigurationError(
+                "iter_log streams the log without episode telemetry: "
+                "traces fire in success-time order after a whole run, "
+                "so use run()"
+            )
+        step = self.config.mean_time_between_failures
+        horizons = takewhile(
+            lambda horizon: horizon < self.config.duration,
+            count(step, step),
+        )
+        return chain.from_iterable(self._log_chunks(horizons))
+
+    def _log_chunks(
+        self, horizons: Iterable[float]
+    ) -> Iterator[List[LogEntry]]:
+        """The rows before each of the rising ``horizons``, then the
+        rest, one list per chunk.
+
+        A chunk runs the waves up to its horizon, resolves the
+        stragglers that fire before it, turns the rows before it into
+        entries, and drops those rows along with every candidate,
+        closed process and step that no later chunk can reach.
+        """
+        names = tuple(
+            self.config.machine_name_format.format(i)
+            for i in range(self.config.machine_count)
+        )
+        descriptions = tuple(self._descs)
+        ranks = (_string_ranks(names), _string_ranks(descriptions))
+        log = self._log
+        for horizon in chain(horizons, (np.inf,)):
+            self._advance(horizon)
+            ends = self._resolve_stragglers(horizon)
+            columns = [log.column(name) for name in ("t", "m", "k", "d")]
+            due = columns[0] < horizon
+            rows = _log_rows(
+                [column[due] for column in columns],
+                names, descriptions, *ranks,
+            )
+            log.retain(~due)
+            self._prune(horizon, ends)
+            yield rows
+
+    def _advance(self, horizon: float) -> None:
+        """Run waves until every machine's next event lies at or past
+        ``horizon``."""
+        phase, t_event, cascades = self._phase, self._t_event, self._cascades
+
+        def due(code: int) -> np.ndarray:
+            machines = np.flatnonzero(phase == code).astype(np.intp)
+            return machines[t_event[machines] < horizon]
+
+        while True:
+            onset = due(_PH_ONSET)
+            if cascades is not None and onset.size:
+                onset = onset[
+                    t_event[onset] <= cascades.gate(t_event, phase)[onset]
+                ]
+            if onset.size:
+                self._onset_wave(onset)
+            decide = due(_PH_DECIDE)
+            if decide.size:
+                self._decide_wave(decide)
+                # The machines just decided are exactly the COMPLETE
+                # ones: none is COMPLETE when an iteration starts (a
+                # complete wave moves all of its machines on), and
+                # cascades move only healthy machines, to ONSET.  Their
+                # actions may finish past the horizon.
+                self._complete_wave(decide)
+            elif not onset.size:
+                return
+
+    def _resolve_stragglers(self, horizon: float) -> np.ndarray:
+        """Log the straggler candidates that fire before ``horizon``
+        inside a recovery process of their machine, drop every candidate
+        that fires before it, and return each process's end.
+
+        Every process that starts before ``horizon`` is known once the
+        waves reach it, and one still open ends at or after it, so a
+        candidate that fires before it sees an open process end at +inf.
+        """
+        ends = np.full(self._next_proc, np.inf)
+        ends[self._closed.column("p")] = self._closed.column("t")
+        candidates = self._candidates
+        cand_t = candidates.column("t")
+        due = cand_t < horizon
+        cand_t = cand_t[due]
+        cand_p = candidates.column("p")[due]
+        proc_m = self._procs.column("m")
+        emitted = self._sweep_candidates(
+            cand_t, cand_p, self._procs.column("t"), ends, proc_m
+        )
+        self._log.append(
+            t=cand_t[emitted],
+            m=proc_m[cand_p[emitted]],
+            k=np.full(int(emitted.sum()), _KIND_SYMPTOM, dtype=np.int8),
+            d=candidates.column("d")[due][emitted],
+        )
+        candidates.retain(~due)
+        return ends
+
+    def _prune(self, horizon: float, ends: np.ndarray) -> None:
+        """Drop the closed processes, and their steps, that no pending
+        candidate can reach, and renumber the rest in order.
+
+        A pending candidate fires at or after ``horizon``: it starts
+        from its own process and can be emitted only inside a later
+        process of its machine that ends after ``horizon``.  Open
+        processes stay, for the candidates later chunks queue.
+        """
+        cand_p = self._candidates.column("p")
+        proc_m = self._procs.column("m")
+        # Per machine, the earliest process a pending candidate starts
+        # from; past the last id where none does.
+        first = np.full(self.config.machine_count, ends.size)
+        np.minimum.at(first, proc_m[cand_p], cand_p)
+        keep = np.isinf(ends) | (
+            (ends > horizon) & (np.arange(ends.size) > first[proc_m])
+        )
+        keep[cand_p] = True
+        renumber = np.cumsum(keep) - 1
+        self._procs.retain(keep)
+        self._candidates.retain(slice(None), p=renumber)
+        for columns in (self._closed, self._steps):
+            columns.retain(keep[columns.column("p")], p=renumber)
+        open_ = self._cur_proc >= 0
+        self._cur_proc[open_] = renumber[self._cur_proc[open_]]
+        self._next_proc = int(keep.sum())
 
     # ------------------------------------------------------------------
     def _sample_faults(self, eids: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -818,16 +958,13 @@ class FleetEngine:
                 pending_pos = pending_pos[~ok]
         return fids, nids
 
-    def _onset_wave(
-        self, I, t_event, phase, cur_epoch, fault_id, noise_id, main_open,
-        noise_open, attempts, state_sid, cur_proc, failure_counts, log,
-        candidates, procs, next_proc, cascades,
-    ) -> int:
+    def _onset_wave(self, I: np.ndarray) -> None:
         cfg = self.config
         com = self.compiled
         rand = self._rand
-        t = t_event[I].copy()
-        failure_counts[I] += 1
+        cascades = self._cascades
+        t = self._t_event[I].copy()
+        self._failure_counts[I] += 1
 
         # Epoch resolution at onset time: zero draws, same searchsorted
         # formula as the scalar ScenarioModel.epoch_at.
@@ -835,7 +972,7 @@ class FleetEngine:
             eids = np.zeros(I.size, dtype=np.int64)
         else:
             eids = self.scenario.epochs_at(t)
-        cur_epoch[I] = eids
+        self._cur_epoch[I] = eids
         cls = self._class_ids[I]
 
         if cascades is None:
@@ -851,16 +988,16 @@ class FleetEngine:
                     I[natural], eids[natural]
                 )
 
-        fault_id[I] = fids
-        noise_id[I] = nids
-        main_open[I] = True
-        noise_open[I] = nids >= 0
-        attempts[I] = 0
-        state_sid[I] = self._initial_sid[cls, fids]
+        self._fault_id[I] = fids
+        self._noise_id[I] = nids
+        self._main_open[I] = True
+        self._noise_open[I] = nids >= 0
+        self._attempts[I] = 0
+        self._state_sid[I] = self._initial_sid[cls, fids]
 
         # Primary symptom (recorded synchronously; always the process's
         # detection trigger, since stragglers never precede it).
-        log.append(
+        self._log.append(
             t=t, m=I,
             k=np.full(I.size, _KIND_SYMPTOM, dtype=np.int8),
             d=self._primary_desc[cls, fids],
@@ -873,14 +1010,16 @@ class FleetEngine:
             )
         else:
             delay = np.zeros(I.size)
-        t_event[I] = t + delay
-        phase[I] = _PH_DECIDE
+        self._t_event[I] = t + delay
+        self._phase[I] = _PH_DECIDE
 
-        pids = np.arange(next_proc, next_proc + I.size, dtype=np.int64)
+        pids = np.arange(
+            self._next_proc, self._next_proc + I.size, dtype=np.int64
+        )
 
         # Main fault's secondary-symptom candidates, slot by slot so each
         # machine draws coin/offset pairs in list order.
-        self._queue_secondaries(I, pids, fids, eids, t, candidates)
+        self._queue_secondaries(I, pids, fids, eids, t)
 
         # Overlapping noise fault: its primary appears strictly after the
         # main primary; its secondaries hang off that offset time.
@@ -892,26 +1031,23 @@ class FleetEngine:
                 30.0, cfg.secondary_symptom_window,
             )
             noise_after = t[noisy] + offset
-            candidates.append(
+            self._candidates.append(
                 t=noise_after, p=pids[noisy],
                 d=self._primary_desc[cls[noisy], nids[noisy]],
             )
             self._queue_secondaries(
-                nm, pids[noisy], nids[noisy], eids[noisy], noise_after,
-                candidates,
+                nm, pids[noisy], nids[noisy], eids[noisy], noise_after
             )
 
         # Cascade coins last: they follow every other draw of the onset.
         if cascades is not None:
-            cascades.trigger(rand, I, t, fids, t_event, phase)
+            cascades.trigger(rand, I, t, fids, self._t_event, self._phase)
 
-        cur_proc[I] = pids
-        procs.append(m=I, t=t, f=fids)
-        return next_proc + I.size
+        self._cur_proc[I] = pids
+        self._procs.append(m=I, t=t, f=fids)
+        self._next_proc += I.size
 
-    def _queue_secondaries(
-        self, machines, pids, fids, eids, after, candidates
-    ) -> None:
+    def _queue_secondaries(self, machines, pids, fids, eids, after) -> None:
         cfg = self.config
         rand = self._rand
         counts = self._secondary_count[fids]
@@ -929,7 +1065,7 @@ class FleetEngine:
                     rand.uniform_wave(em, SYMPTOMS),
                     1.0, cfg.secondary_symptom_window,
                 )
-                candidates.append(
+                self._candidates.append(
                     t=np.asarray(after)[has][emit] + offset,
                     p=pids[has][emit],
                     d=self._secondary_desc[
@@ -938,19 +1074,15 @@ class FleetEngine:
                 )
 
     # ------------------------------------------------------------------
-    def _decide_wave(
-        self, J, t_event, phase, cur_epoch, fault_id, attempts, state_sid,
-        action_id, pending_cost, pending_forced, pending_source,
-        pending_expected, log,
-    ) -> None:
+    def _decide_wave(self, J: np.ndarray) -> None:
         cfg = self.config
         rand = self._rand
-        t = t_event[J]
+        t = self._t_event[J]
 
         # The N-cap rule (session.core.forced_action), once per
         # distinct attempt count in the wave.
         forced_name = self.actions.strongest.name
-        counts = attempts[J]
+        counts = self._attempts[J]
         capped = [
             count
             for count in np.unique(counts).tolist()
@@ -959,7 +1091,7 @@ class FleetEngine:
         forced_mask = np.isin(counts, capped)
         batch = decide_wave(
             self.policy,
-            self._index.states(state_sid[J].tolist()),
+            self._index.states(self._state_sid[J].tolist()),
             forced_mask,
             forced_name,
         )
@@ -983,7 +1115,7 @@ class FleetEngine:
         sources = self._source_column(batch)
         expected = np.where(batch.estimated, batch.costs, np.nan)
 
-        log.append(
+        self._log.append(
             t=t, m=J,
             k=np.full(J.size, _KIND_ACTION, dtype=np.int8),
             d=self._action_desc[aids],
@@ -1002,27 +1134,30 @@ class FleetEngine:
                 )
             )
         durations = durations * self.compiled.cost[
-            cur_epoch[J], self._class_ids[J], fault_id[J]
+            self._cur_epoch[J], self._class_ids[J], self._fault_id[J]
         ]
 
-        action_id[J] = aids
-        pending_cost[J] = durations
-        pending_forced[J] = forced_mask
-        pending_source[J] = sources
-        pending_expected[J] = expected
-        t_event[J] = t + durations
-        phase[J] = _PH_COMPLETE
+        self._action_id[J] = aids
+        self._pending_cost[J] = durations
+        self._pending_forced[J] = forced_mask
+        self._pending_source[J] = sources
+        self._pending_expected[J] = expected
+        self._t_event[J] = t + durations
+        self._phase[J] = _PH_COMPLETE
 
     # ------------------------------------------------------------------
-    def _complete_wave(
-        self, K, t_event, phase, cur_epoch, fault_id, noise_id, main_open,
-        noise_open, attempts, state_sid, action_id, cur_proc, pending_cost,
-        pending_forced, pending_source, pending_expected, recovery_counts,
-        log, candidates, steps, success_scatter, cascades,
-    ) -> None:
+    def _complete_wave(self, K: np.ndarray) -> None:
         cfg = self.config
         com = self.compiled
         rand = self._rand
+        t_event, phase = self._t_event, self._phase
+        cur_epoch, fault_id, noise_id = (
+            self._cur_epoch, self._fault_id, self._noise_id
+        )
+        main_open, noise_open = self._main_open, self._noise_open
+        state_sid, action_id, cur_proc = (
+            self._state_sid, self._action_id, self._cur_proc
+        )
         t = t_event[K]
 
         # Cure checks, main fault first then the overlap — the same
@@ -1047,31 +1182,32 @@ class FleetEngine:
             noise_open[subn] = ~cured
 
         succeeded = ~(main_open[K] | noise_open[K])
-        step_no = attempts[K]
-        attempts[K] += 1
-        steps.append(
-            p=cur_proc[K], n=step_no, a=action_id[K], c=pending_cost[K],
-            fo=pending_forced[K], s=pending_source[K],
-            e=pending_expected[K], ok=succeeded,
+        step_no = self._attempts[K]
+        self._attempts[K] += 1
+        self._steps.append(
+            p=cur_proc[K], n=step_no, a=action_id[K],
+            c=self._pending_cost[K], fo=self._pending_forced[K],
+            s=self._pending_source[K], e=self._pending_expected[K],
+            ok=succeeded,
         )
 
         S = K[succeeded]
         if S.size:
-            recovery_counts[S] += 1
-            log.append(
+            self._recovery_counts[S] += 1
+            self._log.append(
                 t=t[succeeded], m=S,
                 k=np.full(S.size, _KIND_SUCCESS, dtype=np.int8),
                 d=np.full(S.size, self._success_desc, dtype=np.int64),
             )
-            success_scatter.append((cur_proc[S], t[succeeded]))
+            self._closed.append(p=cur_proc[S], t=t[succeeded])
             gaps = exponential_from_uniform(
                 rand.uniform_wave(S, ARRIVALS),
                 cfg.mean_time_between_failures,
             )
             next_fault = t[succeeded] + gaps
-            if cascades is not None:
+            if self._cascades is not None:
                 # The next onset may be an induced one instead.
-                next_fault = cascades.recovered(
+                next_fault = self._cascades.recovered(
                     S, t[succeeded],
                     np.where(next_fault > cfg.duration, np.inf, next_fault),
                 )
@@ -1102,7 +1238,7 @@ class FleetEngine:
                     offset = range_from_uniform(
                         rand.uniform_wave(em, SYMPTOMS), 1.0, 120.0
                     )
-                    candidates.append(
+                    self._candidates.append(
                         t=tr[openr][emit] + offset,
                         p=cur_proc[em],
                         d=self._primary_desc[self._class_ids[em], ids[em]],
@@ -1149,7 +1285,9 @@ class FleetEngine:
         that one ended, inside a later one: the walk follows the
         machine's next-process links until a process starts at or after
         the fire time, or none is left.  A candidate exactly on a start
-        or an end is dropped.
+        or an end is dropped.  Each chunk resolves the candidates that
+        fire before its horizon (:meth:`_resolve_stragglers`), so a
+        process still open there ends at +inf in ``end_t``.
         """
         own_end = end_t[cand_p]
         emitted = (start_t[cand_p] < cand_t) & (cand_t < own_end)

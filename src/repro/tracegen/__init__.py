@@ -15,13 +15,10 @@ from repro.tracegen.catalog_gen import (
     FaultProfile,
     generate_fault_catalog,
 )
-from repro.tracegen.generator import GeneratedTrace, TraceGenerator, generate_trace
-from repro.tracegen.stream import SyntheticStreamConfig, iter_synthetic_log
+from repro.tracegen.generator import GeneratedTrace, generate_trace
 from repro.tracegen.workload import TraceConfig, default_config, paper_scale_config
 
 __all__ = [
-    "SyntheticStreamConfig",
-    "iter_synthetic_log",
     "CatalogSpec",
     "FaultProfile",
     "generate_fault_catalog",
@@ -29,7 +26,6 @@ __all__ = [
     "default_config",
     "paper_scale_config",
     "GeneratedTrace",
-    "TraceGenerator",
     "generate_trace",
     "CalibrationReport",
     "calibrate",

@@ -1,6 +1,6 @@
 """End-to-end trace generation.
 
-:class:`TraceGenerator` builds the ground-truth fault catalog, runs the
+:func:`generate_trace` builds the ground-truth fault catalog, runs the
 cluster simulator under the user-defined policy, and returns the log plus
 provenance.  The downstream learning pipeline must only consume
 ``GeneratedTrace.log``; the fault catalog is carried along solely for
@@ -24,7 +24,7 @@ from repro.tracegen.catalog_gen import generate_fault_catalog
 from repro.tracegen.workload import TraceConfig
 from repro.util.rng import RngStreams
 
-__all__ = ["GeneratedTrace", "TraceGenerator", "generate_trace"]
+__all__ = ["GeneratedTrace", "generate_trace"]
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,13 @@ class GeneratedTrace:
     scenario: Optional[ScenarioModel] = None
 
 
-class TraceGenerator:
-    """Generate reproducible synthetic recovery traces.
+def generate_trace(
+    config: TraceConfig,
+    policy: Optional[Policy] = None,
+    actions: Optional[ActionCatalog] = None,
+) -> GeneratedTrace:
+    """Build the ground-truth fault catalog, simulate the cluster and
+    return the trace bundle.
 
     Parameters
     ----------
@@ -67,54 +72,27 @@ class TraceGenerator:
     actions:
         Action catalog; defaults to the paper's four actions.
     """
-
-    def __init__(
-        self,
-        config: TraceConfig,
-        policy: Optional[Policy] = None,
-        actions: Optional[ActionCatalog] = None,
-    ) -> None:
-        self.config = config
-        self.actions = actions if actions is not None else default_catalog()
-        self.policy = (
-            policy if policy is not None else UserDefinedPolicy(self.actions)
+    actions = actions if actions is not None else default_catalog()
+    policy = policy if policy is not None else UserDefinedPolicy(actions)
+    catalog = generate_fault_catalog(config.catalog, config.seed)
+    scenario: Optional[ScenarioModel] = None
+    faults: FaultModel = catalog
+    spec = config.scenario
+    if spec is not None and not spec.is_trivial:
+        scenario = build_scenario_model(
+            catalog,
+            spec,
+            duration=config.cluster.duration,
+            seed=config.seed,
         )
-
-    def generate(self) -> GeneratedTrace:
-        """Run the simulation and return the trace bundle."""
-        catalog = generate_fault_catalog(self.config.catalog, self.config.seed)
-        scenario: Optional[ScenarioModel] = None
-        faults: FaultModel = catalog
-        spec = self.config.scenario
-        if spec is not None and not spec.is_trivial:
-            scenario = build_scenario_model(
-                catalog,
-                spec,
-                duration=self.config.cluster.duration,
-                seed=self.config.seed,
-            )
-            faults = scenario
-        streams = RngStreams(self.config.seed)
-        log = simulate_cluster(
-            self.config.cluster,
-            faults,
-            self.policy,
-            self.actions,
-            streams,
-        )
-        return GeneratedTrace(
-            log=log,
-            fault_catalog=catalog,
-            config=self.config,
-            policy_name=self.policy.name,
-            scenario=scenario,
-        )
-
-
-def generate_trace(
-    config: TraceConfig,
-    policy: Optional[Policy] = None,
-    actions: Optional[ActionCatalog] = None,
-) -> GeneratedTrace:
-    """Convenience wrapper around :class:`TraceGenerator`."""
-    return TraceGenerator(config, policy=policy, actions=actions).generate()
+        faults = scenario
+    log = simulate_cluster(
+        config.cluster, faults, policy, actions, RngStreams(config.seed)
+    )
+    return GeneratedTrace(
+        log=log,
+        fault_catalog=catalog,
+        config=config,
+        policy_name=policy.name,
+        scenario=scenario,
+    )

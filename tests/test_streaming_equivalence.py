@@ -7,39 +7,52 @@ the eager pipeline computes on the same entries, and none of it may
 depend on where chunk boundaries fall.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.actions.action import default_catalog
+from repro.cluster.cluster import ClusterConfig
+from repro.cluster.fleet import FleetEngine
 from repro.mining.clustering import coverage_curve
 from repro.mining.dependence import SymptomCooccurrence
 from repro.mining.mpattern import mine_m_patterns
 from repro.mining.noise import filter_noise
 from repro.mining.streaming import StreamingMiner, mine_log_streaming
+from repro.policies.user_defined import UserDefinedPolicy
 from repro.recoverylog.io import write_log_jsonl, write_log_text
 from repro.recoverylog.process import segment_log
 from repro.recoverylog.stream import StreamingSegmenter
-from repro.tracegen.stream import SyntheticStreamConfig, iter_synthetic_log
+from repro.tracegen.catalog_gen import CatalogSpec, generate_fault_catalog
+from repro.util.rng import RngStreams
 
 MINP = 0.5
 CURVE_MINPS = (0.1, 0.3, 0.5, 0.7, 1.0)
 
-#: Dense, noisy little workload: overlapping machines, frequent faults,
-#: and a high noise rate so multi-cluster transactions actually occur.
-_CONFIG = SyntheticStreamConfig(
-    machines=40,
-    seed=3,
-    error_types=6,
-    noise_probability=0.25,
+#: Dense, noisy little fleet: frequent faults on few machines, and a
+#: high noise rate so multi-cluster transactions actually occur.
+_CONFIG = ClusterConfig(
+    machine_count=40,
+    duration=30 * 86_400.0,
     mean_time_between_failures=3_600.0,
+    noise_probability=0.25,
 )
 
 
 @pytest.fixture(scope="module")
 def entries():
-    return list(iter_synthetic_log(_CONFIG, total_entries=4_000))
+    """A prefix of the fleet's streamed log."""
+    actions = default_catalog()
+    engine = FleetEngine(
+        _CONFIG,
+        generate_fault_catalog(CatalogSpec(), 3),
+        UserDefinedPolicy(actions),
+        actions,
+        RngStreams(3),
+    )
+    return list(islice(engine.iter_log(), 4_000))
 
 
 @pytest.fixture(scope="module")
