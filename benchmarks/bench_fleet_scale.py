@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+from provenance import commit
 
 from repro.actions import default_catalog
 from repro.cluster.cluster import ClusterConfig
@@ -73,19 +74,6 @@ PROFILES = {
         "min_speedup": 5.0,
     },
 }
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def bench_faults() -> FaultCatalog:
@@ -371,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"

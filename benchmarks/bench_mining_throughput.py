@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -47,6 +46,8 @@ from itertools import islice
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Dict, Iterator, List, Optional, Sequence
+
+from provenance import commit
 
 from repro.actions.action import default_catalog
 from repro.cluster.cluster import ClusterConfig
@@ -101,19 +102,6 @@ PROFILES = {
 
 #: Entries sampled when estimating the cost of materializing the log.
 _ESTIMATE_SAMPLE = 100_000
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _log(machines: int, days: float) -> Iterator[LogEntry]:
@@ -397,7 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"

@@ -35,13 +35,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Dict, List, Optional, Sequence
+
+from provenance import commit
 
 from repro.actions import default_catalog
 from repro.cluster.cluster import ClusterConfig
@@ -103,19 +104,6 @@ PROFILES = {
 }
 
 UNKNOWN_FRACTION = 0.1
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _train_policy(machines: int, days: float):
@@ -486,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"

@@ -1,7 +1,7 @@
 """Training-throughput baseline: episode telemetry off vs on.
 
 Trains the largest error types of a fixed-seed scenario twice — once
-plain, once with an :class:`~repro.learning.telemetry.EpisodeRecorder`
+plain, once with a :class:`~repro.session.EpisodeRecorder`
 attached as episode telemetry — and reports wall-clock, episodes/sec
 and sweeps/sec for each.  Telemetry is a pure observer by contract
 (same RNG draw sequence, Q values and convergence sweeps), so the
@@ -27,15 +27,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from provenance import commit
+
 from repro.experiments.scenario import build_scenario, default_scenario
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-from repro.learning.telemetry import EpisodeRecorder
+from repro.session import EpisodeRecorder
 from repro.simplatform.platform import SimulationPlatform
 from repro.tracegen.workload import small_config
 from repro.util.tables import render_table
@@ -52,19 +53,6 @@ PROFILES = {
 
 #: The two measured courses: episode telemetry detached and attached.
 MODES = ("off", "on")
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _largest_groups(
@@ -241,7 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"

@@ -24,7 +24,7 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.rules import DeepRule, LintRule, attach_parents, resolve_rules
 from repro.analysis.suppressions import split_suppressed
-from repro.analysis.telemetry import BudgetClock, LintStats, StageTimer
+from repro.analysis.telemetry import BudgetClock, LintStats
 from repro.errors import ReproError
 
 __all__ = [
@@ -135,14 +135,8 @@ def _parse_file(path: Path, display: str) -> _ParsedFile:
     return _ParsedFile(path=path, display=display, source=source, tree=tree)
 
 
-def _check_budget(
-    clock: BudgetClock,
-    stage: str,
-    timer: StageTimer,
-    stats: LintStats,
-) -> None:
+def _check_budget(clock: BudgetClock, stage: str, stats: LintStats) -> None:
     if clock.exceeded():
-        stats.timings = dict(timer.seconds)
         raise BudgetExceededError(
             f"lint exceeded its {clock.budget_seconds:g}s budget after "
             f"stage {stage!r} ({clock.elapsed():.2f}s elapsed)",
@@ -153,7 +147,6 @@ def _check_budget(
 def _run_deep_pass(
     parsed: Sequence[_ParsedFile],
     deep_rules: Sequence[DeepRule],
-    timer: StageTimer,
     stats: LintStats,
     clock: BudgetClock,
 ) -> List[Finding]:
@@ -165,20 +158,20 @@ def _run_deep_pass(
         run_deep_rules,
     )
 
-    with timer.stage("project-model"):
+    with stats.stage("project-model"):
         project = build_project(
             [(f.path, f.display, f.source, f.tree) for f in parsed]
         )
     stats.modules = len(project.modules)
     stats.functions = len(project.functions)
-    _check_budget(clock, "project-model", timer, stats)
-    with timer.stage("taint-fixpoint"):
+    _check_budget(clock, "project-model", stats)
+    with stats.stage("taint-fixpoint"):
         state = analyze_project(project)
     stats.fixpoint_iterations = state.iterations
-    _check_budget(clock, "taint-fixpoint", timer, stats)
-    with timer.stage("deep-rules"):
+    _check_budget(clock, "taint-fixpoint", stats)
+    with stats.stage("deep-rules"):
         findings = run_deep_rules(project, state, deep_rules)
-    _check_budget(clock, "deep-rules", timer, stats)
+    _check_budget(clock, "deep-rules", stats)
     return findings
 
 
@@ -231,32 +224,29 @@ def run_lint(
     syntactic = [r for r in enabled if not isinstance(r, DeepRule)]
     deep_rules = [r for r in enabled if isinstance(r, DeepRule)]
     root_path = Path(root) if root is not None else None
-    timer = StageTimer()
     run_stats = LintStats()
     clock = BudgetClock(budget_seconds)
 
     parsed: List[_ParsedFile] = []
-    with timer.stage("parse"):
+    with run_stats.stage("parse"):
         for path in _iter_python_files(paths):
             parsed.append(
                 _parse_file(path, _display_path(path, root_path))
             )
     run_stats.files = len(parsed)
-    _check_budget(clock, "parse", timer, run_stats)
+    _check_budget(clock, "parse", run_stats)
 
     by_display: Dict[str, List[Finding]] = {}
-    with timer.stage("syntactic-rules"):
+    with run_stats.stage("syntactic-rules"):
         for item in parsed:
             file_findings: List[Finding] = []
             for rule in syntactic:
                 file_findings.extend(rule.check(item.tree, item.display))
             by_display[item.display] = file_findings
-    _check_budget(clock, "syntactic-rules", timer, run_stats)
+    _check_budget(clock, "syntactic-rules", run_stats)
 
     if deep and deep_rules:
-        for finding in _run_deep_pass(
-            parsed, deep_rules, timer, run_stats, clock
-        ):
+        for finding in _run_deep_pass(parsed, deep_rules, run_stats, clock):
             # Deep findings always anchor at a scanned module, so the
             # display key exists; anything else would be a rule bug —
             # route it through an empty-suppression bucket regardless.
@@ -265,7 +255,7 @@ def run_lint(
     active: List[Finding] = []
     suppressed: List[Finding] = []
     sources = {item.display: item.source for item in parsed}
-    with timer.stage("suppressions"):
+    with run_stats.stage("suppressions"):
         for display, file_findings in by_display.items():
             keep, silenced = split_suppressed(
                 file_findings, sources.get(display, "")
@@ -278,7 +268,6 @@ def run_lint(
         new = baseline.filter_new(active)
         baselined = len(active) - len(new)
         active = new
-    run_stats.timings = dict(timer.seconds)
     return LintReport(
         findings=tuple(sorted(active)),
         suppressed=tuple(sorted(suppressed)),

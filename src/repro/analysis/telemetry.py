@@ -14,27 +14,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterator, Optional
 
-__all__ = ["BudgetClock", "LintStats", "StageTimer"]
-
-
-class StageTimer:
-    """Accumulates wall-clock seconds per named stage."""
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[name] = (
-                self.seconds.get(name, 0.0) + perf_counter() - start
-            )
-
-    def total(self) -> float:
-        return sum(self.seconds.values())
+__all__ = ["BudgetClock", "LintStats"]
 
 
 class BudgetClock:
@@ -72,6 +52,17 @@ class LintStats:
     functions: int = 0
     fixpoint_iterations: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Add the wall-clock seconds of the ``with`` body to ``name``."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = (
+                self.timings.get(name, 0.0) + perf_counter() - start
+            )
 
     def render(self) -> str:
         lines = ["lint stats:"]

@@ -419,8 +419,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.learning.telemetry import TelemetryRecorder
-
     if not 0.0 < args.fraction <= 1.0:
         raise ConfigurationError(
             f"--fraction must be in (0, 1], got {args.fraction}"
@@ -431,7 +429,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         train_set, _test = time_ordered_split(processes, args.fraction)
     else:
         train_set = processes
-    recorder = TelemetryRecorder()
     learner = RecoveryPolicyLearner(
         config=PipelineConfig(
             top_k_types=args.top_k,
@@ -439,25 +436,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
         ),
-        telemetry=recorder,
     ).fit(train_set)
     policy = learner.trained_policy()
     count = save_policy(policy, args.out)
     assert learner.training_result_ is not None
     assert learner.outcomes_ is not None
     unconverged = learner.training_result_.unconverged_types()
-    resumed = sum(
-        1 for outcome in learner.outcomes_.values() if outcome.from_checkpoint
-    )
-    trained = len(learner.outcomes_) - resumed
-    print(f"trained {trained} error types on {len(train_set):,} processes "
+    fresh = [o for o in learner.outcomes_.values() if not o.from_checkpoint]
+    resumed = len(learner.outcomes_) - len(fresh)
+    print(f"trained {len(fresh)} error types on {len(train_set):,} processes "
           f"(workers={args.workers})")
     if resumed:
         print(f"resumed {resumed} error types from checkpoints in "
               f"{args.checkpoint_dir}")
-    if trained:
-        print(f"training: {recorder.total_episodes():,} episodes, "
-              f"{recorder.total_wall_clock():.1f} s aggregate worker time")
+    if fresh:
+        episodes = sum(o.training.episodes for o in fresh)
+        seconds = sum(o.wall_clock for o in fresh)
+        print(f"training: {episodes:,} episodes, "
+              f"{seconds:.1f} s aggregate worker time")
     print(f"saved {count} state-action rules to {args.out}")
     if unconverged:
         print(f"note: {len(unconverged)} training courses hit the sweep cap")

@@ -27,14 +27,17 @@ from repro.core.config import PipelineConfig
 from repro.errors import NotTrainedError, TrainingError
 from repro.errortypes.registry import ErrorTypeRegistry
 from repro.evaluation.evaluator import PolicyEvaluator
-from repro.learning.checkpoint import CheckpointStore, training_fingerprint
+from repro.learning.checkpoint import (
+    CheckpointStore,
+    TypeOutcome,
+    training_fingerprint,
+)
 from repro.learning.extraction import merge_rules
-from repro.learning.parallel import ParallelTrainingEngine, TypeOutcome
+from repro.learning.parallel import ParallelTrainingEngine
 from repro.learning.qlearning import (
     TrainingResult,
     TypeTrainingResult,
 )
-from repro.learning.telemetry import TrainingTelemetry
 from repro.mining.noise import NoiseFilterResult, filter_noise
 from repro.policies.base import Policy
 from repro.policies.hybrid import HybridPolicy
@@ -59,9 +62,6 @@ class RecoveryPolicyLearner:
     config:
         Pipeline configuration (including ``n_workers`` /
         ``checkpoint_dir`` / ``resume`` for the parallel engine).
-    telemetry:
-        Optional :class:`~repro.learning.telemetry.TrainingTelemetry`
-        observer for per-type training progress.
 
     Attributes (set by :meth:`fit`)
     -------------------------------
@@ -73,7 +73,7 @@ class RecoveryPolicyLearner:
         Per-type Q-learning outcomes.
     outcomes_:
         Per-type engine outcomes (rules, wall-clock, checkpoint
-        provenance).
+        provenance, and each trained course's ``sweep_deltas`` curve).
     rules_:
         The merged state-action rule table.
     """
@@ -83,7 +83,6 @@ class RecoveryPolicyLearner:
         catalog: Optional[ActionCatalog] = None,
         config: Optional[PipelineConfig] = None,
         baseline: Optional[Policy] = None,
-        telemetry: Optional[TrainingTelemetry] = None,
     ) -> None:
         self.catalog = catalog if catalog is not None else default_catalog()
         self.config = config if config is not None else PipelineConfig()
@@ -95,7 +94,6 @@ class RecoveryPolicyLearner:
             if baseline is not None
             else UserDefinedPolicy(self.catalog)
         )
-        self.telemetry = telemetry
         self.noise_result_: Optional[NoiseFilterResult] = None
         self.registry_: Optional[ErrorTypeRegistry] = None
         self.training_result_: Optional[TrainingResult] = None
@@ -187,7 +185,6 @@ class RecoveryPolicyLearner:
             n_workers=self.config.n_workers,
             checkpoint=self._make_checkpoint_store(),
             resume=self.config.resume,
-            telemetry=self.telemetry,
         )
         self._platform = engine.platform
         outcomes = engine.train(trainable)

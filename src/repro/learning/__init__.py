@@ -17,7 +17,7 @@ from repro.learning.approximation import (
 )
 from repro.learning.checkpoint import (
     CheckpointStore,
-    TypeCheckpoint,
+    TypeOutcome,
     training_fingerprint,
 )
 from repro.learning.exploration import (
@@ -26,7 +26,7 @@ from repro.learning.exploration import (
     TemperatureSchedule,
 )
 from repro.learning.extraction import extract_greedy_rules
-from repro.learning.parallel import ParallelTrainingEngine, TypeOutcome
+from repro.learning.parallel import ParallelTrainingEngine
 from repro.learning.qlearning import (
     QLearningConfig,
     QLearningTrainer,
@@ -40,12 +40,7 @@ from repro.learning.selection_tree import (
 )
 
 __all__ = [
-    "SweepStats",
-    "TelemetryRecorder",
-    "TrainingTelemetry",
-    "TypeTelemetry",
     "CheckpointStore",
-    "TypeCheckpoint",
     "training_fingerprint",
     "ParallelTrainingEngine",
     "TypeOutcome",

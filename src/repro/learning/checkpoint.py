@@ -1,5 +1,7 @@
-"""Per-error-type training checkpoints.
+"""One error type's training outcome, and its per-type checkpoints.
 
+:class:`TypeOutcome` is the one record of a finished course: the
+parallel engine returns it and the checkpoint store saves and loads it.
 The paper's 97 error types train independently, so a long run over many
 types is naturally resumable at type granularity: every finished course
 is persisted as one JSON file (Q-table with visit counts, extracted
@@ -39,7 +41,7 @@ from repro.policies.trained import Rule
 from repro.records import CHECKPOINT, CHECKPOINT_FORMAT, read_json, write_atomic
 
 __all__ = [
-    "TypeCheckpoint",
+    "TypeOutcome",
     "CheckpointStore",
     "training_fingerprint",
 ]
@@ -59,32 +61,35 @@ def training_fingerprint(payload: Mapping[str, object]) -> str:
 
 
 @dataclass(frozen=True)
-class TypeCheckpoint:
-    """One error type's completed training course, ready to persist.
+class TypeOutcome:
+    """One error type's complete training outcome.
 
     Attributes
     ----------
-    error_type:
-        The trained type.
     training:
-        The Q-learning outcome (table, sweep counts, convergence).
+        The Q-learning course result (table, sweeps, convergence and
+        the per-sweep ``sweep_deltas`` curve); its ``error_type`` names
+        the trained type.
     rules:
-        The extracted rule table (selection-tree or greedy).
+        The extracted rule table (selection tree or greedy).
     expected_cost:
-        The selection tree's exactly evaluated cost, or ``None`` for
-        greedy extraction.
+        The selection tree's exactly evaluated training cost, ``None``
+        under greedy extraction.
     candidates_evaluated:
         Candidate policies the selection tree evaluated (0 for greedy).
     wall_clock:
-        Training wall-clock seconds (telemetry; informational only).
+        Seconds the course took (on whichever worker ran it;
+        informational only).
+    from_checkpoint:
+        True when the outcome was restored from disk instead of trained.
     """
 
-    error_type: str
     training: TypeTrainingResult
     rules: RuleTable
     expected_cost: Optional[float]
     candidates_evaluated: int
     wall_clock: float
+    from_checkpoint: bool = False
 
 
 def _slug(error_type: str) -> str:
@@ -133,19 +138,20 @@ class CheckpointStore:
         return self._directory / f"{_slug(error_type)}.json"
 
     # ------------------------------------------------------------------
-    def save(self, checkpoint: TypeCheckpoint) -> Path:
+    def save(self, outcome: TypeOutcome) -> Path:
         """Persist one type's course atomically; returns the file path.
 
         The write is atomic (:func:`~repro.records.write_atomic`), so
         neither an interrupt mid-write nor a second save of the same
-        type can leave a torn checkpoint behind.
+        type can leave a torn checkpoint behind.  The sweep curve is
+        not persisted.
         """
         self._directory.mkdir(parents=True, exist_ok=True)
-        training = checkpoint.training
+        training = outcome.training
         payload = {
             "format": CHECKPOINT_FORMAT,
             "fingerprint": self._fingerprint,
-            "error_type": checkpoint.error_type,
+            "error_type": training.error_type,
             "training": {
                 "sweeps_run": training.sweeps_run,
                 "sweeps_to_convergence": training.sweeps_to_convergence,
@@ -153,17 +159,20 @@ class CheckpointStore:
                 "episodes": training.episodes,
             },
             "qtable": qtable_to_payload(training.qtable),
-            "rules": rule_records(checkpoint.rules),
-            "expected_cost": checkpoint.expected_cost,
-            "candidates_evaluated": checkpoint.candidates_evaluated,
-            "wall_clock": checkpoint.wall_clock,
+            "rules": rule_records(outcome.rules),
+            "expected_cost": outcome.expected_cost,
+            "candidates_evaluated": outcome.candidates_evaluated,
+            "wall_clock": outcome.wall_clock,
         }
-        path = self.path_for(checkpoint.error_type)
+        path = self.path_for(training.error_type)
         write_atomic(path, [(json.dumps(payload, indent=1) + "\n").encode()])
         return path
 
-    def load(self, error_type: str) -> Optional[TypeCheckpoint]:
-        """The type's checkpoint, or ``None`` when absent or stale.
+    def load(self, error_type: str) -> Optional[TypeOutcome]:
+        """The type's restored outcome, or ``None`` when absent or stale.
+
+        A restored outcome has ``from_checkpoint=True`` and an empty
+        ``training.sweep_deltas``.
 
         Stale means: written under a different configuration
         fingerprint, or unreadable (not JSON, or a record that
@@ -189,8 +198,7 @@ class CheckpointStore:
             # Hand-edited Q table the table refuses: retrain.
             return None
         training = fields["training"]
-        return TypeCheckpoint(
-            error_type=error_type,
+        return TypeOutcome(
             training=TypeTrainingResult(
                 error_type=error_type, qtable=qtable, **training
             ),
@@ -198,6 +206,7 @@ class CheckpointStore:
             expected_cost=fields["expected_cost"],
             candidates_evaluated=fields["candidates_evaluated"],
             wall_clock=fields["wall_clock"],
+            from_checkpoint=True,
         )
 
     def _read_current(self, path: Path) -> Optional[Dict[str, object]]:

@@ -15,11 +15,12 @@ run:
 * results are merged in the caller's type order, never completion
   order.
 
-The engine also owns checkpoint/resume (each finished type is persisted
-immediately via :class:`~repro.learning.checkpoint.CheckpointStore`,
-including when a later type subsequently fails) and telemetry (workers
-record locally; the parent replays each type's event stream into the
-user's :class:`~repro.learning.telemetry.TrainingTelemetry`).
+Each course comes back as one
+:class:`~repro.learning.checkpoint.TypeOutcome`, its per-sweep curve
+inside.  The engine also owns checkpoint/resume: each finished type is
+persisted immediately via
+:class:`~repro.learning.checkpoint.CheckpointStore`, including when a
+later type subsequently fails.
 
 Serial (``n_workers=1``) and parallel runs execute the *same* per-type
 function, so the equivalence test harness in
@@ -31,69 +32,22 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.actions.action import ActionCatalog
 from repro.errors import ConfigurationError, ReproError, TrainingError
-from repro.learning.checkpoint import CheckpointStore, TypeCheckpoint
+from repro.learning.checkpoint import CheckpointStore, TypeOutcome
 from repro.learning.extraction import extract_greedy_rules
-from repro.learning.qlearning import (
-    QLearningConfig,
-    QLearningTrainer,
-    TypeTrainingResult,
-)
+from repro.learning.qlearning import QLearningConfig, QLearningTrainer
 from repro.learning.selection_tree import (
     SelectionTreeConfig,
     SelectionTreeExtractor,
 )
-from repro.learning.telemetry import (
-    TelemetryRecorder,
-    TrainingTelemetry,
-    TypeTelemetry,
-    replay_type_telemetry,
-)
-from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy
 from repro.recoverylog.process import RecoveryProcess
 from repro.simplatform.platform import SimulationPlatform
 
-__all__ = ["TypeOutcome", "ParallelTrainingEngine"]
-
-Rule = Tuple[str, float]
-RuleTable = Dict[RecoveryState, Rule]
-
-
-@dataclass(frozen=True)
-class TypeOutcome:
-    """One error type's complete training outcome.
-
-    Attributes
-    ----------
-    training:
-        The Q-learning course result (table, sweeps, convergence).
-    rules:
-        The extracted rule table (selection tree or greedy).
-    expected_cost:
-        The selection tree's exactly evaluated training cost, ``None``
-        under greedy extraction.
-    candidates_evaluated:
-        Candidate policies the selection tree evaluated (0 for greedy).
-    wall_clock:
-        Seconds the course took (on whichever worker ran it).
-    telemetry:
-        Per-sweep curves when telemetry was requested, else ``None``.
-    from_checkpoint:
-        True when the outcome was restored from disk instead of trained.
-    """
-
-    training: TypeTrainingResult
-    rules: RuleTable
-    expected_cost: Optional[float]
-    candidates_evaluated: int
-    wall_clock: float
-    telemetry: Optional[TypeTelemetry] = None
-    from_checkpoint: bool = False
+__all__ = ["ParallelTrainingEngine"]
 
 
 def _train_one_type(
@@ -103,7 +57,6 @@ def _train_one_type(
     baseline: Optional[Policy],
     error_type: str,
     processes: Sequence[RecoveryProcess],
-    collect_telemetry: bool,
 ) -> TypeOutcome:
     """Train one type — the single code path shared by serial and pool.
 
@@ -112,26 +65,19 @@ def _train_one_type(
     the standard course runs to stability and rules are extracted
     greedily.
     """
-    recorder = TelemetryRecorder() if collect_telemetry else None
     trainer = QLearningTrainer(platform, qlearning)
     started = time.perf_counter()  # repro-lint: disable=R3 telemetry wall-clock only
     if tree is not None:
         extractor = SelectionTreeExtractor(platform, tree)
         outcome = extractor.train_type(
-            trainer,
-            error_type,
-            processes,
-            baseline=baseline,
-            telemetry=recorder,
+            trainer, error_type, processes, baseline=baseline
         )
         training = outcome.training
-        rules: RuleTable = outcome.rules
+        rules = outcome.rules
         expected_cost: Optional[float] = outcome.expected_cost
         candidates = outcome.candidates_evaluated
     else:
-        training = trainer.train_type(
-            error_type, processes, telemetry=recorder
-        )
+        training = trainer.train_type(error_type, processes)
         rules = extract_greedy_rules(training.qtable)
         expected_cost = None
         candidates = 0
@@ -141,7 +87,6 @@ def _train_one_type(
         expected_cost=expected_cost,
         candidates_evaluated=candidates,
         wall_clock=time.perf_counter() - started,  # repro-lint: disable=R3 telemetry wall-clock only
-        telemetry=recorder.get(error_type) if recorder is not None else None,
     )
 
 
@@ -159,7 +104,6 @@ def _worker_init(
     tree: Optional[SelectionTreeConfig],
     baseline: Optional[Policy],
     max_actions: int,
-    collect_telemetry: bool,
 ) -> None:
     _WORKER_STATE["platform"] = SimulationPlatform(
         processes, catalog, max_actions=max_actions
@@ -167,7 +111,6 @@ def _worker_init(
     _WORKER_STATE["qlearning"] = qlearning
     _WORKER_STATE["tree"] = tree
     _WORKER_STATE["baseline"] = baseline
-    _WORKER_STATE["collect_telemetry"] = collect_telemetry
 
 
 def _worker_train(
@@ -181,7 +124,6 @@ def _worker_train(
         _WORKER_STATE["baseline"],  # type: ignore[arg-type]
         error_type,
         processes,
-        bool(_WORKER_STATE["collect_telemetry"]),
     )
 
 
@@ -214,11 +156,6 @@ class ParallelTrainingEngine:
     resume:
         When a store is given: load matching checkpoints instead of
         retraining (True), or retrain everything and overwrite (False).
-    telemetry:
-        Optional observer.  Inline courses report through it as they
-        run; pool courses record in the worker and are replayed into it
-        as each type completes (event order across types then follows
-        completion, but each type's own stream is intact).
     """
 
     def __init__(
@@ -233,7 +170,6 @@ class ParallelTrainingEngine:
         n_workers: int = 1,
         checkpoint: Optional[CheckpointStore] = None,
         resume: bool = True,
-        telemetry: Optional[TrainingTelemetry] = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(
@@ -252,41 +188,17 @@ class ParallelTrainingEngine:
         self.n_workers = n_workers
         self._checkpoint = checkpoint
         self._resume = resume
-        self._telemetry = telemetry
 
     # ------------------------------------------------------------------
-    def _finish(self, error_type: str, outcome: TypeOutcome) -> None:
-        """Persist and report one freshly trained type."""
+    def _finish(self, outcome: TypeOutcome) -> None:
+        """Persist one freshly trained type."""
         if self._checkpoint is not None:
-            self._checkpoint.save(
-                TypeCheckpoint(
-                    error_type=error_type,
-                    training=outcome.training,
-                    rules=outcome.rules,
-                    expected_cost=outcome.expected_cost,
-                    candidates_evaluated=outcome.candidates_evaluated,
-                    wall_clock=outcome.wall_clock,
-                )
-            )
-        if self._telemetry is not None and outcome.telemetry is not None:
-            replay_type_telemetry(
-                self._telemetry, outcome.telemetry, outcome.training
-            )
+            self._checkpoint.save(outcome)
 
     def _restore(self, error_type: str) -> Optional[TypeOutcome]:
         if self._checkpoint is None or not self._resume:
             return None
-        loaded = self._checkpoint.load(error_type)
-        if loaded is None:
-            return None
-        return TypeOutcome(
-            training=loaded.training,
-            rules=loaded.rules,
-            expected_cost=loaded.expected_cost,
-            candidates_evaluated=loaded.candidates_evaluated,
-            wall_clock=loaded.wall_clock,
-            from_checkpoint=True,
-        )
+        return self._checkpoint.load(error_type)
 
     def train(
         self,
@@ -309,7 +221,6 @@ class ParallelTrainingEngine:
             else:
                 pending.append(error_type)
 
-        collect = self._telemetry is not None
         if not pending:
             pass
         elif self.n_workers == 1:
@@ -321,19 +232,17 @@ class ParallelTrainingEngine:
                     self._baseline,
                     error_type,
                     ordered[error_type],
-                    collect,
                 )
-                self._finish(error_type, outcome)
+                self._finish(outcome)
                 outcomes[error_type] = outcome
         else:
-            outcomes.update(self._train_pool(ordered, pending, collect))
+            outcomes.update(self._train_pool(ordered, pending))
         return {t: outcomes[t] for t in ordered}
 
     def _train_pool(
         self,
         ordered: Mapping[str, Tuple[RecoveryProcess, ...]],
         pending: Sequence[str],
-        collect: bool,
     ) -> Dict[str, TypeOutcome]:
         results: Dict[str, TypeOutcome] = {}
         executor = ProcessPoolExecutor(
@@ -346,7 +255,6 @@ class ParallelTrainingEngine:
                 self._tree,
                 self._baseline,
                 self._max_actions,
-                collect,
             ),
         )
         try:
@@ -370,7 +278,7 @@ class ParallelTrainingEngine:
                         f"worker training error type {error_type!r} "
                         f"crashed: {exc}"
                     ) from exc
-                self._finish(error_type, outcome)
+                self._finish(outcome)
                 results[error_type] = outcome
         finally:
             executor.shutdown(wait=True, cancel_futures=True)

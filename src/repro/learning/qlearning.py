@@ -16,7 +16,6 @@ courses that never converge.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,7 +28,6 @@ from repro.learning.exploration import (
     TemperatureSchedule,
 )
 from repro.learning.qtable import QTable
-from repro.learning.telemetry import TrainingTelemetry
 from repro.mdp.state import RecoveryState
 from repro.recoverylog.process import RecoveryProcess
 from repro.session.trace import FORCED_SOURCE, EpisodeTelemetry
@@ -152,6 +150,12 @@ class TypeTrainingResult:
         Whether the stability criterion was met within the budget.
     episodes:
         Total episodes replayed.
+    sweep_deltas:
+        Per sweep, the largest absolute Q change any of its episodes
+        caused: the course's convergence curve (it tends to 0 as the
+        values settle), one entry per sweep run.  Sweep ``i`` ran at
+        ``config.temperature.temperature(i)``.  Empty for a course
+        restored from a checkpoint.
     """
 
     error_type: str
@@ -160,6 +164,7 @@ class TypeTrainingResult:
     sweeps_to_convergence: int
     converged: bool
     episodes: int
+    sweep_deltas: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -408,7 +413,6 @@ class QLearningTrainer:
         processes: Sequence[RecoveryProcess],
         *,
         sweep_callback: Optional[Callable[[int, QTable], bool]] = None,
-        telemetry: Optional[TrainingTelemetry] = None,
     ) -> TypeTrainingResult:
         """Train one error type on its recovery processes.
 
@@ -424,10 +428,6 @@ class QLearningTrainer:
             Optional hook invoked after every sweep with
             ``(sweep_index, qtable)``; returning True stops training
             early (used by the selection-tree course).
-        telemetry:
-            Optional :class:`TrainingTelemetry` observer; receives
-            type-start/sweep/type-end events.  Purely observational —
-            supplying it never changes training results.
         """
         if not processes:
             raise TrainingError(
@@ -443,9 +443,6 @@ class QLearningTrainer:
             self.platform.catalog.names(), alpha_floor=self.config.alpha_floor
         )
         course = self._course(qtable, error_type, processes)
-        started = time.perf_counter()  # repro-lint: disable=R3 telemetry wall-clock only
-        if telemetry is not None:
-            telemetry.on_type_start(error_type, len(processes))
         rng = self._type_rng(error_type)
         explorer = self._make_explorer(rng)
         run = self._episode_runner(qtable, course, explorer)
@@ -464,6 +461,7 @@ class QLearningTrainer:
         sweeps_run = 0
         converged = False
         convergence_sweep = None
+        sweep_deltas: List[float] = []
 
         for sweep in range(self.config.max_sweeps):
             sweeps_run = sweep + 1
@@ -474,14 +472,7 @@ class QLearningTrainer:
                 episodes += 1
                 if delta > sweep_delta:
                     sweep_delta = delta
-            if telemetry is not None:
-                telemetry.on_sweep(
-                    error_type,
-                    sweep,
-                    episodes,
-                    self.config.temperature.temperature(sweep),
-                    sweep_delta,
-                )
+            sweep_deltas.append(sweep_delta)
             if not qtable.greedy_policy_changed():
                 stable += 1
             else:
@@ -498,7 +489,7 @@ class QLearningTrainer:
                 converged = True
                 convergence_sweep = sweeps_run - self.config.convergence_patience
                 break
-        result = TypeTrainingResult(
+        return TypeTrainingResult(
             error_type=error_type,
             qtable=qtable,
             sweeps_run=sweeps_run,
@@ -507,32 +498,23 @@ class QLearningTrainer:
             ),
             converged=converged,
             episodes=episodes,
+            sweep_deltas=tuple(sweep_deltas),
         )
-        if telemetry is not None:
-            telemetry.on_type_end(
-                error_type,
-                result,
-                time.perf_counter() - started,  # repro-lint: disable=R3 telemetry wall-clock only
-            )
-        return result
 
     def train(
         self,
         processes_by_type: Mapping[str, Sequence[RecoveryProcess]],
-        *,
-        telemetry: Optional[TrainingTelemetry] = None,
     ) -> TrainingResult:
         """Train every error type; see :meth:`train_type`.
 
         Per-type child RNGs make the result independent of iteration
-        order; types are still visited sorted for stable telemetry.
+        order; types are still visited sorted, so episode traces arrive
+        in a stable order.
         """
         results: Dict[str, TypeTrainingResult] = {}
         for error_type in sorted(processes_by_type):
             processes = processes_by_type[error_type]
             if not processes:
                 continue
-            results[error_type] = self.train_type(
-                error_type, processes, telemetry=telemetry
-            )
+            results[error_type] = self.train_type(error_type, processes)
         return TrainingResult(per_type=results)

@@ -361,7 +361,6 @@ class SelectionTreeExtractor:
         error_type: str,
         processes: Sequence[RecoveryProcess],
         baseline: Optional[PolicyLike] = None,
-        telemetry=None,
     ) -> TreeTrainingOutcome:
         """Run a Q-learning course that stops via selection-tree checks.
 
@@ -399,8 +398,7 @@ class SelectionTreeExtractor:
             return state["stable"] >= self.config.stable_checks
 
         training = trainer.train_type(
-            error_type, processes, sweep_callback=callback,
-            telemetry=telemetry,
+            error_type, processes, sweep_callback=callback
         )
         extracted = state["extracted"]
         if extracted is not None and extracted[0] == training.sweeps_run - 1:

@@ -10,9 +10,8 @@ serving-scale direction needs: uniform across origins, so a dashboard
 aggregating "cost per step by error type" reads training, evaluation
 and production recovery identically.
 
-:class:`EpisodeTelemetry` is the hook interface; the standard recorder
-(:class:`~repro.learning.telemetry.EpisodeRecorder`) lives next to the
-training telemetry so all observability plumbing shares one module.
+:class:`EpisodeTelemetry` is the hook interface and
+:class:`EpisodeRecorder` the standard hook, which keeps every trace.
 Hooks are strictly observers: they receive immutable traces and must
 not influence the episode, so attaching telemetry never changes
 results.
@@ -20,10 +19,11 @@ results.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["StepTrace", "EpisodeTrace", "EpisodeTelemetry"]
+__all__ = ["StepTrace", "EpisodeTrace", "EpisodeTelemetry", "EpisodeRecorder"]
 
 #: Decision provenance recorded when the ``N``-action cap, not the
 #: policy, chose the action.
@@ -133,3 +133,30 @@ class EpisodeTelemetry:
 
     def on_episode(self, trace: EpisodeTrace) -> None:
         """A recovery session finished (cured, capped-out or aborted)."""
+
+
+class EpisodeRecorder(EpisodeTelemetry):
+    """Accumulate the episode traces every episode loop emits.
+
+    One recorder can observe several loops at once — pass it to the
+    evaluator, the trainer and the fleet engine and the traces
+    interleave, distinguished by :attr:`EpisodeTrace.origin`.
+    """
+
+    def __init__(self) -> None:
+        self._traces: List[EpisodeTrace] = []
+
+    def on_episode(self, trace: EpisodeTrace) -> None:
+        self._traces.append(trace)
+
+    @property
+    def traces(self) -> Tuple[EpisodeTrace, ...]:
+        """All recorded traces, in arrival order."""
+        return tuple(self._traces)
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def episode_counts(self) -> Dict[str, int]:
+        """``{origin: episode count}`` across everything observed."""
+        return dict(Counter(t.origin for t in self._traces))

@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.actions import default_catalog
-from repro.learning.checkpoint import CheckpointStore, TypeCheckpoint
+from repro.learning.checkpoint import CheckpointStore, TypeOutcome
 from repro.learning.qlearning import TypeTrainingResult
 from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
@@ -31,10 +31,9 @@ OUTER = TrainedPolicy({S0: ("REIMAGE", 7200.0), S1: ("RMA", 172800.0)})
 INNER = TrainedPolicy({S0: ("TRYNOP", 300.0)})
 
 
-def _checkpoint(sweeps: int) -> TypeCheckpoint:
+def _checkpoint(sweeps: int) -> TypeOutcome:
     qtable = QTable([a.name for a in default_catalog().by_strength()])
-    return TypeCheckpoint(
-        error_type="error:X",
+    return TypeOutcome(
         training=TypeTrainingResult(
             error_type="error:X", qtable=qtable, sweeps_run=sweeps,
             sweeps_to_convergence=sweeps, converged=True, episodes=sweeps,

@@ -29,7 +29,7 @@ from repro.core import PipelineConfig, RecoveryPolicyLearner
 from repro.errors import ConfigurationError, TrainingError
 from repro.learning.checkpoint import (
     CheckpointStore,
-    TypeCheckpoint,
+    TypeOutcome,
     training_fingerprint,
 )
 from repro.learning.parallel import ParallelTrainingEngine
@@ -94,7 +94,8 @@ class TestCheckpointStore:
         for error_type, outcome in outcomes.items():
             loaded = store.load(error_type)
             assert loaded is not None
-            assert loaded.error_type == error_type
+            assert loaded.from_checkpoint and not outcome.from_checkpoint
+            assert loaded.training.error_type == error_type
             # Q values and visit counts survive JSON bit-for-bit.
             assert qtable_snapshot(loaded.training.qtable) == qtable_snapshot(
                 outcome.training.qtable
@@ -104,6 +105,17 @@ class TestCheckpointStore:
             assert loaded.training.episodes == outcome.training.episodes
             assert loaded.training.converged == outcome.training.converged
             assert loaded.expected_cost == outcome.expected_cost
+
+    def test_restored_outcome_has_no_sweep_curve(self, tmp_path):
+        """The curve is not persisted: a resumed course reports ``()``."""
+        groups = ladder_groups()
+        store = store_at(tmp_path)
+        trained = engine_for(groups, store).train(groups)
+        resumed = engine_for(groups, store).train(groups)
+        for error_type, outcome in resumed.items():
+            assert outcome.from_checkpoint
+            assert outcome.training.sweep_deltas == ()
+            assert trained[error_type].training.sweep_deltas
 
     def test_completed_types_lists_saved_types(self, tmp_path):
         groups = ladder_groups()
@@ -224,17 +236,7 @@ class TestCheckpointStore:
         groups = ladder_groups()
         store = store_at(tmp_path)
         outcomes = engine_for(groups, store).train(groups)
-        outcome = outcomes["error:Hard"]
-        path = store.save(
-            TypeCheckpoint(
-                error_type="error:Hard",
-                training=outcome.training,
-                rules=outcome.rules,
-                expected_cost=outcome.expected_cost,
-                candidates_evaluated=outcome.candidates_evaluated,
-                wall_clock=outcome.wall_clock,
-            )
-        )
+        path = store.save(outcomes["error:Hard"])
         assert path == store.path_for("error:Hard")
         assert path.exists()
 
@@ -270,7 +272,7 @@ class TestCheckpointFuzz:
             except TrainingError as exc:
                 assert "belongs to error type" in str(exc)
             else:
-                assert loaded is None or isinstance(loaded, TypeCheckpoint)
+                assert loaded is None or isinstance(loaded, TypeOutcome)
 
 
 class TestInterruptAndResume:
@@ -337,7 +339,7 @@ class TestInterruptAndResume:
         saved = store.completed_types()
         assert [path.suffix for path in left] == [".json"] * len(saved)
         assert all(
-            isinstance(store.load(error_type), TypeCheckpoint)
+            isinstance(store.load(error_type), TypeOutcome)
             for error_type in saved
         )
         assert "error:Mid" not in saved

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -9,6 +12,17 @@ from repro.mdp.state import RecoveryState
 from repro.policies.serialization import save_policy
 from repro.policies.trained import TrainedPolicy
 from repro.recoverylog.io import write_log_jsonl
+
+
+def _checkpoint_episodes(path):
+    """Episodes a checkpoint file records for its course."""
+    return json.loads(path.read_text(encoding="utf-8"))["training"]["episodes"]
+
+
+def _printed_episodes(out):
+    """The ``training: N episodes`` total a ``repro train`` run printed."""
+    (count,) = re.findall(r"^training: ([\d,]+) episodes", out, re.MULTILINE)
+    return int(count.replace(",", ""))
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +167,11 @@ class TestTrainParallelFlags:
         assert main(base + ["--out", str(first_policy)]) == 0
         first_out = capsys.readouterr().out
         assert "error types from checkpoints" not in first_out
-        assert any(ckpt.glob("*.json"))
+        checkpoints = sorted(ckpt.glob("*.json"))
+        assert len(checkpoints) == 2
+        assert _printed_episodes(first_out) == sum(
+            _checkpoint_episodes(path) for path in checkpoints
+        )
 
         assert main(base + ["--out", str(second_policy), "--resume"]) == 0
         second_out = capsys.readouterr().out
@@ -186,6 +204,7 @@ class TestTrainParallelFlags:
         capsys.readouterr()
         checkpoints = sorted(ckpt.glob("*.json"))
         assert len(checkpoints) == 2
+        retrained_episodes = _checkpoint_episodes(checkpoints[0])
         checkpoints[0].unlink()
 
         assert main(
@@ -194,6 +213,8 @@ class TestTrainParallelFlags:
         out = capsys.readouterr().out
         assert "resumed 1 error types" in out
         assert "trained 1 error types" in out
+        # Only the retrained type's episodes count.
+        assert _printed_episodes(out) == retrained_episodes
         assert resumed_policy.read_bytes() == full_policy.read_bytes()
 
     @pytest.mark.slow

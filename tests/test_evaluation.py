@@ -12,12 +12,12 @@ from repro.evaluation.report import (
     render_relative_costs,
     render_totals,
 )
-from repro.learning.telemetry import EpisodeRecorder
 from repro.policies import (
     FixedSequencePolicy,
     TrainedPolicy,
     UserDefinedPolicy,
 )
+from repro.session import EpisodeRecorder
 
 CATALOG = default_catalog()
 

@@ -9,6 +9,8 @@ tracegen log — plus clear :class:`TrainingError` surfacing when a
 worker's course fails.
 """
 
+import math
+
 import pytest
 
 from helpers import ladder_processes
@@ -18,7 +20,6 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.learning.parallel import ParallelTrainingEngine
 from repro.learning.qlearning import QLearningConfig
 from repro.learning.selection_tree import SelectionTreeConfig
-from repro.learning.telemetry import TelemetryRecorder
 
 CATALOG = default_catalog()
 
@@ -49,7 +50,7 @@ def ladder_groups():
     return {"error:Hard": hard, "error:Soft": soft, "error:Mid": mid}
 
 
-def engine_for(groups, n_workers, *, tree=TREE, telemetry=None):
+def engine_for(groups, n_workers, *, tree=TREE):
     ensemble = [p for ps in groups.values() for p in ps]
     return ParallelTrainingEngine(
         ensemble,
@@ -57,7 +58,6 @@ def engine_for(groups, n_workers, *, tree=TREE, telemetry=None):
         qlearning=QL,
         tree=tree,
         n_workers=n_workers,
-        telemetry=telemetry,
     )
 
 
@@ -182,44 +182,25 @@ class TestWorkerFailure:
             engine.train(groups)
 
 
-class TestTelemetry:
-    def test_serial_telemetry_records_curves(self):
+class TestSweepCurves:
+    """Each course returns its convergence curve: one entry per sweep."""
+
+    @pytest.mark.parametrize("tree", [TREE, None], ids=["tree", "greedy"])
+    def test_every_trained_outcome_records_its_curve(self, tree):
         groups = ladder_groups()
-        recorder = TelemetryRecorder()
-        outcomes = engine_for(groups, 1, telemetry=recorder).train(groups)
-        assert set(recorder.per_type) == set(groups)
-        for error_type, outcome in outcomes.items():
-            record = recorder.per_type[error_type]
-            assert record.finished
-            assert record.process_count == len(groups[error_type])
-            assert record.sweeps_run == outcome.training.sweeps_run
-            assert record.episodes == outcome.training.episodes
-            assert len(record.sweeps) == outcome.training.sweeps_run
-            assert record.wall_clock > 0
-            # Temperature anneals monotonically; Q deltas are recorded.
-            temps = record.temperature_curve()
-            assert all(b <= a for a, b in zip(temps, temps[1:]))
-            assert len(record.q_delta_curve()) == record.sweeps_run
+        outcomes = engine_for(groups, 1, tree=tree).train(groups)
+        for outcome in outcomes.values():
+            curve = outcome.training.sweep_deltas
+            assert len(curve) == outcome.training.sweeps_run
+            assert all(math.isfinite(d) and d >= 0.0 for d in curve)
+            # Early exploration moves the Q values.
+            assert max(curve) > 0.0
 
     @pytest.mark.slow
-    def test_parallel_telemetry_replays_worker_events(self):
+    def test_parallel_curves_equal_serial(self):
         groups = ladder_groups()
-        serial_rec = TelemetryRecorder()
-        parallel_rec = TelemetryRecorder()
-        engine_for(groups, 1, telemetry=serial_rec).train(groups)
-        engine_for(groups, 2, telemetry=parallel_rec).train(groups)
-        assert set(parallel_rec.per_type) == set(serial_rec.per_type)
-        for error_type, serial_record in serial_rec.per_type.items():
-            parallel_record = parallel_rec.per_type[error_type]
-            # Curves are identical; wall-clock is machine-dependent.
-            assert parallel_record.sweeps == serial_record.sweeps
-            assert parallel_record.episodes == serial_record.episodes
-            assert parallel_record.converged == serial_record.converged
-
-    def test_telemetry_never_changes_results(self):
-        groups = ladder_groups()
-        with_telemetry = engine_for(
-            groups, 1, telemetry=TelemetryRecorder()
-        ).train(groups)
-        without = engine_for(groups, 1).train(groups)
-        assert outcome_snapshot(with_telemetry) == outcome_snapshot(without)
+        serial = engine_for(groups, 1).train(groups)
+        parallel = engine_for(groups, 2).train(groups)
+        assert {
+            t: o.training.sweep_deltas for t, o in parallel.items()
+        } == {t: o.training.sweep_deltas for t, o in serial.items()}

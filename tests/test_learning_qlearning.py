@@ -12,8 +12,8 @@ from repro.errors import (
 )
 from repro.learning.exploration import TemperatureSchedule
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-from repro.learning.telemetry import EpisodeRecorder, TelemetryRecorder
 from repro.mdp.state import RecoveryState
+from repro.session import EpisodeRecorder
 from repro.simplatform.platform import SimulationPlatform
 
 CATALOG = default_catalog()
@@ -135,14 +135,12 @@ class TestCourseSetup:
         processes = reimage_type_processes()
         platform = SimulationPlatform(processes[:-1], CATALOG)
         recorder = EpisodeRecorder()
-        telemetry = TelemetryRecorder()
         trainer = QLearningTrainer(
             platform, QLearningConfig(seed=1), episode_telemetry=recorder
         )
         with pytest.raises(SimulationError, match="not part of this platform"):
-            trainer.train_type("error:Hard", processes, telemetry=telemetry)
+            trainer.train_type("error:Hard", processes)
         assert len(recorder) == 0
-        assert telemetry.per_type == {}
 
     def test_unknown_logged_action_raises_naming_the_process(self):
         processes = reimage_type_processes() + [

@@ -17,7 +17,7 @@ from helpers import binary_header, write_binary_header
 from repro.analysis import Baseline, BaselineError
 from repro.analysis.findings import Finding
 from repro.errors import LogFormatError
-from repro.learning.checkpoint import CheckpointStore, TypeCheckpoint
+from repro.learning.checkpoint import CheckpointStore, TypeOutcome
 from repro.learning.qlearning import TypeTrainingResult
 from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
@@ -116,8 +116,7 @@ def test_checkpoint_retrains(tmp_path, where, field, value):
     table.update(S0, "REBOOT", 12.5)
     store = CheckpointStore(tmp_path, fingerprint="fp")
     path = store.save(
-        TypeCheckpoint(
-            error_type="error:X",
+        TypeOutcome(
             training=TypeTrainingResult("error:X", table, 80, 60, False, 640),
             rules={S0: ("REBOOT", 12.5)},
             expected_cost=7.0,

@@ -1,17 +1,42 @@
-"""Smoke tests of the top-level public API surface."""
+"""Smoke tests of the public API surface."""
+
+import importlib
+import pkgutil
 
 import pytest
 
 import repro
 
 
+def _exported_names():
+    """One param per name in the ``__all__`` of every ``repro`` module.
+
+    Top-level names keep their bare ids; the rest are qualified by
+    their module.
+    """
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    return [
+        pytest.param(
+            module,
+            name,
+            id=name if module is repro else f"{module.__name__}.{name}",
+        )
+        for module in modules
+        for name in getattr(module, "__all__", ())
+    ]
+
+
 class TestExports:
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
 
-    @pytest.mark.parametrize("name", repro.__all__)
-    def test_all_names_resolve(self, name):
-        assert getattr(repro, name) is not None
+    @pytest.mark.parametrize("module, name", _exported_names())
+    def test_all_names_resolve(self, module, name):
+        """``from module import *`` would raise on a name that fails."""
+        assert getattr(module, name) is not None
 
     def test_quickstart_flow_smoke(self, small_trace):
         """The README/quickstart call sequence works end to end."""

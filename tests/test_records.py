@@ -31,7 +31,7 @@ from repro.analysis import Baseline, BaselineError
 from repro.analysis.findings import Finding
 from repro.cli import main
 from repro.errors import LogFormatError, TrainingError
-from repro.learning.checkpoint import CheckpointStore, TypeCheckpoint
+from repro.learning.checkpoint import CheckpointStore, TypeOutcome
 from repro.learning.qlearning import TypeTrainingResult
 from repro.learning.qtable import QTable
 from repro.mdp.state import RecoveryState
@@ -187,8 +187,7 @@ class TestSaversConform:
         self, qtable, rules, training, expected_cost, candidates, wall_clock
     ):
         sweeps, to_convergence, converged, episodes = training
-        checkpoint = TypeCheckpoint(
-            error_type="error:X",
+        checkpoint = TypeOutcome(
             training=TypeTrainingResult(
                 "error:X", qtable, sweeps, to_convergence, converged, episodes
             ),
@@ -327,8 +326,7 @@ def _checkpoint_file(tmp):
     table = QTable(["TRYNOP", "REBOOT"])
     table.update(RecoveryState("error:X"), "REBOOT", 12.5)
     return _checkpoint_store(tmp).save(
-        TypeCheckpoint(
-            error_type="error:X",
+        TypeOutcome(
             training=TypeTrainingResult("error:X", table, 80, 60, False, 640),
             rules={RecoveryState("error:X"): ("REBOOT", 12.5)},
             expected_cost=7.0,

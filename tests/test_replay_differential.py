@@ -30,7 +30,6 @@ from repro.learning.selection_tree import (
     SelectionTreeConfig,
     SelectionTreeExtractor,
 )
-from repro.learning.telemetry import EpisodeRecorder
 from repro.mdp.state import RecoveryState
 from repro.policies import (
     AlwaysStrongestPolicy,
@@ -41,6 +40,7 @@ from repro.policies import (
     UserDefinedPolicy,
 )
 from repro.recoverylog.process import RecoveryProcess
+from repro.session import EpisodeRecorder
 from repro.simplatform.platform import CostMode, SimulationPlatform
 
 CATALOGS = {

@@ -29,7 +29,6 @@ from repro.errors import UnhandledStateError
 from repro.evaluation.evaluator import PolicyEvaluator
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
 from repro.learning.qtable import QTable
-from repro.learning.telemetry import EpisodeRecorder
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy, PolicyDecision
 from repro.policies.hybrid import HybridPolicy
@@ -40,6 +39,7 @@ from repro.policies.static import (
 )
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
+from repro.session import EpisodeRecorder
 from repro.simplatform.platform import ReplayResult
 from repro.util.rng import RngStreams, make_rng
 

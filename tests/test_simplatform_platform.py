@@ -240,7 +240,7 @@ class TestForcedActionCap:
 
     def test_trainer_episode_obeys_the_same_boundary(self):
         from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-        from repro.learning.telemetry import EpisodeRecorder
+        from repro.session import EpisodeRecorder
 
         process = make_process(["RMA"])
         platform = platform_for([process], max_actions=3)
